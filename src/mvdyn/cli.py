@@ -17,7 +17,7 @@ from fractions import Fraction
 from .formula import (
     GODEL, PRODUCT, LUKASIEWICZ, Substitution, apply_substitution,
     chain_semantics, compose_substitutions, evaluate, identity_check,
-    parse_formula, print_formula, tautology_check, variables_of,
+    parse_formula, print_formula, tautology_check,
 )
 from . import pwl as _pwl
 from . import algebra as _alg
@@ -82,7 +82,7 @@ def _substitution(spec: str) -> Substitution:
         i = int(lhs[1:])
         g = parse_formula(rhs)
         images[i] = g
-        arity = max([arity, i + 1] + [v + 1 for v in variables_of(g)])
+        arity = max(arity, i + 1, g.arity)
     base = Substitution.identity(arity)
     return Substitution([images.get(i, base.images[i]) for i in range(arity)])
 
@@ -439,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="RNG seed for the statistics command")
     top.add_argument("--cap", type=int, default=None,
                      help="generic resource cap override where applicable")
-    top.add_argument("--threads", type=int, default=1,
-                     help="reserved; execution is single-threaded and deterministic")
     sub = top.add_subparsers(dest="command", required=True)
 
     def logic_flag(p, default="lukasiewicz"):

@@ -10,6 +10,7 @@ packed integer truth tables on the two-element chain.
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -18,6 +19,7 @@ ONE_F = Fraction(1)
 
 _CORE_OPS = ("var", "zero", "one", "star", "impl")
 _SUGAR_OPS = ("neg", "and", "or", "oplus")
+_OPS = frozenset(_CORE_OPS + _SUGAR_OPS)
 
 
 class ParseError(ValueError):
@@ -30,24 +32,38 @@ class ParseError(ValueError):
 
 
 class Formula:
-    """Immutable formula node; equality and hashing are modulo desugaring."""
+    """Immutable formula node; equality and hashing are modulo desugaring.
 
-    __slots__ = ("op", "args", "index", "_hash", "_core")
+    ``arity`` is the smallest n such that every variable is among x0..x_{n-1}.
+    Two formulas are equal iff ``core()`` returns the same shared node.
+    """
+
+    __slots__ = ("op", "args", "index", "arity", "_hash", "_core", "__weakref__")
 
     def __init__(self, op: str, args: tuple = (), index: Optional[int] = None):
-        if op not in _CORE_OPS and op not in _SUGAR_OPS:
+        if op not in _OPS:
             raise ValueError(f"unknown connective {op!r}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_core", None)
+        if op == "var":
+            arity = index + 1
+        elif args:  # args[0] is args[-1] for a unary connective
+            arity = max(args[0].arity, args[-1].arity)
+        else:
+            arity = 0
+        _set(self, "op", op)
+        _set(self, "args", args)
+        _set(self, "index", index)
+        _set(self, "arity", arity)
+        _set(self, "_core", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Formula is immutable")
 
+    def __reduce__(self):
+        return (Formula, (self.op, self.args, self.index))
+
     def core(self) -> "Formula":
-        """The desugared form, built from var/0/1/*/-> only. Shared and cached."""
+        """The desugared form, built from var/0/1/*/-> only: one shared node per
+        desugared formula, cached on every node it is computed for."""
         c = self._core
         if c is None:
             return _desugar(self)
@@ -57,20 +73,14 @@ class Formula:
         return self.op in _CORE_OPS
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = _core_hash(self.core())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self.core()._hash
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Formula):
             return NotImplemented
-        if hash(self) != hash(other):
-            return False
-        return _core_eq(self.core(), other.core(), {})
+        return self.core() is other.core()
 
     def __repr__(self):
         return f"Formula({print_formula(self)!r})"
@@ -79,15 +89,35 @@ class Formula:
         return print_formula(self)
 
 
+_set = object.__setattr__
+
 # Marks a node as its own core in ``_core``; storing the node itself would make a
 # reference cycle that only the cyclic garbage collector frees.
 _SELF = object()
 
+# Shared core nodes, keyed on (op, index) for a leaf and on (op, id(a), id(b))
+# for a * or -> node over a and b. A shared node holds its args, so their ids
+# stay unique while its entry lives.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
 
-def _core_node(op: str, args: tuple) -> Formula:
-    node = Formula(op, args)
-    object.__setattr__(node, "_core", _SELF)
-    return node
+
+def _intern(op: str, args: tuple = (), index: Optional[int] = None,
+            node: Optional[Formula] = None) -> Formula:
+    """The shared core node for op over the shared core nodes args. When there
+    is none yet, node (an unshared core node of that shape, if given) becomes it.
+    Its hash is built from the args' hashes, never from addresses."""
+    if args:
+        a, b = args
+        key = (op, id(a), id(b))
+    else:
+        key = (op, index)
+    got = _INTERNED.get(key)
+    if got is None:
+        got = Formula(op, args, index) if node is None else node
+        _set(got, "_hash", hash((op, a._hash, b._hash) if args else key))
+        _set(got, "_core", _SELF)
+        _INTERNED[key] = got
+    return got
 
 
 def _desugar(f: Formula) -> Formula:
@@ -99,69 +129,41 @@ def _desugar(f: Formula) -> Formula:
         got = node._core
         if got is not None:
             return node if got is _SELF else got
-        op = node.op
+        op, args = node.op, node.args
         if op in ("var", "zero", "one"):
-            out = node
+            out = _intern(op, (), node.index, node)
         elif op in ("star", "impl"):
-            a, b = walk(node.args[0]), walk(node.args[1])
-            out = node if (a is node.args[0] and b is node.args[1]) else _core_node(op, (a, b))
+            a, b = walk(args[0]), walk(args[1])
+            out = _intern(op, (a, b), None,
+                          node if (a is args[0] and b is args[1]) else None)
         elif op == "neg":
-            out = _core_node("impl", (walk(node.args[0]), ZERO))
+            out = _intern("impl", (walk(args[0]), ZERO))
         elif op == "and":
-            a, b = walk(node.args[0]), walk(node.args[1])
-            out = _core_node("star", (a, _core_node("impl", (a, b))))
+            a, b = walk(args[0]), walk(args[1])
+            out = _intern("star", (a, _intern("impl", (a, b))))
         elif op == "or":
-            a, b = walk(node.args[0]), walk(node.args[1])
+            a, b = walk(args[0]), walk(args[1])
             # ((a->b)->b) & ((b->a)->a), with & expanded
-            left = _core_node("impl", (_core_node("impl", (a, b)), b))
-            right = _core_node("impl", (_core_node("impl", (b, a)), a))
-            out = _core_node("star", (left, _core_node("impl", (left, right))))
+            left = _intern("impl", (_intern("impl", (a, b)), b))
+            right = _intern("impl", (_intern("impl", (b, a)), a))
+            out = _intern("star", (left, _intern("impl", (left, right))))
         else:  # oplus: !a -> b
-            a, b = walk(node.args[0]), walk(node.args[1])
-            out = _core_node("impl", (_core_node("impl", (a, ZERO)), b))
-        object.__setattr__(node, "_core", _SELF if out is node else out)
+            a, b = walk(args[0]), walk(args[1])
+            out = _intern("impl", (_intern("impl", (a, ZERO)), b))
+        if out is not node:
+            _set(node, "_core", out)
         return out
 
     return walk(f)
-
-
-def _core_hash(f: Formula) -> int:
-    """Structural hash of a core DAG; stored in ``_hash`` on every node visited."""
-
-    def walk(node: Formula) -> int:
-        h = node._hash
-        if h is None:
-            if node.op == "var":
-                h = hash(("var", node.index))
-            elif node.op in ("zero", "one"):
-                h = hash((node.op,))
-            else:
-                h = hash((node.op, tuple(walk(a) for a in node.args)))
-            object.__setattr__(node, "_hash", h)
-        return h
-
-    return walk(f)
-
-
-def _core_eq(a: Formula, b: Formula, seen: dict) -> bool:
-    if a is b:
-        return True
-    key = (id(a), id(b))
-    if key in seen:
-        return True  # assumed equal on this path / already proven
-    if a.op != b.op or a.index != b.index or len(a.args) != len(b.args):
-        return False
-    seen[key] = True
-    for x, y in zip(a.args, b.args):
-        if not _core_eq(x, y, seen):
-            return False
-    return True
 
 
 # -- constructors -------------------------------------------------------------
 
 ZERO = Formula("zero")
 ONE = Formula("one")
+# Every 0 and 1 desugars to these two; the desugaring of ! and (+) uses ZERO as a core.
+ZERO.core()
+ONE.core()
 
 
 def Var(i: int) -> Formula:
@@ -215,8 +217,7 @@ def variables_of(f: Formula) -> frozenset[int]:
 
 def arity_of(f: Formula) -> int:
     """Smallest n such that all variables of f are among x0..x_{n-1}."""
-    vs = variables_of(f)
-    return max(vs) + 1 if vs else 0
+    return f.arity
 
 
 # -- parser -------------------------------------------------------------------
@@ -501,9 +502,8 @@ def evaluate(f: Formula, sem: TNormSemantics, point: Sequence) -> Fraction:
             raise ValueError(f"point value {v} outside [0,1]")
         if not sem.contains(v):
             raise ValueError(f"point value {v} not on the chain carrier")
-    need = variables_of(f)
-    if need and max(need) >= len(vals):
-        raise ValueError(f"point of length {len(vals)} misses x{max(need)}")
+    if f.arity > len(vals):
+        raise ValueError(f"point of length {len(vals)} misses x{f.arity - 1}")
 
     memo: dict[int, Fraction] = {}
 
@@ -544,7 +544,11 @@ def boolean_table(f: Formula, n: int) -> int:
 
     Bit p is the value of f at the valuation whose x_i is bit i of p (least
     significant bit first). A variable beyond x_{n-1} raises ValueError.
+    Walks f itself, not its core: on {0,1}, ! is complement, & and * are AND,
+    | and (+) are OR.
     """
+    if f.arity > n:
+        raise ValueError(f"formula uses x{f.arity - 1}, beyond n={n}")
     full = (1 << (1 << n)) - 1
     masks = [_variable_mask(i, n) for i in range(n)]
     memo: dict[int, int] = {}
@@ -555,21 +559,23 @@ def boolean_table(f: Formula, n: int) -> int:
             return got
         op = node.op
         if op == "var":
-            if node.index >= n:
-                raise ValueError(f"formula uses x{arity_of(f) - 1}, beyond n={n}")
             out = masks[node.index]
         elif op == "zero":
             out = 0
         elif op == "one":
             out = full
-        elif op == "star":
+        elif op == "neg":
+            out = ~walk(node.args[0]) & full
+        elif op in ("star", "and"):
             out = walk(node.args[0]) & walk(node.args[1])
+        elif op in ("or", "oplus"):
+            out = walk(node.args[0]) | walk(node.args[1])
         else:  # impl
             out = (~walk(node.args[0]) | walk(node.args[1])) & full
         memo[id(node)] = out
         return out
 
-    return walk(f.core())
+    return walk(f)
 
 
 # -- substitutions ------------------------------------------------------------
@@ -583,9 +589,8 @@ class Substitution:
         images = tuple(images)
         n = len(images)
         for i, g in enumerate(images):
-            vs = variables_of(g)
-            if vs and max(vs) >= n:
-                raise ValueError(f"image of x{i} uses x{max(vs)}, beyond arity {n}")
+            if g.arity > n:
+                raise ValueError(f"image of x{i} uses x{g.arity - 1}, beyond arity {n}")
         self.arity = n
         self.images = images
 

@@ -304,18 +304,12 @@ def _sigma_to_json(sigma: Substitution) -> dict:
 
 
 def _sigma_from_json(obj: dict) -> Substitution:
-    from .formula import variables_of
-
     entries = {}
     for key, text in obj.items():
         if not key.startswith("x") or not key[1:].isdigit():
             raise ValueError(f"bad substitution key {key!r}")
         entries[int(key[1:])] = parse_formula(text)
-    arity = max(entries) + 1 if entries else 0
-    for g in entries.values():
-        vs = variables_of(g)
-        if vs:
-            arity = max(arity, max(vs) + 1)
+    arity = max([i + 1 for i in entries] + [g.arity for g in entries.values()], default=0)
     images = [entries.get(i, Var(i)) for i in range(arity)]
     return Substitution(images)
 

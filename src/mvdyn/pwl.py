@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .formula import (
-    Formula, Var, Neg, And, Or, OPlus, Star, ZERO, ONE, arity_of, variables_of,
+    Formula, Var, Neg, And, Or, OPlus, Star, ZERO, ONE, arity_of,
 )
 
 Point = tuple  # tuple of Fractions, length = dim

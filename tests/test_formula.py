@@ -1,7 +1,11 @@
 """Formula construction, parsing, printing, semantics, and substitutions."""
 
+import copy
+import gc
 import itertools
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,7 +15,7 @@ from mvdyn.formula import (
     ParseError, parse_formula, print_formula, variables_of, arity_of,
     GODEL, PRODUCT, LUKASIEWICZ, BOOLE, chain_semantics, evaluate,
     Substitution, apply_substitution, compose_substitutions,
-    tautology_check, identity_check, rationals_up_to,
+    tautology_check, identity_check, rationals_up_to, boolean_table,
 )
 
 F = Fraction
@@ -128,6 +132,44 @@ def test_running_conjunction_shares_cached_cores():
         assert pair == plain and hash(pair) == hash(plain)
         assert pair != desugared_copy(And(part, conj))
         conj = pair
+
+
+def test_cores_are_interned():
+    assert Neg(X0).core() is Impl(X0, ZERO).core()
+    assert OPlus(X0, X1).core() is Impl(Impl(X0, ZERO), X1).core()
+    assert Impl(X0, ZERO).core().args[0] is Var(0).core()
+    rng = random.Random(47)
+    for _ in range(100):
+        f = rand_formula(rng, 3, 4)
+        assert f.core() is desugared_copy(f).core()
+        assert f.core().core() is f.core()
+
+
+def test_arity_is_one_past_the_largest_variable():
+    rng = random.Random(53)
+    sigma = Substitution([Neg(X1), And(X0, X2), OPlus(X1, ZERO), ONE])
+    for n in range(5):
+        for _ in range(40):
+            f = rand_formula_upto(rng, n, 4)
+            for g in (f, parse_formula(print_formula(f)), apply_substitution(sigma, f)):
+                assert g.arity == max(variables_of(g), default=-1) + 1
+                assert arity_of(g) == g.arity
+
+
+def test_interned_cores_die_with_their_formulas():
+    f = OPlus(Var(911), Neg(Var(912)))
+    ref = weakref.ref(f.core())
+    assert ref() is not None
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_copy_and_pickle_round_trip():
+    for f in (Neg(X0), ONE, Or(And(X0, Neg(X1)), OPlus(X2, ZERO))):
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and hash(g) == hash(f)
+            assert print_formula(g) == print_formula(f)
 
 
 def test_core_is_sugar_free():
@@ -315,6 +357,21 @@ def test_boolean_truth_table_matches_pointwise_evaluation():
                     assert got.point == want
                     assert all(type(v) is Fraction for v in got.point)
     assert arities == {0, 1, 2, 3, 4}
+
+
+def test_boolean_table_reads_sugar_like_its_desugaring():
+    rng = random.Random(61)
+    ops = set()
+    for n in range(1, 5):
+        for _ in range(60):
+            f = rand_formula(rng, n, 4)
+            stack = [f]
+            while stack:
+                node = stack.pop()
+                ops.add(node.op)
+                stack.extend(node.args)
+            assert boolean_table(f, n) == boolean_table(desugared_copy(f), n)
+    assert ops == {"var", "zero", "one", "star", "impl", "neg", "and", "or", "oplus"}
 
 
 def test_tautology_exact_pwl():
