@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .formula import Formula
+from .formula import Formula, interpret, json_field
 
 DEFAULT_SIZE_CAP = 64
 FILTER_CANDIDATE_CAP = 1 << 16
+SUBSET_LIMIT = 4096  # duality_check tries every subset of an algebra up to this many
 
 
 class FiniteAlgebra:
@@ -120,29 +121,9 @@ def evaluate_in(f: Formula, algebra: FiniteAlgebra, point: Sequence[int]) -> int
     for v in point:
         if not (0 <= v < algebra.size):
             raise ValueError(f"element index {v} out of range")
-    memo: dict[int, int] = {}
-
-    def walk(node: Formula) -> int:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        op = node.op
-        if op == "var":
-            if node.index >= len(point):
-                raise ValueError(f"no value given for x{node.index}")
-            out = point[node.index]
-        elif op == "zero":
-            out = algebra.zero
-        elif op == "one":
-            out = algebra.one
-        elif op == "star":
-            out = algebra.star(walk(node.args[0]), walk(node.args[1]))
-        else:
-            out = algebra.impl(walk(node.args[0]), walk(node.args[1]))
-        memo[id(node)] = out
-        return out
-
-    return walk(f.core())
+    if f.arity > len(point):
+        raise ValueError(f"no value given for x{f.arity - 1}")
+    return interpret(f, algebra, point)
 
 
 # -- constructions ---------------------------------------------------------------
@@ -500,7 +481,7 @@ def dual_map(phi: Homomorphism):
     return tgt_spec, src_spec, tuple(mapping)
 
 
-def duality_check(a: FiniteAlgebra, subset_limit: int = 4096, seed: int = 0) -> dict:
+def duality_check(a: FiniteAlgebra, seed: int = 0) -> dict:
     """Filters versus opens of the spectrum, with the subbasis laws."""
     import itertools
     import random
@@ -527,7 +508,7 @@ def duality_check(a: FiniteAlgebra, subset_limit: int = 4096, seed: int = 0) -> 
                for x in a.elements() for y in a.elements())
 
     # D -> F_D -> intersection recovers the generated filter
-    if 2 ** a.size <= subset_limit:
+    if 2 ** a.size <= SUBSET_LIMIT:
         subsets = [set(c) for r in range(a.size + 1)
                    for c in itertools.combinations(range(a.size), r)]
     else:
@@ -584,7 +565,11 @@ def algebra_to_json(a: FiniteAlgebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> FiniteAlgebra:
-    a = FiniteAlgebra(obj["names"], obj["star"], obj["impl"],
-                      int(obj["zero"]), int(obj["one"]))
+    def table(rows):
+        return [[int(x) for x in row] for row in rows]
+
+    a = FiniteAlgebra(json_field(obj, "names", list),
+                      json_field(obj, "star", table), json_field(obj, "impl", table),
+                      json_field(obj, "zero", int), json_field(obj, "one", int))
     a.validate()
     return a

@@ -191,8 +191,7 @@ def _cmd_pwl_synthesize(args) -> int:
 
 def _cmd_orbit(args) -> int:
     s = _dyn.induced_map(_substitution(args.subst))
-    steps = args.max if args.max is not None else (args.cap or 10000)
-    o = _dyn.orbit(s, _point(args.start), max_steps=steps)
+    o = _dyn.orbit(s, _point(args.start), max_steps=args.max)
     payload = {
         "start": list(o.start), "status": o.status,
         "preperiod": o.preperiod, "period": o.period,
@@ -316,8 +315,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_avg(args) -> int:
     rep = _dyn.average_truth_value(parse_formula(args.formula), args.k,
-                                   _substitution(args.subst), _box(args.box),
-                                   piece_cap=args.cap or 20000)
+                                   _substitution(args.subst), _box(args.box))
     text = ", ".join(str(x) for x in rep["sequence"])
     _emit(args, rep, f"{text}; Lebesgue {rep['lebesgue_average']}")
     return 0
@@ -437,8 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output format (default json; csv only for stats)")
     top.add_argument("--seed", type=int, default=0,
                      help="RNG seed for the statistics command")
-    top.add_argument("--cap", type=int, default=None,
-                     help="generic resource cap override where applicable")
     sub = top.add_subparsers(dest="command", required=True)
 
     def logic_flag(p, default="lukasiewicz"):
@@ -487,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subst", required=True,
                    help="tent | flip | rotation | identity:N | odometer:N | x0=...;x1=...")
     p.add_argument("--start", required=True)
-    p.add_argument("--max", type=int, default=None,
-                   help="step budget (default 10000, or --cap)")
+    p.add_argument("--max", type=int, default=10000, help="step budget")
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("subst", help="apply, compose, or solve for substitutions")
@@ -617,7 +612,7 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except (ValueError, ArithmeticError, AssertionError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .formula import (
     Formula, Var, Neg, And, OPlus, Substitution, apply_substitution,
-    evaluate, LUKASIEWICZ, arity_of,
+    evaluate, LUKASIEWICZ, arity_of, json_field,
 )
 from . import pwl as _pwl
 from .pwl import (
@@ -27,6 +27,8 @@ from .pwl import (
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+CELL_BUDGET = 600     # most cells in the geometric form of an induced map
+PIECE_CAP = 20000     # most pieces in one iterate compiled by average_truth_value
 
 
 def _cube_point(p, n: Optional[int] = None):
@@ -97,13 +99,12 @@ def pwl_map_to_json(s: PWLMap) -> dict:
 
 def pwl_map_from_json(obj: dict) -> PWLMap:
     rat = _pwl._rat_from_json
-    dim = int(obj["dim"])
-    vertices = [tuple(rat(x) for x in v) for v in obj["vertices"]]
-    cells = [tuple(int(i) for i in c) for c in obj["cells"]]
-    maps = tuple(AffineMap(tuple(tuple(rat(x) for x in row) for row in m["a"]),
-                           tuple(rat(x) for x in m["b"]))
-                 for m in obj["maps"])
-    s = PWLMap(CellComplex(dim, vertices, cells), maps)
+    complex_ = _pwl._complex_from_json(obj)
+    maps = json_field(obj, "maps", lambda ms: tuple(
+        AffineMap(tuple(tuple(rat(x) for x in row) for row in m["a"]),
+                  tuple(rat(x) for x in m["b"]))
+        for m in ms))
+    s = PWLMap(complex_, maps)
     s.validate()
     return s
 
@@ -122,7 +123,7 @@ class InducedMap:
         return map_eval(self, p)
 
 
-def induced_map(sigma: Substitution, cell_budget: int = 600) -> InducedMap:
+def induced_map(sigma: Substitution) -> InducedMap:
     """Wrap a substitution as a self-map; for one or two variables, also
     compile the exact geometric form unless it exceeds the cell budget."""
     n = sigma.arity
@@ -131,7 +132,7 @@ def induced_map(sigma: Substitution, cell_budget: int = 600) -> InducedMap:
     pwl_form = None
     if n <= 2:
         try:
-            funcs = [pwl_from_formula(g, n, cell_budget=cell_budget)
+            funcs = [pwl_from_formula(g, n, cell_budget=CELL_BUDGET)
                      for g in sigma.images]
         except CellBudgetError:
             return InducedMap(n, tuple(sigma.images), None)
@@ -141,7 +142,7 @@ def induced_map(sigma: Substitution, cell_budget: int = 600) -> InducedMap:
                          for p in funcs[0].pieces)
         else:
             c1, c2 = len(funcs[0].complex.cells), len(funcs[1].complex.cells)
-            if c1 * c2 > 50 * cell_budget:
+            if c1 * c2 > 50 * CELL_BUDGET:
                 return InducedMap(n, tuple(sigma.images), None)
             complex_, tags = _pwl._refine_tagged(funcs[0].complex, funcs[1].complex)
             maps = []
@@ -550,8 +551,7 @@ def _all_boxes(g: int, n: int):
     return out
 
 
-def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box,
-                        piece_cap: int = 20000) -> dict:
+def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict:
     """Exact averages of sigma^j(r) over a box, plus the Lebesgue average of r."""
     dims = [arity_of(r)] + [arity_of(g) for g in sigma.images]
     dim = max(max(dims), 1)
@@ -569,7 +569,7 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box,
     current = r
     for j in range(k + 1):
         w = pwl_from_formula(current, dim)
-        if len(w.complex.cells) > piece_cap:
+        if len(w.complex.cells) > PIECE_CAP:
             raise ValueError(f"piece cap exceeded at step {j}")
         sequence.append(_pwl.pwl_integral(w, box) / volume)
         if j < k:

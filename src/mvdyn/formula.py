@@ -10,9 +10,10 @@ packed integer truth tables on the two-element chain.
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 ZERO_F = Fraction(0)
 ONE_F = Fraction(1)
@@ -68,9 +69,6 @@ class Formula:
         if c is None:
             return _desugar(self)
         return self if c is _SELF else c
-
-    def is_core(self) -> bool:
-        return self.op in _CORE_OPS
 
     def __hash__(self):
         return self.core()._hash
@@ -218,6 +216,17 @@ def variables_of(f: Formula) -> frozenset[int]:
 def arity_of(f: Formula) -> int:
     """Smallest n such that all variables of f are among x0..x_{n-1}."""
     return f.arity
+
+
+def json_field(obj, key: str, convert: Callable):
+    """convert(obj[key]) for a JSON object obj. A missing field (or obj not an
+    object), or a value that convert rejects, raises ValueError naming it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
+        raise ValueError(f"ill-typed field {key!r}: {type(exc).__name__}: {exc}") from None
 
 
 # -- parser -------------------------------------------------------------------
@@ -413,16 +422,27 @@ def print_formula(f: Formula) -> str:
 
 # -- semantics ----------------------------------------------------------------
 
+# base t-norm -> (t-norm, its residuum)
+_TNORMS = {
+    "godel": (min, lambda a, b: ONE_F if a <= b else b),
+    "product": (operator.mul, lambda a, b: ONE_F if a <= b else b / a),
+    "lukasiewicz": (lambda a, b: max(a + b - 1, ZERO_F),
+                    lambda a, b: ONE_F if a <= b else 1 - (a - b)),
+}
+
+
 class TNormSemantics:
     """One of the three basic continuous t-norms, or a closed finite subchain.
 
     kind is "godel", "product", "lukasiewicz", or "chain"; a chain carries the
     step count m (carrier {0, 1/m, ..., 1}) and a base in {"godel",
     "lukasiewicz"} (the product t-norm does not close on any finite subchain
-    other than {0,1}).
+    other than {0,1}). Like a FiniteAlgebra it has zero, one, star and impl.
     """
 
-    __slots__ = ("kind", "m", "base")
+    __slots__ = ("kind", "m", "base", "star", "impl")
+    zero = ZERO_F
+    one = ONE_F
 
     def __init__(self, kind: str, m: Optional[int] = None, base: Optional[str] = None):
         if kind not in ("godel", "product", "lukasiewicz", "chain"):
@@ -435,27 +455,10 @@ class TNormSemantics:
         self.kind = kind
         self.m = m
         self.base = base
+        self.star, self.impl = _TNORMS[base if kind == "chain" else kind]
 
-    def _ops_kind(self) -> str:
-        return self.base if self.kind == "chain" else self.kind
-
-    def star(self, a: Fraction, b: Fraction) -> Fraction:
-        k = self._ops_kind()
-        if k == "godel":
-            return min(a, b)
-        if k == "product":
-            return a * b
-        return max(a + b - 1, ZERO_F)
-
-    def impl(self, a: Fraction, b: Fraction) -> Fraction:
-        if a <= b:
-            return ONE_F
-        k = self._ops_kind()
-        if k == "godel":
-            return b
-        if k == "product":
-            return b / a
-        return 1 - (a - b)
+    def __reduce__(self):
+        return (TNormSemantics, (self.kind, self.m, self.base))
 
     def carrier(self) -> Optional[list[Fraction]]:
         if self.kind != "chain":
@@ -504,10 +507,20 @@ def evaluate(f: Formula, sem: TNormSemantics, point: Sequence) -> Fraction:
             raise ValueError(f"point value {v} not on the chain carrier")
     if f.arity > len(vals):
         raise ValueError(f"point of length {len(vals)} misses x{f.arity - 1}")
+    return interpret(f, sem, vals)
 
-    memo: dict[int, Fraction] = {}
 
-    def walk(node: Formula) -> Fraction:
+def interpret(f: Formula, alg, vals: Sequence):
+    """Value of f in a truth-value algebra when x_i takes vals[i].
+
+    alg is anything with zero, one, star and impl over one set of values: a
+    TNormSemantics over Fractions, or an algebra.FiniteAlgebra over element
+    indices. vals must cover x0..x_{arity-1} and is not checked.
+    """
+    zero, one, star, impl = alg.zero, alg.one, alg.star, alg.impl
+    memo: dict[int, object] = {}
+
+    def walk(node: Formula):
         got = memo.get(id(node))
         if got is not None:
             return got
@@ -515,13 +528,13 @@ def evaluate(f: Formula, sem: TNormSemantics, point: Sequence) -> Fraction:
         if op == "var":
             out = vals[node.index]
         elif op == "zero":
-            out = ZERO_F
+            out = zero
         elif op == "one":
-            out = ONE_F
+            out = one
         elif op == "star":
-            out = sem.star(walk(node.args[0]), walk(node.args[1]))
+            out = star(walk(node.args[0]), walk(node.args[1]))
         else:  # impl
-            out = sem.impl(walk(node.args[0]), walk(node.args[1]))
+            out = impl(walk(node.args[0]), walk(node.args[1]))
         memo[id(node)] = out
         return out
 
@@ -710,17 +723,13 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
             method = "grid"
 
     if method == "truth-table":
-        carrier = sem.carrier()
-        if carrier is None:
+        axis = sem.carrier()
+        if axis is None:
             raise ValueError("truth-table method needs a finite chain semantics")
         if sem.m == 1 and n <= MAX_TABLE_VARS:
-            return _boolean_verdict(f, n, carrier)
-        for point in itertools.product(carrier, repeat=n):
-            if evaluate(f, sem, point) != 1:
-                return Verdict("countermodel", point)
-        return Verdict("tautology")
-
-    if method == "exact-pwl":
+            return _boolean_verdict(f, n, axis)
+        exhausted = "tautology"
+    elif method == "exact-pwl":
         if sem.kind != "lukasiewicz":
             raise ValueError("exact-pwl method is Lukasiewicz-only")
         if n > 2:
@@ -732,15 +741,17 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
         if val == 1:
             return Verdict("tautology")
         return Verdict("countermodel", witness[:n])
-
-    if method == "grid":
+    elif method == "grid":
         axis = [v for v in rationals_up_to(grid_bound) if sem.contains(v)]
-        for point in itertools.product(axis, repeat=n):
-            if evaluate(f, sem, point) != 1:
-                return Verdict("countermodel", point)
-        return Verdict("unknown")
+        exhausted = "unknown"
+    else:
+        raise ValueError(f"unknown method {method!r}")
 
-    raise ValueError(f"unknown method {method!r}")
+    # every point lies on sem's carrier and covers f's variables
+    for point in itertools.product(axis, repeat=n):
+        if interpret(f, sem, point) != 1:
+            return Verdict("countermodel", point)
+    return Verdict(exhausted)
 
 
 def identity_check(r: Formula, s: Formula, sem: TNormSemantics, method: str = "auto",

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .formula import (
-    Formula, Var, Neg, And, Or, OPlus, Star, ZERO, ONE, arity_of,
+    Formula, Var, Neg, And, Or, OPlus, Star, ZERO, ONE, arity_of, json_field,
 )
 
 Point = tuple  # tuple of Fractions, length = dim
@@ -776,6 +776,14 @@ def _rat_from_json(pair) -> Fraction:
     return Fraction(int(pair[0]), int(pair[1]))
 
 
+def _complex_from_json(obj) -> CellComplex:
+    return CellComplex(
+        json_field(obj, "dim", int),
+        json_field(obj, "vertices",
+                   lambda vs: [tuple(_rat_from_json(x) for x in v) for v in vs]),
+        json_field(obj, "cells", lambda cs: [tuple(int(i) for i in c) for c in cs]))
+
+
 def pwl_to_json(f: PWLFunction) -> dict:
     return {
         "dim": f.dim,
@@ -786,10 +794,9 @@ def pwl_to_json(f: PWLFunction) -> dict:
 
 
 def pwl_from_json(obj: dict) -> PWLFunction:
-    dim = int(obj["dim"])
-    vertices = [tuple(_rat_from_json(x) for x in v) for v in obj["vertices"]]
-    cells = [tuple(int(i) for i in c) for c in obj["cells"]]
-    pieces = [AffinePiece(tuple(int(x) for x in p["a"]), int(p["b"])) for p in obj["pieces"]]
-    f = PWLFunction(CellComplex(dim, vertices, cells), pieces)
+    complex_ = _complex_from_json(obj)
+    pieces = json_field(obj, "pieces", lambda ps: [
+        AffinePiece(tuple(int(x) for x in p["a"]), int(p["b"])) for p in ps])
+    f = PWLFunction(complex_, pieces)
     f.validate()
     return f

@@ -104,14 +104,28 @@ def test_lattice_operations_match_order():
 def test_evaluate_in_matches_chain_semantics():
     rng = random.Random(22)
     f = parse_formula("(x0 -> x1) * !x1 (+) x0 & x1")
-    for m in (1, 2, 3, 5):
-        a = finite_chain(m)
-        sem = chain_semantics(m)
-        for _ in range(40):
-            i, j = rng.randrange(m + 1), rng.randrange(m + 1)
-            got = evaluate_in(f, a, (i, j))
-            want = evaluate(f, sem, (F(i, m), F(j, m)))
-            assert F(got, m) == want
+    for base in ("lukasiewicz", "godel"):
+        for m in (1, 2, 3, 5):
+            a = finite_chain(m, base)
+            sem = chain_semantics(m, base)
+            for _ in range(40):
+                i, j = rng.randrange(m + 1), rng.randrange(m + 1)
+                got = evaluate_in(f, a, (i, j))
+                want = evaluate(f, sem, (F(i, m), F(j, m)))
+                assert F(got, m) == want
+
+
+def test_evaluate_in_product_is_pair_of_factor_values():
+    rng = random.Random(23)
+    f = parse_formula("(x0 -> x1) * !x1 (+) x0 & x1 | (x2 -> 0)")
+    left, right = finite_chain(2), finite_chain(3, "godel")
+    prod = product_algebra(left, right)
+    for _ in range(60):
+        p = [rng.randrange(left.size) for _ in range(3)]
+        q = [rng.randrange(right.size) for _ in range(3)]
+        got = evaluate_in(f, prod, [i * right.size + j for i, j in zip(p, q)])
+        want = evaluate_in(f, left, p) * right.size + evaluate_in(f, right, q)
+        assert got == want
 
 
 def test_evaluate_in_guards():

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface, run in process."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -305,6 +306,27 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
     code, _, err = capture(capsys, ["eval", "--point", "1/2", "x0 @ x1"])
     assert code == 1
+
+
+def test_algebra_json_missing_field_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
+    code, out, err = capture(capsys, ["filters", "--algebra", "-"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "'names'" in err and err.count("\n") == 1
+
+
+def test_pwl_synthesize_missing_field_exits_one(capsys, tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text('{"dim": 1}', encoding="utf-8")
+    code, out, err = capture(capsys, ["pwl", "synthesize", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "'vertices'" in err and err.count("\n") == 1
+
+
+def test_deeply_nested_formula_exits_one(capsys):
+    code, out, err = capture(capsys, ["taut", "--logic", "bool", "!" * 1200 + "x0"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_two(capsys):

@@ -233,6 +233,17 @@ def test_pwl_map_json_round_trip(rotation):
     assert len(again.complex.cells) == len(smap.complex.cells)
 
 
+def test_pwl_map_json_names_bad_field(rotation):
+    obj = pwl_map_to_json(rotation[1])
+    del obj["maps"]
+    with pytest.raises(ValueError, match="'maps'"):
+        pwl_map_from_json(obj)
+    obj = pwl_map_to_json(rotation[1])
+    obj["cells"] = 3
+    with pytest.raises(ValueError, match="'cells'"):
+        pwl_map_from_json(obj)
+
+
 def test_pwl_map_validate_rejects_mismatch(tent_map):
     good = tent_map.pwl
     broken = PWLMap(good.complex, good.maps[:1])
