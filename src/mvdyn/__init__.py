@@ -8,10 +8,10 @@ from .formula import (
     Verdict, tautology_check, identity_check, rationals_up_to,
 )
 from .pwl import (
-    CellComplex, PWLFunction, AffinePiece, AffineMap, CellBudgetError,
-    unit_complex, common_refinement, pwl_from_formula, pwl_eval, pwl_combine,
-    pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula,
-    pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
+    CellComplex, PWLMap, AffineMap, CellBudgetError, unit_complex,
+    common_refinement, pwl_from_formula, pwl_eval, pwl_combine, pwl_equal,
+    pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula, pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
+    pwl_map_to_json, pwl_map_from_json,
 )
 from .algebra import (
     FiniteAlgebra, Homomorphism, SpecSpace, evaluate_in, finite_chain,
@@ -31,11 +31,11 @@ from .odometer import (
     derive_from_nontautology,
 )
 from .dynamics import (
-    InducedMap, PWLMap, Orbit, BoxHit, induced_map, map_eval, denominator,
+    InducedMap, Orbit, BoxHit, induced_map, map_eval, denominator,
     orbit, full_rational_orbit, reachability_substitution,
     rotation_homeomorphism, validate_homeomorphism, tsujii_differential,
     box_hitting_search, empirical_statistics, average_truth_value,
-    tent_substitution, flip_substitution, pwl_map_to_json, pwl_map_from_json,
+    tent_substitution, flip_substitution,
 )
 
 __all__ = [
@@ -44,11 +44,11 @@ __all__ = [
     "TNormSemantics", "GODEL", "PRODUCT", "LUKASIEWICZ", "BOOLE", "chain_semantics",
     "evaluate", "Substitution", "apply_substitution", "compose_substitutions",
     "Verdict", "tautology_check", "identity_check", "rationals_up_to",
-    "CellComplex", "PWLFunction", "AffinePiece", "AffineMap", "CellBudgetError",
+    "CellComplex", "PWLMap", "AffineMap", "CellBudgetError",
     "unit_complex", "common_refinement", "pwl_from_formula", "pwl_eval",
     "pwl_combine", "pwl_equal", "pwl_le", "pwl_min_value", "pwl_integral",
     "clamp_affine_formula", "pwl_to_formula_1d", "affine_from_simplex_pair",
-    "pwl_to_json", "pwl_from_json",
+    "pwl_to_json", "pwl_from_json", "pwl_map_to_json", "pwl_map_from_json",
     "FiniteAlgebra", "Homomorphism", "SpecSpace", "evaluate_in", "finite_chain",
     "product_algebra", "power_algebra", "subalgebra_generated", "is_filter",
     "filter_generated", "enumerate_filters", "is_prime", "quotient_algebra",
@@ -62,10 +62,9 @@ __all__ = [
     "TruthTable", "BoolPermutation", "truth_table", "symmetric_difference",
     "odometer_substitution", "induced_permutation",
     "odometer_induced_permutation", "derive_from_nontautology",
-    "InducedMap", "PWLMap", "Orbit", "BoxHit", "induced_map", "map_eval",
+    "InducedMap", "Orbit", "BoxHit", "induced_map", "map_eval",
     "denominator", "orbit", "full_rational_orbit", "reachability_substitution",
     "rotation_homeomorphism", "validate_homeomorphism", "tsujii_differential",
     "box_hitting_search", "empirical_statistics", "average_truth_value",
-    "tent_substitution", "flip_substitution", "pwl_map_to_json",
-    "pwl_map_from_json",
+    "tent_substitution", "flip_substitution",
 ]

@@ -32,6 +32,8 @@ class FiniteAlgebra:
         self.impl_table = tuple(tuple(row) for row in impl_table)
         self.zero = zero
         self.one = one
+        if not (0 <= zero < n and 0 <= one < n):
+            raise ValueError(f"zero and one must be element indices in 0..{n - 1}")
         for t in (self.star_table, self.impl_table):
             if len(t) != n or any(len(row) != n for row in t):
                 raise ValueError("operation tables must be n x n")
@@ -145,11 +147,10 @@ def finite_chain(m: int, base: str = "lukasiewicz") -> FiniteAlgebra:
     return FiniteAlgebra(names, star, impl, 0, m)
 
 
-def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra,
-                    cap: int = DEFAULT_SIZE_CAP) -> FiniteAlgebra:
+def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Componentwise product; element (i, j) has index i * b.size + j."""
     n, m = a.size, b.size
-    if n * m > cap:
+    if n * m > DEFAULT_SIZE_CAP:
         raise ValueError("size cap exceeded")
     names = [f"({a.names[i]},{b.names[j]})" for i in range(n) for j in range(m)]
 
@@ -165,12 +166,11 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra,
     return FiniteAlgebra(names, star, impl, idx(a.zero, b.zero), idx(a.one, b.one))
 
 
-def power_algebra(a: FiniteAlgebra, k: int,
-                  cap: int = DEFAULT_SIZE_CAP) -> FiniteAlgebra:
+def power_algebra(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
     """k-fold componentwise power with flat tuple-style names."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if a.size ** k > cap:
+    if a.size ** k > DEFAULT_SIZE_CAP:
         raise ValueError("size cap exceeded")
     import itertools
     tuples = list(itertools.product(range(a.size), repeat=k))

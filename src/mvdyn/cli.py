@@ -224,8 +224,8 @@ def _cmd_subst_reach(args) -> int:
     return 0
 
 
-def _homeo_payload(smap: _dyn.PWLMap, with_report: bool):
-    payload = _dyn.pwl_map_to_json(smap)
+def _homeo_payload(smap: _pwl.PWLMap, with_report: bool):
+    payload = _pwl.pwl_map_to_json(smap)
     if with_report:
         payload["report"] = _dyn.validate_homeomorphism(smap)
     return payload
@@ -267,7 +267,7 @@ def _cmd_homeo_rotation(args) -> int:
     return 0
 
 
-def _named_map(args) -> _dyn.PWLMap:
+def _named_map(args) -> _pwl.PWLMap:
     if args.map == "rotation":
         return _dyn.rotation_homeomorphism()[1]
     s = _dyn.induced_map(_substitution(args.map))

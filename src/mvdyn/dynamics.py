@@ -8,6 +8,7 @@ appears only in empirical_statistics and is labeled as such.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -17,11 +18,11 @@ from typing import Optional, Sequence
 
 from .formula import (
     Formula, Var, Neg, And, OPlus, Substitution, apply_substitution,
-    evaluate, LUKASIEWICZ, arity_of, json_field,
+    evaluate, LUKASIEWICZ, arity_of,
 )
 from . import pwl as _pwl
 from .pwl import (
-    AffineMap, CellBudgetError, CellComplex, PWLFunction, AffinePiece,
+    AffineMap, CellBudgetError, CellComplex, PWLMap, _cube_point,
     affine_from_simplex_pair, clamp_affine_formula, pwl_from_formula,
 )
 
@@ -29,84 +30,6 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 CELL_BUDGET = 600     # most cells in the geometric form of an induced map
 PIECE_CAP = 20000     # most pieces in one iterate compiled by average_truth_value
-
-
-def _cube_point(p, n: Optional[int] = None):
-    p = tuple(Fraction(v) for v in p)
-    if n is not None and len(p) != n:
-        raise ValueError(f"expected a point of dimension {n}")
-    for v in p:
-        if not (0 <= v <= 1):
-            raise ValueError(f"point {p} outside the unit cube")
-    return p
-
-
-# -- piecewise-affine maps -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class PWLMap:
-    """One affine map per cell of a complex, continuous across shared faces."""
-
-    complex: CellComplex
-    maps: tuple            # one AffineMap per cell
-
-    @property
-    def dim(self) -> int:
-        return self.complex.dim
-
-    def value(self, p):
-        p = _cube_point(p, self.dim)
-        return self.maps[self.complex.locate(p)].apply(p)
-
-    def validate(self) -> None:
-        self.complex.validate()
-        if len(self.maps) != len(self.complex.cells):
-            raise ValueError("one affine map per cell required")
-        seen: dict[int, tuple] = {}
-        for j, cell in enumerate(self.complex.cells):
-            for i in cell:
-                img = self.maps[j].apply(self.complex.vertices[i])
-                for v in img:
-                    if not (0 <= v <= 1):
-                        raise ValueError(f"vertex {i} maps outside the cube")
-                if seen.setdefault(i, img) != img:
-                    raise ValueError(f"maps disagree at shared vertex {i}")
-
-    def component_functions(self) -> tuple:
-        """The coordinate functions as integer-coefficient PWL functions."""
-        out = []
-        for i in range(self.dim):
-            pieces = []
-            for m in self.maps:
-                row = m.a[i]
-                if any(x.denominator != 1 for x in row) or m.b[i].denominator != 1:
-                    raise ValueError("map has non-integer coefficients")
-                pieces.append(AffinePiece(tuple(int(x) for x in row), int(m.b[i])))
-            out.append(PWLFunction(self.complex, pieces))
-        return tuple(out)
-
-
-def pwl_map_to_json(s: PWLMap) -> dict:
-    rat = _pwl._rat_to_json
-    return {
-        "dim": s.dim,
-        "vertices": [[rat(x) for x in v] for v in s.complex.vertices],
-        "cells": [list(c) for c in s.complex.cells],
-        "maps": [{"a": [[rat(x) for x in row] for row in m.a],
-                  "b": [rat(x) for x in m.b]} for m in s.maps],
-    }
-
-
-def pwl_map_from_json(obj: dict) -> PWLMap:
-    rat = _pwl._rat_from_json
-    complex_ = _pwl._complex_from_json(obj)
-    maps = json_field(obj, "maps", lambda ms: tuple(
-        AffineMap(tuple(tuple(rat(x) for x in row) for row in m["a"]),
-                  tuple(rat(x) for x in m["b"]))
-        for m in ms))
-    s = PWLMap(complex_, maps)
-    s.validate()
-    return s
 
 
 # -- induced maps of substitutions ----------------------------------------------------
@@ -137,22 +60,15 @@ def induced_map(sigma: Substitution) -> InducedMap:
         except CellBudgetError:
             return InducedMap(n, tuple(sigma.images), None)
         if n == 1:
-            complex_ = funcs[0].complex
-            maps = tuple(AffineMap(((Fraction(p.a[0]),),), (Fraction(p.b),))
-                         for p in funcs[0].pieces)
+            pwl_form = funcs[0]
         else:
-            c1, c2 = len(funcs[0].complex.cells), len(funcs[1].complex.cells)
-            if c1 * c2 > 50 * CELL_BUDGET:
+            f, g = funcs
+            if len(f.complex.cells) * len(g.complex.cells) > 50 * CELL_BUDGET:
                 return InducedMap(n, tuple(sigma.images), None)
-            complex_, tags = _pwl._refine_tagged(funcs[0].complex, funcs[1].complex)
-            maps = []
-            for i1, i2 in tags:
-                rows = (funcs[0].pieces[i1], funcs[1].pieces[i2])
-                maps.append(AffineMap(
-                    tuple(tuple(Fraction(c) for c in r.a) for r in rows),
-                    tuple(Fraction(r.b) for r in rows)))
-            maps = tuple(maps)
-        pwl_form = PWLMap(complex_, maps)
+            complex_, tags = _pwl._refine_tagged(f.complex, g.complex)
+            pwl_form = PWLMap(complex_, tuple(
+                AffineMap(f.maps[i1].a + g.maps[i2].a, f.maps[i1].b + g.maps[i2].b)
+                for i1, i2 in tags))
     return InducedMap(n, tuple(sigma.images), pwl_form)
 
 
@@ -215,10 +131,7 @@ def full_rational_orbit(n: int, d: int, cap: int = 500000) -> list:
     if (d + 1) ** n > cap:
         raise ValueError("grid cap exceeded")
     coords = [Fraction(k, d) for k in range(d + 1)]
-    out = [()]
-    for _ in range(n):
-        out = [p + (c,) for p in out for c in coords]
-    return out
+    return list(itertools.product(coords, repeat=n))
 
 
 def _extended_gcd_chain(values: Sequence[int]):
@@ -320,13 +233,15 @@ def rotation_homeomorphism():
     complex_ = CellComplex(2, vertices, [tuple(index[v] for v in tri) for tri in cells])
     smap = PWLMap(complex_, tuple(maps))
     smap.validate()
-    comp = smap.component_functions()
-    sigma = Substitution([_pwl._synthesize_formula(f) for f in comp])
+    sigma = Substitution([_pwl._synthesize_formula(smap.row(i)) for i in range(2)])
     return sigma, smap
 
 
 def validate_homeomorphism(s: PWLMap) -> dict:
-    """Determinant and exact image-tiling report for a piecewise-affine map."""
+    """Determinant and exact image-tiling report for a piecewise-affine
+    self-map of the cube (as many rows as coordinates)."""
+    if s.rows != s.dim:
+        raise ValueError(f"a self-map of the {s.dim}-cube needs {s.dim} rows, not {s.rows}")
     s.validate()
     dets = {m.det() for m in s.maps}
     common = dets.pop() if len(dets) == 1 else None
@@ -437,10 +352,7 @@ def _box_points(box, grid_denominator: int):
         start = math.ceil(lo * grid_denominator)
         stop = math.floor(hi * grid_denominator)
         axes.append([Fraction(k, grid_denominator) for k in range(start, stop + 1)])
-    pts = [()]
-    for axis in axes:
-        pts = [p + (c,) for p in pts for c in axis]
-    return pts
+    return list(itertools.product(*axes))
 
 
 def _in_box(p, box) -> bool:
@@ -535,20 +447,13 @@ def empirical_statistics(s: InducedMap, start, iterations: int, box_grid: int,
     volume = 1.0 / box_grid ** n
     table = []
     discrepancy = 0.0
-    for idx in sorted(_all_boxes(box_grid, n)):
+    for idx in itertools.product(range(box_grid), repeat=n):
         freq = counts.get(idx, 0) / iterations
         table.append({"box": list(idx), "count": counts.get(idx, 0),
                       "frequency": freq, "volume": volume})
         discrepancy = max(discrepancy, abs(freq - volume))
     return {"iterations": iterations, "box_grid": box_grid, "dither": dither,
             "table": table, "discrepancy": discrepancy}
-
-
-def _all_boxes(g: int, n: int):
-    out = [()]
-    for _ in range(n):
-        out = [p + (i,) for p in out for i in range(g)]
-    return out
 
 
 def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict:

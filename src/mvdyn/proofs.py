@@ -230,9 +230,9 @@ def _min_over_unit_set(cw, rw):
     witness = None
     for jcell in range(len(refined.cells)):
         i1, i2 = tags[jcell]
-        cp, rp = cw.pieces[i1], rw.pieces[i2]
+        cp, rp = cw.maps[i1], rw.maps[i2]
         pts = refined.cell_points(jcell)
-        vals = [cp.value(p) for p in pts]
+        vals = [_pwl._row_value(cp, p) for p in pts]
         if all(v == 1 for v in vals):
             cand = pts
         elif any(v == 1 for v in vals):
@@ -240,12 +240,12 @@ def _min_over_unit_set(cw, rw):
                 cand = [p for p, v in zip(pts, vals) if v == 1]
             else:
                 # the affine piece attains its maximum 1 on a face of the cell
-                hp = (Fraction(cp.a[0]), Fraction(cp.a[1]), Fraction(cp.b - 1))
+                hp = (Fraction(cp.a[0][0]), Fraction(cp.a[0][1]), Fraction(cp.b[0] - 1))
                 cand = _pwl._clip(list(pts), hp)
         else:
             continue
         for p in cand:
-            v = rp.value(p)
+            v = _pwl._row_value(rp, p)
             if best is None or v < best:
                 best, witness = v, p
     return best, witness

@@ -1,8 +1,10 @@
 """Exact piecewise-linear calculus over rational cell complexes in dimension <= 2.
 
-Functions here represent continuous [0,1]^d -> [0,1] maps that are affine with
-integer coefficients on each cell of a rational simplicial complex covering the
-unit interval (d=1) or unit square (d=2). All arithmetic is exact.
+One type, PWLMap, represents continuous maps [0,1]^d -> [0,1]^r that are
+affine on each cell of a rational simplicial complex covering the unit
+interval (d=1) or unit square (d=2). A formula compiles to the one-row case
+with integer coefficients; a substitution's map has one row per variable.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import bisect
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, gt, mul, ne, sub
 from typing import Optional, Sequence
 
 from .formula import (
@@ -169,6 +172,13 @@ class CellComplex:
         return _area2(pts) / 2
 
     def validate(self) -> None:
+        n = len(self.vertices)
+        if any(len(v) != self.dim for v in self.vertices):
+            raise ValueError(f"every vertex needs {self.dim} coordinates")
+        for j, cell in enumerate(self.cells):
+            if len(cell) != self.dim + 1 or not all(0 <= i < n for i in cell):
+                raise ValueError(f"cell {j} needs {self.dim + 1} vertex indices "
+                                 f"in 0..{n - 1}")
         if self.dim == 1:
             for i0, i1 in self.cells:
                 if not self.vertices[i0][0] < self.vertices[i1][0]:
@@ -327,86 +337,144 @@ def common_refinement(w1: CellComplex, w2: CellComplex) -> CellComplex:
     return _refine_tagged(w1, w2)[0]
 
 
-# -- PWL functions --------------------------------------------------------------
+# -- affine and piecewise-affine maps ----------------------------------------------
 
 @dataclass(frozen=True)
-class AffinePiece:
-    """x -> a . x + b with integer coefficients."""
+class AffineMap:
+    """x -> A x + b, with one row of A and one entry of b per output coordinate.
 
-    a: tuple
-    b: int
+    A compiled formula is a one-row map with integer entries; a map between
+    simplices has exact rational entries. Arithmetic acts row by row.
+    """
 
-    def value(self, p: Point) -> Fraction:
-        return sum(c * x for c, x in zip(self.a, p)) + self.b
+    a: tuple        # rows, each a tuple of one coefficient per input coordinate
+    b: tuple        # one constant per row
+
+    @property
+    def is_integral(self) -> bool:
+        return (all(x.denominator == 1 for row in self.a for x in row)
+                and all(x.denominator == 1 for x in self.b))
+
+    def det(self) -> Fraction:
+        if len(self.b) == 1:
+            return self.a[0][0]
+        return self.a[0][0] * self.a[1][1] - self.a[0][1] * self.a[1][0]
+
+    def apply(self, p) -> Point:
+        p = _frac_point(p)
+        return tuple(sum(map(mul, row, p)) + c for row, c in zip(self.a, self.b))
 
     def __add__(self, other):
-        return AffinePiece(tuple(x + y for x, y in zip(self.a, other.a)), self.b + other.b)
+        return AffineMap(tuple(tuple(map(add, r, s)) for r, s in zip(self.a, other.a)),
+                         tuple(map(add, self.b, other.b)))
 
     def __sub__(self, other):
-        return AffinePiece(tuple(x - y for x, y in zip(self.a, other.a)), self.b - other.b)
+        return AffineMap(tuple(tuple(map(sub, r, s)) for r, s in zip(self.a, other.a)),
+                         tuple(map(sub, self.b, other.b)))
 
     def shift(self, k: int):
-        return AffinePiece(self.a, self.b + k)
+        return AffineMap(self.a, tuple(c + k for c in self.b))
 
     def negate(self):
-        return AffinePiece(tuple(-x for x in self.a), 1 - self.b)
+        """1 - (A x + b), the Lukasiewicz negation of every row."""
+        return AffineMap(tuple([tuple([-x for x in row]) for row in self.a]),
+                         tuple([1 - c for c in self.b]))
 
 
-class PWLFunction:
-    def __init__(self, complex_: CellComplex, pieces: Sequence[AffinePiece]):
-        if len(pieces) != len(complex_.cells):
-            raise ValueError("one piece per cell required")
-        self.complex = complex_
-        self.pieces = list(pieces)
+def _row_value(m: AffineMap, p) -> Fraction:
+    """The first row of m at a point of Fractions, without building a tuple."""
+    return sum(map(mul, m.a[0], p)) + m.b[0]
+
+
+def _cube_point(p, n: Optional[int] = None) -> Point:
+    p = _frac_point(p)
+    if n is not None and len(p) != n:
+        raise ValueError(f"expected a point of dimension {n}")
+    for v in p:
+        if not (0 <= v <= 1):
+            raise ValueError(f"point {p} outside the unit cube")
+    return p
+
+
+@dataclass(frozen=True)
+class PWLMap:
+    """A piecewise-affine map [0,1]^dim -> [0,1]^rows: one AffineMap per cell
+    of a complex, continuous across shared faces. A function of one or two
+    variables (a compiled formula) is the one-row case."""
+
+    complex: CellComplex
+    maps: tuple            # one AffineMap per cell
 
     @property
     def dim(self) -> int:
         return self.complex.dim
 
-    def value(self, p) -> Fraction:
-        p = _frac_point(p)
-        return self.pieces[self.complex.locate(p)].value(p)
+    @property
+    def rows(self) -> int:
+        return len(self.maps[0].b)
+
+    def value(self, p) -> Point:
+        p = _cube_point(p, self.dim)
+        return self.maps[self.complex.locate(p)].apply(p)
+
+    def row(self, i: int) -> "PWLMap":
+        """The i-th output coordinate as a one-row map on the same complex."""
+        return PWLMap(self.complex, tuple(AffineMap((m.a[i],), (m.b[i],))
+                                          for m in self.maps))
 
     def validate(self) -> None:
         self.complex.validate()
-        vertex_vals: dict[int, Fraction] = {}
+        if len(self.maps) != len(self.complex.cells):
+            raise ValueError("one affine map per cell required")
+        rows = self.rows
+        for j, m in enumerate(self.maps):
+            if (len(m.a) != rows or len(m.b) != rows
+                    or any(len(row) != self.dim for row in m.a)):
+                raise ValueError(f"map {j} must have shape {rows} x {self.dim}")
+        seen: dict[int, tuple] = {}
         for j, cell in enumerate(self.complex.cells):
             for i in cell:
-                v = self.pieces[j].value(self.complex.vertices[i])
-                if not (0 <= v <= 1):
-                    raise ValueError(f"value {v} at vertex {i} outside [0,1]")
-                if vertex_vals.setdefault(i, v) != v:
-                    raise ValueError(f"pieces disagree at vertex {i}: not continuous")
+                img = self.maps[j].apply(self.complex.vertices[i])
+                for v in img:
+                    if not (0 <= v <= 1):
+                        raise ValueError(f"vertex {i} maps outside the cube")
+                if seen.setdefault(i, img) != img:
+                    raise ValueError(f"maps disagree at shared vertex {i}")
 
 
-def pwl_eval(f: PWLFunction, p) -> Fraction:
-    return f.value(p)
+def _one_row(*fs: PWLMap) -> None:
+    """The functions below read one output coordinate; refuse a wider map."""
+    for f in fs:
+        if f.rows != 1:
+            raise ValueError(f"expected a one-row map (a function), got {f.rows} rows")
 
 
-def _constant(dim: int, k: int) -> PWLFunction:
+def pwl_eval(f: PWLMap, p) -> Fraction:
+    _one_row(f)
+    return f.value(p)[0]
+
+
+def _constant(dim: int, k: int) -> PWLMap:
     w = unit_complex(dim)
-    piece = AffinePiece((0,) * dim, k)
-    return PWLFunction(w, [piece] * len(w.cells))
+    m = AffineMap(((0,) * dim,), (k,))
+    return PWLMap(w, (m,) * len(w.cells))
 
 
-def _coordinate(dim: int, i: int) -> PWLFunction:
+def _coordinate(dim: int, i: int) -> PWLMap:
     w = unit_complex(dim)
-    a = tuple(1 if k == i else 0 for k in range(dim))
-    piece = AffinePiece(a, 0)
-    return PWLFunction(w, [piece] * len(w.cells))
+    m = AffineMap((tuple(1 if k == i else 0 for k in range(dim)),), (0,))
+    return PWLMap(w, (m,) * len(w.cells))
 
 
-def _signs_on_cell(h: AffinePiece, pts) -> tuple:
-    return tuple(h.value(p) for p in pts)
-
-
-def _combine(op: str, f: PWLFunction, g: PWLFunction) -> PWLFunction:
-    """min/max/star/oplus/impl of two PWL functions, exactly."""
+def _combine(op: str, f: PWLMap, g: PWLMap) -> PWLMap:
+    """min/max/star/oplus/impl of two one-row maps, exactly."""
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
     refined, tags = _refine_tagged(f.complex, g.complex)
+    flat = ((0,) * f.dim,)
+    zero, one = AffineMap(flat, (0,)), AffineMap(flat, (1,))
 
-    def locus(fp: AffinePiece, gp: AffinePiece) -> AffinePiece:
+    def locus(fp: AffineMap, gp: AffineMap) -> AffineMap:
         if op in ("min", "max"):
             return fp - gp
         if op in ("star", "oplus"):
@@ -415,60 +483,58 @@ def _combine(op: str, f: PWLFunction, g: PWLFunction) -> PWLFunction:
             return gp - fp
         raise ValueError(f"unknown op {op!r}")
 
-    def branch(fp: AffinePiece, gp: AffinePiece, positive: bool) -> AffinePiece:
-        dim = f.dim
+    def branch(fp: AffineMap, gp: AffineMap, h: AffineMap, positive: bool) -> AffineMap:
         if op == "min":
             return gp if positive else fp
         if op == "max":
             return fp if positive else gp
-        if op == "star":
-            return (fp + gp).shift(-1) if positive else AffinePiece((0,) * dim, 0)
-        if op == "oplus":
-            return AffinePiece((0,) * dim, 1) if positive else fp + gp
-        # impl: positive means f <= g
-        return AffinePiece((0,) * dim, 1) if positive else (gp - fp).shift(1)
+        if positive:    # star: f + g - 1; oplus: 1; impl (f <= g): 1
+            return h if op == "star" else one
+        # star: 0; oplus: f + g; impl: 1 - f + g
+        return zero if op == "star" else h.shift(1)
 
     tagged = []
-    for j in range(len(refined.cells)):
-        i1, i2 = tags[j]
-        fp, gp = f.pieces[i1], g.pieces[i2]
+    for j, (i1, i2) in enumerate(tags):
+        fp, gp = f.maps[i1], g.maps[i2]
         h = locus(fp, gp)
+        ha, hb = h.a[0], h.b[0]
         pts = refined.cell_points(j)
-        vals = _signs_on_cell(h, pts)
-        geom = tuple(p for p in pts) if f.dim == 2 else (pts[0][0], pts[1][0])
+        vals = tuple(_row_value(h, p) for p in pts)
+        geom = pts if f.dim == 2 else (pts[0][0], pts[1][0])
         if all(v >= 0 for v in vals):
-            tagged.append((geom, (fp, gp, True)))
+            tagged.append((geom, (fp, gp, h, True)))
         elif all(v <= 0 for v in vals):
-            tagged.append((geom, (fp, gp, False)))
+            tagged.append((geom, (fp, gp, h, False)))
         else:
             if f.dim == 1:
-                lo, hi = pts[0][0], pts[1][0]
-                root = Fraction(-h.b, h.a[0])
+                lo, hi = geom
+                root = Fraction(-hb, ha[0])
                 first_pos = vals[0] > 0
-                tagged.append(((lo, root), (fp, gp, first_pos)))
-                tagged.append(((root, hi), (fp, gp, not first_pos)))
+                tagged.append(((lo, root), (fp, gp, h, first_pos)))
+                tagged.append(((root, hi), (fp, gp, h, not first_pos)))
             else:
-                hp = (Fraction(h.a[0]), Fraction(h.a[1]), Fraction(h.b))
+                hp = (Fraction(ha[0]), Fraction(ha[1]), Fraction(hb))
                 pos = _clip(list(geom), hp)
                 neg = _clip(list(geom), tuple(-c for c in hp))
                 if _canon(pos):
-                    tagged.append((pos, (fp, gp, True)))
+                    tagged.append((pos, (fp, gp, h, True)))
                 if _canon(neg):
-                    tagged.append((neg, (fp, gp, False)))
+                    tagged.append((neg, (fp, gp, h, False)))
 
     build = _build_complex_1d if f.dim == 1 else _build_complex_2d
     out_complex, out_tags = build(tagged)
-    pieces = [branch(fp, gp, positive) for (fp, gp, positive) in out_tags]
-    return PWLFunction(out_complex, pieces)
+    return PWLMap(out_complex, tuple(branch(*tag) for tag in out_tags))
 
 
-def pwl_combine(op: str, f: PWLFunction, g: Optional[PWLFunction] = None) -> PWLFunction:
+def pwl_combine(op: str, f: PWLMap, g: Optional[PWLMap] = None) -> PWLMap:
     if op == "neg":
         if g is not None:
             raise ValueError("neg is unary")
-        return PWLFunction(f.complex, [p.negate() for p in f.pieces])
+        _one_row(f)
+        return PWLMap(f.complex, tuple(m.negate() for m in f.maps))
     if g is None:
         raise ValueError(f"{op} is binary")
+    _one_row(f, g)
     return _combine(op, f, g)
 
 
@@ -477,7 +543,7 @@ class CellBudgetError(ValueError):
 
 
 def pwl_from_formula(f: Formula, dim: Optional[int] = None,
-                     cell_budget: Optional[int] = None) -> PWLFunction:
+                     cell_budget: Optional[int] = None) -> PWLMap:
     """Exact Lukasiewicz function of a formula with variables among x0..x_{dim-1}.
 
     Intermediate refinements can grow combinatorially on adversarial inputs;
@@ -492,10 +558,10 @@ def pwl_from_formula(f: Formula, dim: Optional[int] = None,
     if n > dim:
         raise ValueError(f"formula uses x{n - 1}, beyond dim {dim}")
 
-    memo: dict[int, PWLFunction] = {}
+    memo: dict[int, PWLMap] = {}
     work = [0]
 
-    def walk(node: Formula) -> PWLFunction:
+    def walk(node: Formula) -> PWLMap:
         got = memo.get(id(node))
         if got is not None:
             return got
@@ -527,41 +593,40 @@ def pwl_from_formula(f: Formula, dim: Optional[int] = None,
     return walk(f)
 
 
-def pwl_min_value(f: PWLFunction):
+def pwl_min_value(f: PWLMap):
     """(minimum value, witness vertex); exact, attained at a complex vertex."""
+    _one_row(f)
     best = None
     witness = None
-    for j, cell in enumerate(f.complex.cells):
+    for cell, m in zip(f.complex.cells, f.maps):
         for i in cell:
-            v = f.pieces[j].value(f.complex.vertices[i])
+            v = _row_value(m, f.complex.vertices[i])
             if best is None or v < best:
                 best, witness = v, f.complex.vertices[i]
     return best, witness
 
 
-def pwl_le(f: PWLFunction, g: PWLFunction) -> bool:
+def _holds_on_refinement(f: PWLMap, g: PWLMap, fails) -> bool:
+    """False iff fails(f(p), g(p)) at some vertex p of a common refinement's
+    cells; both are affine there, so this decides pointwise relations."""
+    refined, tags = _refine_tagged(f.complex, g.complex)
+    for j, (i1, i2) in enumerate(tags):
+        fm, gm = f.maps[i1], g.maps[i2]
+        for p in refined.cell_points(j):
+            if fails(_row_value(fm, p), _row_value(gm, p)):
+                return False
+    return True
+
+
+def pwl_le(f: PWLMap, g: PWLMap) -> bool:
     """Pointwise f <= g, decided exactly on a common refinement."""
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    refined, tags = _refine_tagged(f.complex, g.complex)
-    for j in range(len(refined.cells)):
-        i1, i2 = tags[j]
-        for p in refined.cell_points(j):
-            if f.pieces[i1].value(p) > g.pieces[i2].value(p):
-                return False
-    return True
+    _one_row(f, g)
+    return _holds_on_refinement(f, g, gt)
 
 
-def pwl_equal(f: PWLFunction, g: PWLFunction) -> bool:
-    if f.dim != g.dim:
-        return False
-    refined, tags = _refine_tagged(f.complex, g.complex)
-    for j in range(len(refined.cells)):
-        i1, i2 = tags[j]
-        for p in refined.cell_points(j):
-            if f.pieces[i1].value(p) != g.pieces[i2].value(p):
-                return False
-    return True
+def pwl_equal(f: PWLMap, g: PWLMap) -> bool:
+    _one_row(f, g)
+    return f.dim == g.dim and _holds_on_refinement(f, g, ne)
 
 
 def _box_halfplanes(box):
@@ -569,8 +634,9 @@ def _box_halfplanes(box):
     return [(F1, F0, -xlo), (-F1, F0, xhi), (F0, F1, -ylo), (F0, -F1, yhi)]
 
 
-def pwl_integral(f: PWLFunction, box=None) -> Fraction:
+def pwl_integral(f: PWLMap, box=None) -> Fraction:
     """Exact integral of f over a rational box (defaults to the whole cube)."""
+    _one_row(f)
     if box is None:
         box = tuple(((F0, F1)) for _ in range(f.dim))
     box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
@@ -590,8 +656,8 @@ def pwl_integral(f: PWLFunction, box=None) -> Fraction:
             a, b = (p[0] for p in f.complex.cell_points(j))
             clo, chi = max(a, lo), min(b, hi)
             if clo < chi:
-                piece = f.pieces[j]
-                total += (chi - clo) * (piece.value((clo,)) + piece.value((chi,))) / 2
+                m = f.maps[j]
+                total += (chi - clo) * (_row_value(m, (clo,)) + _row_value(m, (chi,))) / 2
         return total
 
     planes = _box_halfplanes(box)
@@ -604,26 +670,33 @@ def pwl_integral(f: PWLFunction, box=None) -> Fraction:
         poly = _canon(poly)
         if not poly:
             continue
-        piece = f.pieces[j]
+        m = f.maps[j]
         for tri in _fan(poly):
             area = _area2(tri) / 2
-            total += area * sum(piece.value(p) for p in tri) / 3
+            total += area * sum(_row_value(m, p) for p in tri) / 3
     return total
 
 
 # -- synthesis: PWL -> formula ---------------------------------------------------
+
+def _integer(x) -> int:
+    if Fraction(x).denominator != 1:
+        raise ValueError(f"non-integer coefficient {x}: no clamped formula")
+    return int(x)
+
 
 def clamp_affine_formula(coeffs: Sequence[int], const: int) -> Formula:
     """Formula whose Lukasiewicz value is ((sum coeffs[i]*x_i + const) v 0) ^ 1.
 
     Built by peeling one unit literal y at a time with the exact identity
     clamp(t + y) = (clamp(t) (+) y) * clamp(t + 1), valid for any y with
-    range inside [0,1].
+    range inside [0,1]. Coefficients and constant must be integers (ints or
+    integral Fractions); anything else raises ValueError.
     """
     units: list[Formula] = []
-    base = int(const)
+    base = _integer(const)
     for i, c in enumerate(coeffs):
-        c = int(c)
+        c = _integer(c)
         if c > 0:
             units.extend([Var(i)] * c)
         elif c < 0:
@@ -656,38 +729,37 @@ def clamp_affine_formula(coeffs: Sequence[int], const: int) -> Formula:
     return level(len(units), 0)
 
 
-def _synthesize_formula(f: PWLFunction) -> Formula:
-    """Lattice-of-clamped-pieces formula equal to f (any dim <= 2).
+def _synthesize_formula(f: PWLMap) -> Formula:
+    """Lattice-of-clamped-pieces formula equal to the one-row map f (any dim <= 2).
 
     f = max over cells j of min over {i : piece_i >= piece_j on cell j} of
     the clamped affine piece_i; clamping distributes over min/max, so the
     leaves are clamp_affine_formula of the raw pieces.
     """
-    cells = f.complex.cells
-    pieces = f.pieces
+    maps = f.maps
+    rows = [(m.a[0], m.b[0]) for m in maps]
     clamp_cache: dict[tuple, Formula] = {}
 
-    def clamped(i: int) -> Formula:
-        key = (pieces[i].a, pieces[i].b)
-        got = clamp_cache.get(key)
+    def clamped(row: tuple) -> Formula:
+        got = clamp_cache.get(row)
         if got is None:
-            got = clamp_affine_formula(key[0], key[1])
-            clamp_cache[key] = got
+            got = clamp_cache[row] = clamp_affine_formula(*row)
         return got
 
     seen_terms = set()
     terms: list[Formula] = []
-    for j in range(len(cells)):
+    for j in range(len(maps)):
         pts = f.complex.cell_points(j)
-        dominating = [i for i in range(len(cells))
-                      if all(pieces[i].value(p) >= pieces[j].value(p) for p in pts)]
-        key = frozenset((pieces[i].a, pieces[i].b) for i in dominating)
+        own = [_row_value(maps[j], p) for p in pts]
+        dominating = [rows[i] for i, m in enumerate(maps)
+                      if all(_row_value(m, p) >= v for p, v in zip(pts, own))]
+        key = frozenset(dominating)
         if key in seen_terms:
             continue
         seen_terms.add(key)
         term = None
-        for i in dominating:
-            term = clamped(i) if term is None else And(term, clamped(i))
+        for row in dominating:
+            term = clamped(row) if term is None else And(term, clamped(row))
         terms.append(term)
     out = None
     for t in terms:
@@ -695,40 +767,14 @@ def _synthesize_formula(f: PWLFunction) -> Formula:
     return out if out is not None else ZERO
 
 
-def pwl_to_formula_1d(f: PWLFunction) -> Formula:
+def pwl_to_formula_1d(f: PWLMap) -> Formula:
+    _one_row(f)
     if f.dim != 1:
         raise ValueError("synthesis is exposed for dimension 1 only")
     return _synthesize_formula(f)
 
 
 # -- affine maps between simplices ----------------------------------------------
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> A x + b with exact rational entries."""
-
-    a: tuple        # d rows, each a tuple of d Fractions
-    b: tuple        # d Fractions
-
-    @property
-    def dim(self) -> int:
-        return len(self.b)
-
-    @property
-    def is_integral(self) -> bool:
-        return (all(x.denominator == 1 for row in self.a for x in row)
-                and all(x.denominator == 1 for x in self.b))
-
-    def det(self) -> Fraction:
-        if self.dim == 1:
-            return self.a[0][0]
-        return self.a[0][0] * self.a[1][1] - self.a[0][1] * self.a[1][0]
-
-    def apply(self, p) -> Point:
-        p = _frac_point(p)
-        return tuple(sum(r * x for r, x in zip(row, p)) + c
-                     for row, c in zip(self.a, self.b))
-
 
 def affine_from_simplex_pair(source: Sequence, target: Sequence) -> AffineMap:
     """The unique affine map sending source simplex vertices to target's, in order."""
@@ -784,19 +830,41 @@ def _complex_from_json(obj) -> CellComplex:
         json_field(obj, "cells", lambda cs: [tuple(int(i) for i in c) for c in cs]))
 
 
-def pwl_to_json(f: PWLFunction) -> dict:
+def _map_from_json(obj, field: str, read_map) -> PWLMap:
+    complex_ = _complex_from_json(obj)
+    s = PWLMap(complex_, json_field(obj, field, lambda ms: tuple(map(read_map, ms))))
+    s.validate()
+    return s
+
+
+def _complex_to_json(w: CellComplex) -> dict:
     return {
-        "dim": f.dim,
-        "vertices": [[_rat_to_json(x) for x in v] for v in f.complex.vertices],
-        "cells": [list(c) for c in f.complex.cells],
-        "pieces": [{"a": list(p.a), "b": p.b} for p in f.pieces],
+        "dim": w.dim,
+        "vertices": [[_rat_to_json(x) for x in v] for v in w.vertices],
+        "cells": [list(c) for c in w.cells],
     }
 
 
-def pwl_from_json(obj: dict) -> PWLFunction:
-    complex_ = _complex_from_json(obj)
-    pieces = json_field(obj, "pieces", lambda ps: [
-        AffinePiece(tuple(int(x) for x in p["a"]), int(p["b"])) for p in ps])
-    f = PWLFunction(complex_, pieces)
-    f.validate()
-    return f
+def pwl_to_json(f: PWLMap) -> dict:
+    """A one-row map with integer pieces {"a": [...], "b": k}."""
+    _one_row(f)
+    return {**_complex_to_json(f.complex),
+            "pieces": [{"a": list(m.a[0]), "b": m.b[0]} for m in f.maps]}
+
+
+def pwl_from_json(obj: dict) -> PWLMap:
+    return _map_from_json(obj, "pieces", lambda p: AffineMap(
+        (tuple(int(x) for x in p["a"]),), (int(p["b"]),)))
+
+
+def pwl_map_to_json(s: PWLMap) -> dict:
+    """Any map, with rational entries {"a": [[...], ...], "b": [...]}."""
+    return {**_complex_to_json(s.complex),
+            "maps": [{"a": [[_rat_to_json(x) for x in row] for row in m.a],
+                      "b": [_rat_to_json(x) for x in m.b]} for m in s.maps]}
+
+
+def pwl_map_from_json(obj: dict) -> PWLMap:
+    return _map_from_json(obj, "maps", lambda m: AffineMap(
+        tuple(tuple(_rat_from_json(x) for x in row) for row in m["a"]),
+        tuple(_rat_from_json(x) for x in m["b"])))

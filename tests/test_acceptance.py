@@ -230,7 +230,7 @@ def test_criterion_07_unimodular_rotation_and_flip_corollary(rotation):
     for f in family:
         w = pwl_from_formula(f, 1)
         sig = (tuple(v[0] for v in w.complex.vertices),
-               tuple((p.a, p.b) for p in w.pieces))
+               tuple((m.a, m.b) for m in w.maps))
         if sig in seen:
             continue
         seen.add(sig)

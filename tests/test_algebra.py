@@ -78,7 +78,7 @@ def test_product_and_power_sizes():
     assert product_algebra(finite_chain(2), finite_chain(3)).size == 12
     assert power_algebra(finite_chain(1), 4).size == 16
     with pytest.raises(ValueError):
-        power_algebra(finite_chain(3), 4, cap=64)
+        power_algebra(finite_chain(3), 4)
 
 
 def test_subalgebra_free_boolean():

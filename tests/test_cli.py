@@ -323,6 +323,45 @@ def test_pwl_synthesize_missing_field_exits_one(capsys, tmp_path):
     assert err.startswith("error: ") and "'vertices'" in err and err.count("\n") == 1
 
 
+def _one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _synthesize(capsys, tmp_path, **changes):
+    """pwl synthesize on the compiled identity x0, with some fields replaced."""
+    obj = {"dim": 1, "vertices": [[["0", "1"]], [["1", "1"]]], "cells": [[0, 1]],
+           "pieces": [{"a": [1], "b": 0}]}
+    obj.update(changes)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return capture(capsys, ["pwl", "synthesize", str(path)])
+
+
+def test_pwl_synthesize_vertex_index_out_of_range_exits_one(capsys, tmp_path):
+    _one_error_line(*_synthesize(capsys, tmp_path, cells=[[0, 5]]))
+
+
+def test_pwl_synthesize_negative_vertex_index_exits_one(capsys, tmp_path):
+    _one_error_line(*_synthesize(capsys, tmp_path, cells=[[0, -1]]))
+
+
+def test_pwl_synthesize_vertex_of_wrong_dimension_exits_one(capsys, tmp_path):
+    vertices = [[["0", "1"], ["0", "1"]], [["1", "1"], ["0", "1"]]]
+    _one_error_line(*_synthesize(capsys, tmp_path, vertices=vertices))
+
+
+def test_pwl_synthesize_piece_of_wrong_dimension_exits_one(capsys, tmp_path):
+    _one_error_line(*_synthesize(capsys, tmp_path, pieces=[{"a": [1, 5], "b": 0}]))
+
+
+def test_algebra_json_one_out_of_range_exits_one(capsys, monkeypatch):
+    obj = {"names": ["0", "1"], "star": [[0, 0], [0, 1]], "impl": [[1, 1], [0, 1]],
+           "zero": 0, "one": 7}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    _one_error_line(*capture(capsys, ["filters", "--algebra", "-"]))
+
+
 def test_deeply_nested_formula_exits_one(capsys):
     code, out, err = capture(capsys, ["taut", "--logic", "bool", "!" * 1200 + "x0"])
     assert code == 1 and out == ""

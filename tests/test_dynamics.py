@@ -10,13 +10,17 @@ from mvdyn.formula import (
     Var, Neg, Star, Impl, And, OPlus, Substitution, evaluate, LUKASIEWICZ,
     parse_formula,
 )
-from mvdyn.pwl import pwl_from_formula, pwl_equal
+from mvdyn.pwl import (
+    PWLMap, pwl_from_formula, pwl_equal, pwl_map_to_json, pwl_map_from_json,
+    pwl_eval, pwl_integral, pwl_min_value, pwl_le, pwl_combine, pwl_to_json,
+    pwl_to_formula_1d,
+)
 from mvdyn.dynamics import (
-    PWLMap, InducedMap, induced_map, map_eval, denominator, orbit,
+    InducedMap, induced_map, map_eval, denominator, orbit,
     full_rational_orbit, reachability_substitution, rotation_homeomorphism,
     validate_homeomorphism, tsujii_differential, box_hitting_search,
     empirical_statistics, average_truth_value, tent_substitution,
-    flip_substitution, pwl_map_to_json, pwl_map_from_json,
+    flip_substitution,
 )
 
 F = Fraction
@@ -61,8 +65,8 @@ def test_tent_map_geometric_form_matches(tent_map):
         assert tent_map.pwl.value(p) == map_eval(tent_map, p)
 
 
-def test_component_functions_round_trip(tent_map):
-    comp = tent_map.pwl.component_functions()[0]
+def test_geometric_form_row_round_trip(tent_map):
+    comp = tent_map.pwl.row(0)
     direct = pwl_from_formula(tent_map.components[0], 1)
     assert pwl_equal(comp, direct)
 
@@ -249,6 +253,32 @@ def test_pwl_map_validate_rejects_mismatch(tent_map):
     broken = PWLMap(good.complex, good.maps[:1])
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def test_two_variable_rows_are_the_compiled_images():
+    sigma = Substitution([parse_formula("x0 (+) x1"), parse_formula("!x0 & x1")])
+    s = induced_map(sigma)
+    for i, g in enumerate(sigma.images):
+        assert pwl_equal(s.pwl.row(i), pwl_from_formula(g, 2))
+
+
+def test_one_coordinate_functions_refuse_two_rows(rotation):
+    _, smap = rotation
+    p = (F(1, 3), F(1, 5))
+    assert pwl_eval(smap.row(1), p) == smap.value(p)[1]
+    one_row = smap.row(0)
+    for call in (lambda: pwl_eval(smap, p), lambda: pwl_integral(smap),
+                 lambda: pwl_min_value(smap), lambda: pwl_le(smap, one_row),
+                 lambda: pwl_equal(one_row, smap), lambda: pwl_combine("neg", smap),
+                 lambda: pwl_combine("min", one_row, smap), lambda: pwl_to_json(smap),
+                 lambda: pwl_to_formula_1d(smap)):
+        with pytest.raises(ValueError, match="one-row"):
+            call()
+
+
+def test_validate_homeomorphism_refuses_a_function():
+    with pytest.raises(ValueError, match="rows"):
+        validate_homeomorphism(pwl_from_formula(And(Var(0), Var(1))))
 
 
 # -- one-sided differentials ---------------------------------------------------------------

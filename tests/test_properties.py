@@ -1,0 +1,77 @@
+"""Property tests of the piecewise-affine engine against the formula semantics.
+
+Examples are derandomized (seeded from each test's name) and nothing is
+stored between runs, so every run checks the same cases.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from mvdyn.dynamics import induced_map, map_eval
+from mvdyn.formula import (
+    And, Impl, Neg, OPlus, Or, Star, Substitution, Var, ONE, ZERO, LUKASIEWICZ,
+    evaluate,
+)
+from mvdyn.pwl import (
+    pwl_eval, pwl_from_formula, pwl_from_json, pwl_map_from_json, pwl_map_to_json,
+    pwl_to_json,
+)
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+formulas = st.recursive(
+    st.sampled_from([Var(0), Var(1), ZERO, ONE]),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(lambda op, a, b: op(a, b),
+                  st.sampled_from([Star, Impl, And, Or, OPlus]), sub, sub)),
+    max_leaves=6)
+
+rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+def json_trip(obj):
+    return json.loads(json.dumps(obj))
+
+
+@SETTINGS
+@given(formulas, st.tuples(rationals, rationals))
+def test_pwl_eval_matches_evaluate(f, point):
+    dim = max(f.arity, 1)
+    p = point[:dim]
+    assert pwl_eval(pwl_from_formula(f, dim), p) == evaluate(f, LUKASIEWICZ, p)
+
+
+@SETTINGS
+@given(formulas)
+def test_pwl_json_round_trip(f):
+    w = pwl_from_formula(f)
+    again = pwl_from_json(json_trip(pwl_to_json(w)))
+    assert again.complex.vertices == w.complex.vertices
+    assert again.complex.cells == w.complex.cells
+    assert again.maps == w.maps
+
+
+@SETTINGS
+@given(formulas, formulas)
+def test_pwl_map_json_round_trip(g0, g1):
+    s = induced_map(Substitution([g0, g1])).pwl
+    assume(s is not None)
+    again = pwl_map_from_json(json_trip(pwl_map_to_json(s)))
+    assert again.complex.vertices == s.complex.vertices
+    assert again.complex.cells == s.complex.cells
+    assert again.maps == s.maps
+
+
+@SETTINGS
+@given(formulas, formulas, st.tuples(rationals, rationals))
+def test_induced_map_geometric_form_matches_map_eval(g0, g1, p):
+    s = induced_map(Substitution([g0, g1]))
+    assume(s.pwl is not None)
+    assert s.pwl.value(p) == map_eval(s, p)
+    assert all(isinstance(x, Fraction) for x in s.pwl.value(p))

@@ -11,7 +11,7 @@ from mvdyn.formula import (
     LUKASIEWICZ,
 )
 from mvdyn.pwl import (
-    CellComplex, PWLFunction, AffinePiece, AffineMap, CellBudgetError,
+    CellComplex, PWLMap, AffineMap, CellBudgetError,
     unit_complex, common_refinement, pwl_from_formula, pwl_eval, pwl_combine,
     pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula,
     pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
@@ -47,8 +47,8 @@ def test_tent_pieces():
     spans = sorted((w.complex.cell_points(j)[0][0], w.complex.cell_points(j)[1][0])
                    for j in range(len(w.complex.cells)))
     assert spans == [(F(0), F(1, 2)), (F(1, 2), F(1))]
-    pieces = sorted((p.a, p.b) for p in w.pieces)
-    assert pieces == [((-2,), 2), ((2,), 0)]
+    pieces = sorted((m.a, m.b) for m in w.maps)
+    assert pieces == [(((-2,),), (2,)), (((2,),), (0,))]
 
 
 def test_alternate_tent_spelling_is_equal():
@@ -63,16 +63,16 @@ def test_figure_formula_three_pieces():
     by_span = {}
     for j in range(len(w.complex.cells)):
         lo = w.complex.cell_points(j)[0][0]
-        by_span[lo] = (w.pieces[j].a, w.pieces[j].b)
-    assert by_span[F(0)] == ((-1,), 1)
-    assert by_span[F(1, 3)] == ((2,), 0)
-    assert by_span[F(1, 2)] == ((-2,), 2)
+        by_span[lo] = (w.maps[j].a, w.maps[j].b)
+    assert by_span[F(0)] == (((-1,),), (1,))
+    assert by_span[F(1, 3)] == (((2,),), (0,))
+    assert by_span[F(1, 2)] == (((-2,),), (2,))
 
 
 def test_constant_formula_single_piece():
     w = pwl_from_formula(ONE, dim=1)
     assert len(w.complex.cells) == 1
-    assert w.pieces[0].a == (0,) and w.pieces[0].b == 1
+    assert w.maps[0].a == ((0,),) and w.maps[0].b == (1,)
 
 
 def test_dimension_guards():
@@ -242,6 +242,14 @@ def test_clamp_constant_edges():
     assert evaluate(f, LUKASIEWICZ, (F(1, 3),)) == F(1, 3)
 
 
+def test_clamp_rejects_non_integer_coefficients():
+    for coeffs, const in (((F(1, 2),), 0), ((F(3, 2),), 0), ((1,), F(1, 3))):
+        with pytest.raises(ValueError):
+            clamp_affine_formula(coeffs, const)
+    f = clamp_affine_formula((F(2),), F(-1))
+    assert evaluate(f, LUKASIEWICZ, (F(3, 4),)) == F(1, 2)
+
+
 def test_synthesis_round_trip_1d():
     rng = random.Random(606)
     done = 0
@@ -285,10 +293,10 @@ def test_validate_rejects_overlap_2d():
 def test_validate_rejects_discontinuity():
     w = unit_complex(1)
     two = CellComplex(1, [(F(0),), (F(1, 2),), (F(1),)], [(0, 1), (1, 2)])
-    f = PWLFunction(two, [AffinePiece((1,), 0), AffinePiece((0,), 0)])
+    f = PWLMap(two, (AffineMap(((1,),), (0,)), AffineMap(((0,),), (0,))))
     with pytest.raises(ValueError):
         f.validate()
-    g = PWLFunction(w, [AffinePiece((2,), 0)])
+    g = PWLMap(w, (AffineMap(((2,),), (0,)),))
     with pytest.raises(ValueError):
         g.validate()
 
@@ -363,5 +371,5 @@ def test_json_rejects_bad_payload():
     w = pwl_from_formula(TENT)
     obj = pwl_to_json(w)
     obj["cells"] = [[0, 99]]
-    with pytest.raises((ValueError, IndexError)):
+    with pytest.raises(ValueError):
         pwl_from_json(obj)
