@@ -105,23 +105,47 @@ class Orbit:
     denominators: tuple
 
 
-def orbit(s: InducedMap, p, max_steps: int = 10000) -> Orbit:
-    """Iterate exactly until the first repeated point or the step budget."""
-    current = _cube_point(p, s.arity)
-    points = [current]
-    index = {current: 0}
+def _lattice_steps(maps, d: int):
+    """Each map's PWLMap.lattice_step on (1/d)Z^n, or None unless every map
+    has an integral geometric form."""
+    steps = [s.pwl.lattice_step(d) if s.pwl is not None else None for s in maps]
+    return None if None in steps else steps
+
+
+def _iterate(step, start, max_steps: int):
+    """(points, index of the first repeat or None) of start, step(start), ..."""
+    points = [start]
+    index = {start: 0}
+    current = start
     for _ in range(max_steps):
-        current = map_eval(s, current)
-        if current in index:
-            pre = index[current]
-            points.append(current)
-            return Orbit(points[0], tuple(points), "cycle",
-                         pre, len(points) - 1 - pre,
-                         tuple(denominator(q) for q in points))
-        index[current] = len(points)
+        current = step(current)
         points.append(current)
-    return Orbit(points[0], tuple(points), "truncated", None, None,
-                 tuple(denominator(q) for q in points))
+        if current in index:
+            return points, index[current]
+        index[current] = len(points) - 1
+    return points, None
+
+
+def orbit(s: InducedMap, p, max_steps: int = 10000) -> Orbit:
+    """Iterate exactly until the first repeated point or the step budget.
+
+    With an integral geometric form, a start of denominator d stays on the
+    lattice (1/d)Z^n, and each step is integer point location plus one
+    integer affine map; otherwise each step walks the formulas (map_eval).
+    """
+    start = _cube_point(p, s.arity)
+    d = denominator(start)
+    lattice = _lattice_steps([s], d)
+    if lattice is None:
+        points, pre = _iterate(s, start, max_steps)
+        dens = tuple(denominator(q) for q in points)
+    else:
+        ks, pre = _iterate(lattice[0], tuple(int(v * d) for v in start), max_steps)
+        points = [tuple(Fraction(x, d) for x in k) for k in ks]
+        dens = tuple(d // math.gcd(d, *k) for k in ks)
+    if pre is None:
+        return Orbit(start, tuple(points), "truncated", None, None, dens)
+    return Orbit(start, tuple(points), "cycle", pre, len(points) - 1 - pre, dens)
 
 
 def full_rational_orbit(n: int, d: int, cap: int = 500000) -> list:
@@ -372,17 +396,29 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
         if not Fraction(lo) < Fraction(hi):
             raise ValueError("boxes must be nondegenerate")
     starts = [p for p in _box_points(a_box, grid_denominator) if _in_box(p, a_box)]
-    q_iter = {p: p for p in starts}
+    lattice = _lattice_steps([q_map, r_map], grid_denominator)
+    if lattice is None:
+        q_step, r_step = q_map, r_map
+        lift = point = lambda x: x
+        bounds = [(Fraction(lo), Fraction(hi)) for lo, hi in b_box]
+    else:
+        # the grid points lie on (1/g)Z^n: step their integer numerators
+        (q_step, r_step), g = lattice, grid_denominator
+        lift = lambda x: tuple(int(v * g) for v in x)
+        point = lambda k: tuple(Fraction(v, g) for v in k)
+        bounds = [(math.ceil(Fraction(lo) * g), math.floor(Fraction(hi) * g))
+                  for lo, hi in b_box]
+    q_iter = {p: lift(p) for p in starts}
     for h in range(h_max + 1):
         for start in starts:
             x = q_iter[start]
             for k in range(k_max + 1):
-                if _in_box(x, b_box):
-                    return BoxHit(h, k, start, x)
-                x = map_eval(r_map, x)
+                if all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds)):
+                    return BoxHit(h, k, start, point(x))
+                x = r_step(x)
         if h < h_max:
             for start in starts:
-                q_iter[start] = map_eval(q_map, q_iter[start])
+                q_iter[start] = q_step(q_iter[start])
     return None
 
 

@@ -13,14 +13,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .formula import (
-    Formula, Var, Star, Impl, ZERO, ONE, Substitution, apply_substitution,
+    Formula, Var, Star, ONE, Substitution, apply_substitution,
     arity_of, evaluate, parse_formula, print_formula, tautology_check,
-    TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE, chain_semantics,
+    TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
-from .algebra import filter_generated, is_filter  # noqa: F401  (part of this module's surface)
 
 
 # -- proof objects -----------------------------------------------------------------

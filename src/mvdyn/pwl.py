@@ -10,9 +10,11 @@ All arithmetic is exact.
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, gt, mul, ne, sub
 from typing import Optional, Sequence
 
@@ -150,10 +152,10 @@ class CellComplex:
 
     def locate(self, p: Point) -> int:
         """Index of the first cell containing p."""
-        p = _frac_point(p)
-        for v in p:
-            if not (0 <= v <= 1):
-                raise ValueError(f"point {p} outside the unit cube")
+        return self._locate(_cube_point(p))
+
+    def _locate(self, p: Point) -> int:
+        """locate on a point of Fractions already checked to lie in the cube."""
         if self.dim == 1:
             for j, (i0, i1) in enumerate(self.cells):
                 if self.vertices[i0][0] <= p[0] <= self.vertices[i1][0]:
@@ -164,6 +166,28 @@ class CellComplex:
                 if all(_cross(tri[i], tri[(i + 1) % 3], p) >= 0 for i in range(3)):
                     return j
         raise ValueError(f"point {p} not covered by the complex")
+
+    @cached_property
+    def _lattice_bounds(self) -> list:
+        """Each cell's bounds in integers, for PWLMap.lattice_step: in dimension 1,
+        (cell, right end) in left-to-right order; in dimension 2, (cell, three
+        integer half-planes (c0, c1, c2)), each a positive multiple of the
+        _cross test of one edge, so the cell is where all c0 x + c1 y + c2 >= 0."""
+        if self.dim == 1:
+            order = sorted(range(len(self.cells)),
+                           key=lambda j: self.vertices[self.cells[j][0]][0])
+            return [(j, self.vertices[self.cells[j][1]][0]) for j in order]
+        out = []
+        for j in range(len(self.cells)):
+            tri = self.cell_points(j)
+            planes = []
+            for i in range(3):
+                a, b = tri[i], tri[(i + 1) % 3]
+                h = (a[1] - b[1], b[0] - a[0], a[0] * b[1] - b[0] * a[1])
+                scale = math.lcm(*(x.denominator for x in h))
+                planes.append(tuple(int(x * scale) for x in h))
+            out.append((j, tuple(planes)))
+        return out
 
     def measure(self, j: int) -> Fraction:
         pts = self.cell_points(j)
@@ -361,7 +385,10 @@ class AffineMap:
         return self.a[0][0] * self.a[1][1] - self.a[0][1] * self.a[1][0]
 
     def apply(self, p) -> Point:
-        p = _frac_point(p)
+        return self._apply(_frac_point(p))
+
+    def _apply(self, p: Point) -> Point:
+        """apply on a point of Fractions."""
         return tuple(sum(map(mul, row, p)) + c for row, c in zip(self.a, self.b))
 
     def __add__(self, other):
@@ -415,7 +442,47 @@ class PWLMap:
 
     def value(self, p) -> Point:
         p = _cube_point(p, self.dim)
-        return self.maps[self.complex.locate(p)].apply(p)
+        return self.maps[self.complex._locate(p)]._apply(p)
+
+    def lattice_step(self, d: int):
+        """This self-map of the cube on the lattice (1/d)Z^dim, as a function
+        on integer numerators; None unless every piece is integral.
+
+        An integral piece x -> A x + b sends k/d to (A k + b d)/d, so step(k)
+        returns the numerators of value(k/d) over the same d, and an orbit
+        never leaves the lattice. Point location compares integers only: a
+        bisect over floor(r d) of the right cell ends r in dimension 1, the
+        signs of each cell's integer half-planes at k in dimension 2.
+        """
+        if not all(m.is_integral for m in self.maps):
+            return None
+        bounds = self.complex._lattice_bounds
+        if self.dim == 1:
+            ends = [r.numerator * d // r.denominator for _, r in bounds]
+            pieces = [(int(self.maps[j].a[0][0]), int(self.maps[j].b[0]) * d)
+                      for j, _ in bounds]
+
+            def step(k):
+                a, c = pieces[bisect.bisect_left(ends, k[0])]
+                return (a * k[0] + c,)
+            return step
+
+        cells = []
+        for j, planes in bounds:
+            (a00, a01), (a10, a11) = self.maps[j].a
+            b0, b1 = self.maps[j].b
+            cells.append((*((c0, c1, c2 * d) for c0, c1, c2 in planes),
+                          (int(a00), int(a01), int(b0) * d, int(a10), int(a11), int(b1) * d)))
+
+        def step(k):
+            x, y = k
+            for (p0, q0, r0), (p1, q1, r1), (p2, q2, r2), piece in cells:
+                if (p0 * x + q0 * y + r0 >= 0 and p1 * x + q1 * y + r1 >= 0
+                        and p2 * x + q2 * y + r2 >= 0):
+                    a00, a01, c0, a10, a11, c1 = piece
+                    return (a00 * x + a01 * y + c0, a10 * x + a11 * y + c1)
+            raise ValueError(f"point {k} / {d} not covered by the complex")
+        return step
 
     def row(self, i: int) -> "PWLMap":
         """The i-th output coordinate as a one-row map on the same complex."""
@@ -626,7 +693,7 @@ def pwl_le(f: PWLMap, g: PWLMap) -> bool:
 
 def pwl_equal(f: PWLMap, g: PWLMap) -> bool:
     _one_row(f, g)
-    return f.dim == g.dim and _holds_on_refinement(f, g, ne)
+    return _holds_on_refinement(f, g, ne)
 
 
 def _box_halfplanes(box):

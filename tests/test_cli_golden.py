@@ -52,6 +52,8 @@ CASES = [
     ("homeo_rotation", ["homeo", "rotation"]),
     ("diff_rotation", ["diff", "--map", "rotation", "--point", "1/2,1/4",
                        "--dir", "1,-1"]),
+    ("orbit_2d", ["orbit", "--subst", "x0=(x0 (+) x0) & (!x0 (+) !x0);x1=x0 * x1 (+) !x0 & x1",
+                  "--start", "1/5,2/7"]),
     ("prove_check_derived", ["prove", "check", str(DATA / "odometer_derive.out"),
                              "--hyp", "x0 * x1", "--no-axioms", "--oracle", "boole"]),
 ]

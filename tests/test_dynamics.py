@@ -10,8 +10,9 @@ from mvdyn.formula import (
     Var, Neg, Star, Impl, And, OPlus, Substitution, evaluate, LUKASIEWICZ,
     parse_formula,
 )
+from mvdyn.odometer import odometer_substitution
 from mvdyn.pwl import (
-    PWLMap, pwl_from_formula, pwl_equal, pwl_map_to_json, pwl_map_from_json,
+    AffineMap, PWLMap, unit_complex, pwl_from_formula, pwl_equal, pwl_map_to_json, pwl_map_from_json,
     pwl_eval, pwl_integral, pwl_min_value, pwl_le, pwl_combine, pwl_to_json,
     pwl_to_formula_1d,
 )
@@ -112,6 +113,34 @@ def test_orbit_fixed_point(tent_map):
     assert o.preperiod == 0 and o.period == 1
 
 
+def test_lattice_step_matches_value_on_the_grid(tent_map):
+    pair = induced_map(Substitution([tent_substitution().images[0],
+                                     parse_formula("x0 * x1 (+) !x0 & x1")]))
+    for s, d in ((tent_map, 35), (pair, 12)):
+        step = s.pwl.lattice_step(d)
+        for p in full_rational_orbit(s.arity, d):
+            k = tuple(int(v * d) for v in p)
+            assert tuple(F(x, d) for x in step(k)) == s.pwl.value(p) == map_eval(s, p)
+
+
+def test_odometer_orbit_walks_the_formulas():
+    s = induced_map(odometer_substitution(4))
+    assert s.pwl is None
+    o = orbit(s, (F(0),) * 4)
+    assert (o.status, o.preperiod, o.period) == ("cycle", 0, 16)
+    assert o.points == tuple(tuple(F((j % 16) >> i & 1) for i in range(4))
+                             for j in range(17))
+    assert o.denominators == (1,) * 17
+
+
+def test_orbit_walks_the_formulas_past_a_non_integral_form(tent_map):
+    # x -> x/2 on the pieces, the tent in the formulas: the orbit is the tent's
+    half = AffineMap(((F(1, 2),),), (F(0),))
+    s = InducedMap(1, tent_map.components, PWLMap(unit_complex(1), (half,)))
+    assert s.pwl.lattice_step(5) is None
+    assert orbit(s, (F(1, 5),)) == orbit(tent_map, (F(1, 5),))
+
+
 def test_full_rational_orbit_grid(tent_map):
     grid = full_rational_orbit(1, 4)
     assert grid == [(F(0),), (F(1, 4),), (F(1, 2),), (F(3, 4),), (F(1),)]
@@ -208,8 +237,13 @@ def test_rotation_validation_report(rotation):
 
 def test_rotation_inner_triangle_three_cycle(rotation):
     sigma, _ = rotation
-    o = orbit(induced_map(sigma), (F(1, 4), F(1, 4)))
+    s = induced_map(sigma)
+    assert s.pwl is None
+    o = orbit(s, (F(1, 4), F(1, 4)))
     assert o.preperiod == 0 and o.period == 3
+    assert o.points == ((F(1, 4), F(1, 4)), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)),
+                        (F(1, 4), F(1, 4)))
+    assert o.denominators == (4, 4, 4, 4)
 
 
 def test_rotation_formula_compile_falls_back(rotation):
@@ -351,6 +385,15 @@ def test_box_hitting_tent_to_tent(tent_map):
         x = map_eval(tent_map, x)
     assert F(7, 10) <= x[0] <= F(9, 10)
     assert x == hit.image
+
+
+def test_box_hitting_on_the_lattice_matches_the_formula_walk(tent_map):
+    walk = InducedMap(1, tent_map.components, None)
+    for lo_a in range(0, 9, 2):
+        for lo_b in range(0, 9, 3):
+            boxes = ([(F(lo_a, 10), F(lo_a + 2, 10))], [(F(lo_b, 10), F(lo_b + 1, 10))])
+            assert (box_hitting_search(tent_map, tent_map, *boxes, 3, 3, 20)
+                    == box_hitting_search(walk, walk, *boxes, 3, 3, 20))
 
 
 def test_box_hitting_identity_misses():

@@ -5,14 +5,15 @@ stored between runs, so every run checks the same cases.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mvdyn.dynamics import induced_map, map_eval
+from mvdyn.dynamics import induced_map, map_eval, orbit
 from mvdyn.formula import (
     And, Impl, Neg, OPlus, Or, Star, Substitution, Var, ONE, ZERO, LUKASIEWICZ,
     evaluate,
@@ -24,13 +25,18 @@ from mvdyn.pwl import (
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
-formulas = st.recursive(
-    st.sampled_from([Var(0), Var(1), ZERO, ONE]),
-    lambda sub: st.one_of(
-        sub.map(Neg),
-        st.builds(lambda op, a, b: op(a, b),
-                  st.sampled_from([Star, Impl, And, Or, OPlus]), sub, sub)),
-    max_leaves=6)
+def binary(sub):
+    return st.builds(lambda op, a, b: op(a, b),
+                     st.sampled_from([Star, Impl, And, Or, OPlus]), sub, sub)
+
+
+def formulas_over(leaves):
+    return st.recursive(st.sampled_from(leaves),
+                        lambda sub: st.one_of(sub.map(Neg), binary(sub)), max_leaves=6)
+
+
+formulas = formulas_over([Var(0), Var(1), ZERO, ONE])
+formulas_1 = formulas_over([Var(0)])
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
@@ -75,3 +81,39 @@ def test_induced_map_geometric_form_matches_map_eval(g0, g1, p):
     assume(s.pwl is not None)
     assert s.pwl.value(p) == map_eval(s, p)
     assert all(isinstance(x, Fraction) for x in s.pwl.value(p))
+
+
+def walk_orbit(s, p, max_steps):
+    """(points, status, preperiod, period, denominators) by iterating map_eval."""
+    points = [tuple(p)]
+    pre = None
+    for _ in range(max_steps):
+        q = map_eval(s, points[-1])
+        if q in points:
+            pre = points.index(q)
+        points.append(q)
+        if pre is not None:
+            break
+    period = None if pre is None else len(points) - 1 - pre
+    return (tuple(points), "truncated" if pre is None else "cycle", pre, period,
+            tuple(math.lcm(*(x.denominator for x in q)) for q in points))
+
+
+TENT = And(OPlus(Var(0), Var(0)), OPlus(Neg(Var(0)), Neg(Var(0))))
+
+
+@settings(SETTINGS, max_examples=300)
+@example([TENT], (Fraction(1, 11), 0), 400)
+@example([TENT, OPlus(Star(Var(0), Var(1)), And(Neg(Var(0)), Var(1)))],
+         (Fraction(1, 5), Fraction(2, 7)), 400)
+@given(st.one_of(binary(formulas_1).map(lambda g: [g]),
+                 st.lists(binary(formulas), min_size=2, max_size=2)),
+       st.tuples(rationals, rationals), st.sampled_from([0, 1, 3, 400]))
+def test_orbit_matches_the_formula_walk(images, point, max_steps):
+    s = induced_map(Substitution(images))
+    assume(s.pwl is not None)
+    p = point[:s.arity]
+    o = orbit(s, p, max_steps=max_steps)
+    assert ((o.points, o.status, o.preperiod, o.period, o.denominators)
+            == walk_orbit(s, p, max_steps))
+    assert all(isinstance(x, Fraction) for q in o.points for x in q)

@@ -163,6 +163,13 @@ def test_pwl_equal_and_le():
     assert not pwl_le(pwl_from_formula(OPlus(X0, X0)), pwl_from_formula(X0))
 
 
+def test_equal_and_le_refuse_a_dimension_mismatch():
+    one, two = pwl_from_formula(X0, 1), pwl_from_formula(X0, 2)
+    for relation in (pwl_equal, pwl_le):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            relation(one, two)
+
+
 def test_le_random_consistency():
     rng = random.Random(303)
     for _ in range(40):
