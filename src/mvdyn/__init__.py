@@ -9,7 +9,7 @@ from .formula import (
 )
 from .pwl import (
     CellComplex, PWLMap, AffineMap, CellBudgetError, unit_complex,
-    common_refinement, pwl_from_formula, pwl_eval, pwl_combine, pwl_equal,
+    common_refinement, pwl_from_formula, pwl_eval, pwl_combine, pwl_compose, pwl_equal,
     pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula, pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
     pwl_map_to_json, pwl_map_from_json,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "Verdict", "tautology_check", "identity_check", "rationals_up_to",
     "CellComplex", "PWLMap", "AffineMap", "CellBudgetError",
     "unit_complex", "common_refinement", "pwl_from_formula", "pwl_eval",
-    "pwl_combine", "pwl_equal", "pwl_le", "pwl_min_value", "pwl_integral",
+    "pwl_combine", "pwl_compose", "pwl_equal", "pwl_le", "pwl_min_value", "pwl_integral",
     "clamp_affine_formula", "pwl_to_formula_1d", "affine_from_simplex_pair",
     "pwl_to_json", "pwl_from_json", "pwl_map_to_json", "pwl_map_from_json",
     "FiniteAlgebra", "Homomorphism", "SpecSpace", "evaluate_in", "finite_chain",

@@ -17,7 +17,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from .formula import (
-    Formula, Var, Neg, And, OPlus, Substitution, apply_substitution,
+    Formula, Var, Neg, And, OPlus, Substitution,
     evaluate, LUKASIEWICZ, arity_of,
 )
 from . import pwl as _pwl
@@ -29,7 +29,7 @@ from .pwl import (
 F0 = Fraction(0)
 F1 = Fraction(1)
 CELL_BUDGET = 600     # most cells in the geometric form of an induced map
-PIECE_CAP = 20000     # most pieces in one iterate compiled by average_truth_value
+PIECE_CAP = 20000     # most pieces in one iterate of average_truth_value
 
 
 # -- induced maps of substitutions ----------------------------------------------------
@@ -46,29 +46,32 @@ class InducedMap:
         return map_eval(self, p)
 
 
+def _geometric_form(images, dim: int, cell_budget: Optional[int] = None):
+    """The map x -> (g(x) for g in images) of [0,1]^dim, with one compiled row
+    per image (at most two) on the common refinement of their complexes; None
+    when a compilation or that refinement would exceed the cell budget."""
+    try:
+        funcs = [pwl_from_formula(g, dim, cell_budget=cell_budget) for g in images]
+    except CellBudgetError:
+        return None
+    if len(funcs) == 1:
+        return funcs[0]
+    f, g = funcs
+    if cell_budget is not None and len(f.complex.cells) * len(g.complex.cells) > 50 * cell_budget:
+        return None
+    complex_, tags = _pwl._refine_tagged(f.complex, g.complex)
+    return PWLMap(complex_, tuple(
+        AffineMap(f.maps[i1].a + g.maps[i2].a, f.maps[i1].b + g.maps[i2].b)
+        for i1, i2 in tags))
+
+
 def induced_map(sigma: Substitution) -> InducedMap:
     """Wrap a substitution as a self-map; for one or two variables, also
     compile the exact geometric form unless it exceeds the cell budget."""
     n = sigma.arity
     if n == 0:
         raise ValueError("substitution must cover at least x0")
-    pwl_form = None
-    if n <= 2:
-        try:
-            funcs = [pwl_from_formula(g, n, cell_budget=CELL_BUDGET)
-                     for g in sigma.images]
-        except CellBudgetError:
-            return InducedMap(n, tuple(sigma.images), None)
-        if n == 1:
-            pwl_form = funcs[0]
-        else:
-            f, g = funcs
-            if len(f.complex.cells) * len(g.complex.cells) > 50 * CELL_BUDGET:
-                return InducedMap(n, tuple(sigma.images), None)
-            complex_, tags = _pwl._refine_tagged(f.complex, g.complex)
-            pwl_form = PWLMap(complex_, tuple(
-                AffineMap(f.maps[i1].a + g.maps[i2].a, f.maps[i1].b + g.maps[i2].b)
-                for i1, i2 in tags))
+    pwl_form = _geometric_form(sigma.images, n, CELL_BUDGET) if n <= 2 else None
     return InducedMap(n, tuple(sigma.images), pwl_form)
 
 
@@ -379,10 +382,6 @@ def _box_points(box, grid_denominator: int):
     return list(itertools.product(*axes))
 
 
-def _in_box(p, box) -> bool:
-    return all(Fraction(lo) <= x <= Fraction(hi) for x, (lo, hi) in zip(p, box))
-
-
 def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
                        h_max: int, k_max: int,
                        grid_denominator: int = 16) -> Optional[BoxHit]:
@@ -395,7 +394,7 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
     for lo, hi in list(a_box) + list(b_box):
         if not Fraction(lo) < Fraction(hi):
             raise ValueError("boxes must be nondegenerate")
-    starts = [p for p in _box_points(a_box, grid_denominator) if _in_box(p, a_box)]
+    starts = _box_points(a_box, grid_denominator)
     lattice = _lattice_steps([q_map, r_map], grid_denominator)
     if lattice is None:
         q_step, r_step = q_map, r_map
@@ -493,7 +492,12 @@ def empirical_statistics(s: InducedMap, start, iterations: int, box_grid: int,
 
 
 def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict:
-    """Exact averages of sigma^j(r) over a box, plus the Lebesgue average of r."""
+    """Exact averages of sigma^j(r) over a box, plus the Lebesgue average of r.
+
+    The map of sigma^(j+1)(r) is the map of sigma^j(r) after the geometric
+    form S of sigma, so r is compiled once and each iterate is the previous
+    one pulled back through S (pwl_compose).
+    """
     dims = [arity_of(r)] + [arity_of(g) for g in sigma.images]
     dim = max(max(dims), 1)
     if dim > 2:
@@ -506,14 +510,17 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict
         if not (0 <= lo < hi <= 1):
             raise ValueError("box must be nondegenerate inside the cube")
         volume *= hi - lo
+    if k >= 1 and r.arity > sigma.arity:
+        raise ValueError(f"substitution of arity {sigma.arity} misses x{r.arity - 1}")
+    w = pwl_from_formula(r, dim)
+    lebesgue = _pwl.pwl_integral(w)
+    # every iterate of a constant r is r; otherwise sigma covers x0..x_{dim-1}
+    s = _geometric_form(sigma.images[:dim], dim) if k >= 1 and r.arity else None
     sequence = []
-    current = r
     for j in range(k + 1):
-        w = pwl_from_formula(current, dim)
         if len(w.complex.cells) > PIECE_CAP:
             raise ValueError(f"piece cap exceeded at step {j}")
         sequence.append(_pwl.pwl_integral(w, box) / volume)
-        if j < k:
-            current = apply_substitution(sigma, current)
-    lebesgue = _pwl.pwl_integral(pwl_from_formula(r, dim))
+        if j < k and s is not None:
+            w = _pwl.pwl_compose(w, s)
     return {"sequence": sequence, "lebesgue_average": lebesgue}

@@ -169,7 +169,7 @@ class CellComplex:
 
     @cached_property
     def _lattice_bounds(self) -> list:
-        """Each cell's bounds in integers, for PWLMap.lattice_step: in dimension 1,
+        """Each cell's bounds, for PWLMap.lattice_step and pwl_compose: in dimension 1,
         (cell, right end) in left-to-right order; in dimension 2, (cell, three
         integer half-planes (c0, c1, c2)), each a positive multiple of the
         _cross test of one edge, so the cell is where all c0 x + c1 y + c2 >= 0."""
@@ -603,6 +603,90 @@ def pwl_combine(op: str, f: PWLMap, g: Optional[PWLMap] = None) -> PWLMap:
         raise ValueError(f"{op} is binary")
     _one_row(f, g)
     return _combine(op, f, g)
+
+
+def _compose_affine(fp: AffineMap, sp: AffineMap) -> AffineMap:
+    """fp after sp: a row c.y + e under y = A x + b is (cA) x + (c.b + e),
+    so integer pieces compose to integer pieces."""
+    cols = tuple(zip(*sp.a))
+    return AffineMap(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in fp.a),
+                     tuple(sum(map(mul, row, sp.b)) + e for row, e in zip(fp.a, fp.b)))
+
+
+def pwl_compose(f: PWLMap, s: PWLMap) -> PWLMap:
+    """f after s, for a self-map s of the cube (as many rows as coordinates),
+    on the pullback of f's complex through each cell of s.
+
+    In dimension 1 the ends of f's cells inside a cell's image are found by
+    bisection and pulled back through its piece; a flat piece stays one cell.
+    In dimension 2 each cell of s is clipped by the half-planes of f's cells,
+    pulled back through its piece, for the cells of f whose bounding box meets
+    that of the image.
+    """
+    if s.rows != s.dim or f.dim != s.dim:
+        raise ValueError(f"need a self-map of the {f.dim}-cube, got "
+                         f"{s.rows} rows on dimension {s.dim}")
+    bounds = f.complex._lattice_bounds
+    if f.dim == 1:
+        ends = [r for _, r in bounds]
+        cuts, maps = [], []
+        for j, x_hi in s.complex._lattice_bounds:
+            sp = s.maps[j]
+            alpha, beta = sp.a[0][0], sp.b[0]
+            x_lo = s.complex.vertices[s.complex.cells[j][0]][0]
+            if alpha == 0:
+                starts, cells = [x_lo], [bisect.bisect_left(ends, beta)]
+            else:
+                # f's cells first..last meet the open image (y0, y1), cut at
+                # the ends strictly inside it
+                y0, y1 = sorted((alpha * x_lo + beta, alpha * x_hi + beta))
+                first, last = bisect.bisect_right(ends, y0), bisect.bisect_left(ends, y1)
+                inner, cells = ends[first:last], range(first, last + 1)
+                if alpha < 0:
+                    inner, cells = inner[::-1], cells[::-1]
+                starts = [x_lo] + [(e - beta) / alpha for e in inner]
+            cuts.extend(starts)
+            maps.extend(_compose_affine(f.maps[bounds[i][0]], sp) for i in cells)
+        cuts.append(F1)
+        return PWLMap(CellComplex(1, [(x,) for x in cuts],
+                                  [(i, i + 1) for i in range(len(maps))]), tuple(maps))
+
+    boxes = []
+    for i, planes in bounds:
+        tri = f.complex.cell_points(i)
+        xs, ys = [p[0] for p in tri], [p[1] for p in tri]
+        boxes.append((min(xs), max(xs), min(ys), max(ys), i, planes))
+    tagged = []
+    for j in range(len(s.complex.cells)):
+        sp = s.maps[j]
+        tri = s.complex.cell_points(j)
+        image = [sp._apply(p) for p in tri]
+        xlo, xhi = min(p[0] for p in image), max(p[0] for p in image)
+        ylo, yhi = min(p[1] for p in image), max(p[1] for p in image)
+        (a00, a01), (a10, a11) = sp.a
+        b0, b1 = sp.b
+        # a singular piece maps the cell onto a segment or a point, whose
+        # preimages under cells of f that share an edge or vertex coincide
+        seen = set() if sp.det() == 0 else None
+        for bx0, bx1, by0, by1, i, planes in boxes:
+            if bx0 > xhi or bx1 < xlo or by0 > yhi or by1 < ylo:
+                continue
+            poly = list(tri)
+            for c0, c1, c2 in planes:
+                poly = _clip(poly, (c0 * a00 + c1 * a10, c0 * a01 + c1 * a11,
+                                    c0 * b0 + c1 * b1 + c2))
+                if not poly:
+                    break
+            poly = _canon(poly)
+            if not poly:
+                continue
+            if seen is not None:
+                if tuple(poly) in seen:
+                    continue
+                seen.add(tuple(poly))
+            tagged.append((poly, _compose_affine(f.maps[i], sp)))
+    complex_, maps = _build_complex_2d(tagged)
+    return PWLMap(complex_, tuple(maps))
 
 
 class CellBudgetError(ValueError):

@@ -52,6 +52,8 @@ CASES = [
     ("homeo_rotation", ["homeo", "rotation"]),
     ("diff_rotation", ["diff", "--map", "rotation", "--point", "1/2,1/4",
                        "--dir", "1,-1"]),
+    ("avg_2d", ["avg", "--subst", "x0=(x0 (+) x0) & (!x0 (+) !x0);x1=(x1 (+) x1) & (!x1 (+) !x1)",
+                "--k", "2", "--box", "0:1/2,1/4:3/4", "x0 * x1"]),
     ("orbit_2d", ["orbit", "--subst", "x0=(x0 (+) x0) & (!x0 (+) !x0);x1=x0 * x1 (+) !x0 & x1",
                   "--start", "1/5,2/7"]),
     ("prove_check_derived", ["prove", "check", str(DATA / "odometer_derive.out"),

@@ -14,7 +14,7 @@ from mvdyn.odometer import odometer_substitution
 from mvdyn.pwl import (
     AffineMap, PWLMap, unit_complex, pwl_from_formula, pwl_equal, pwl_map_to_json, pwl_map_from_json,
     pwl_eval, pwl_integral, pwl_min_value, pwl_le, pwl_combine, pwl_to_json,
-    pwl_to_formula_1d,
+    pwl_to_formula_1d, pwl_compose,
 )
 from mvdyn.dynamics import (
     InducedMap, induced_map, map_eval, denominator, orbit,
@@ -444,3 +444,29 @@ def test_average_truth_value_guards():
         average_truth_value(Var(0), 2, tent_substitution(), [(F(1, 2), F(1, 2))])
     with pytest.raises(ValueError):
         average_truth_value(Var(2), 1, tent_substitution(), [(F(0), F(1))])
+
+
+def test_average_truth_value_needs_sigma_only_after_step_zero():
+    square = [(F(0), F(1)), (F(0), F(1, 2))]
+    with pytest.raises(ValueError, match="substitution of arity 1 misses x1"):
+        average_truth_value(Var(1), 1, tent_substitution(), square)
+    avg = average_truth_value(Var(1), 0, tent_substitution(), square)
+    assert avg == {"sequence": [F(1, 4)], "lebesgue_average": F(1, 2)}
+
+
+def test_average_of_a_constant_under_a_substitution_without_images():
+    avg = average_truth_value(parse_formula("1"), 2, Substitution([]), [(F(0), F(1, 3))])
+    assert avg == {"sequence": [F(1)] * 3, "lebesgue_average": F(1)}
+
+
+def test_composed_tent_iterates_double_their_cells(tent_map):
+    w = pwl_from_formula(Var(0))
+    for j in range(11):
+        assert len(w.complex.cells) == 2 ** j
+        w = pwl_compose(w, tent_map.pwl)
+
+
+def test_average_truth_value_piece_cap_at_step_15():
+    # 2^14 = 16384 cells fit under PIECE_CAP = 20000, 2^15 do not
+    with pytest.raises(ValueError, match="piece cap exceeded at step 15"):
+        average_truth_value(Var(0), 15, tent_substitution(), [(F(0), F(1))])

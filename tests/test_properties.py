@@ -13,14 +13,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mvdyn.dynamics import induced_map, map_eval, orbit
+from mvdyn.dynamics import average_truth_value, induced_map, map_eval, orbit
 from mvdyn.formula import (
     And, Impl, Neg, OPlus, Or, Star, Substitution, Var, ONE, ZERO, LUKASIEWICZ,
-    evaluate,
+    apply_substitution, evaluate,
 )
 from mvdyn.pwl import (
-    pwl_eval, pwl_from_formula, pwl_from_json, pwl_map_from_json, pwl_map_to_json,
-    pwl_to_json,
+    pwl_compose, pwl_equal, pwl_eval, pwl_from_formula, pwl_from_json, pwl_integral,
+    pwl_map_from_json, pwl_map_to_json, pwl_to_json,
 )
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -117,3 +117,46 @@ def test_orbit_matches_the_formula_walk(images, point, max_steps):
     assert ((o.points, o.status, o.preperiod, o.period, o.denominators)
             == walk_orbit(s, p, max_steps))
     assert all(isinstance(x, Fraction) for q in o.points for x in q)
+
+
+def average_by_formula(r, k, sigma, box):
+    """(sequence, Lebesgue average) of average_truth_value, by compiling each
+    sigma^j(r) from the substituted formula."""
+    dim = len(box)
+    volume = math.prod(hi - lo for lo, hi in box)
+    sequence, current = [], r
+    for j in range(k + 1):
+        sequence.append(pwl_integral(pwl_from_formula(current, dim), box) / volume)
+        current = apply_substitution(sigma, current)
+    return sequence, pwl_integral(pwl_from_formula(r, dim))
+
+
+intervals = st.tuples(rationals, rationals).filter(lambda t: t[0] != t[1]).map(sorted)
+
+
+@SETTINGS
+@given(st.one_of(st.tuples(binary(formulas_1).map(lambda g: [g]), formulas_1,
+                           st.integers(1, 4)),
+                 st.tuples(st.lists(binary(formulas), min_size=2, max_size=2), formulas,
+                           st.integers(1, 2))),
+       st.tuples(intervals, intervals))
+def test_average_truth_value_matches_the_formula_route(case, box):
+    images, r, k = case
+    sigma = Substitution(images)
+    box = box[:max(r.arity, *(g.arity for g in images), 1)]
+    avg = average_truth_value(r, k, sigma, box)
+    assert (avg["sequence"], avg["lebesgue_average"]) == average_by_formula(r, k, sigma, box)
+
+
+@SETTINGS
+@given(st.one_of(st.tuples(binary(formulas_1).map(lambda g: [g]), formulas_1),
+                 st.tuples(st.lists(binary(formulas), min_size=2, max_size=2), formulas)))
+def test_pullback_is_the_map_of_the_substituted_formula(case):
+    images, r = case
+    sigma = Substitution(images)
+    s = induced_map(sigma).pwl
+    assume(s is not None)
+    n = sigma.arity
+    w = pwl_compose(pwl_from_formula(r, n), s)
+    w.validate()
+    assert pwl_equal(w, pwl_from_formula(apply_substitution(sigma, r), n))

@@ -7,16 +7,17 @@ from fractions import Fraction
 import pytest
 
 from mvdyn.formula import (
-    Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, parse_formula, evaluate,
-    LUKASIEWICZ,
+    Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, Substitution, parse_formula,
+    evaluate, apply_substitution, LUKASIEWICZ,
 )
 from mvdyn.pwl import (
     CellComplex, PWLMap, AffineMap, CellBudgetError,
     unit_complex, common_refinement, pwl_from_formula, pwl_eval, pwl_combine,
     pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula,
     pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
-    _synthesize_formula,
+    pwl_compose, _synthesize_formula,
 )
+from mvdyn.dynamics import induced_map
 
 F = Fraction
 
@@ -317,6 +318,79 @@ def test_locate_and_measure():
     assert sum(sq.measure(j) for j in range(len(sq.cells))) == 1
     with pytest.raises(ValueError):
         w.locate((F(3, 2),))
+
+
+# -- composition ------------------------------------------------------------------------------
+
+def geometric_form(*images):
+    return induced_map(Substitution(list(images))).pwl
+
+
+def assert_composes_to(f, s, expected):
+    w = pwl_compose(f, s)
+    w.validate()
+    assert all(m.is_integral for m in w.maps)
+    assert pwl_equal(w, expected)
+    return w
+
+
+def test_compose_tent_with_tent_1d():
+    tent = pwl_from_formula(TENT)
+    w = assert_composes_to(tent, tent,
+                           pwl_from_formula(apply_substitution(Substitution([TENT]), TENT)))
+    assert len(w.complex.cells) == 4
+
+
+def test_compose_decreasing_and_flat_pieces_1d():
+    # x0 (+) x0 is flat at 1 on [1/2, 1], where the tent is 0
+    double = pwl_from_formula(OPlus(X0, X0))
+    w = pwl_compose(pwl_from_formula(TENT), double)
+    assert [len(w.complex.cells), pwl_eval(w, (F(3, 4),))] == [3, 0]
+    assert_composes_to(pwl_from_formula(TENT), pwl_from_formula(Neg(X0)),
+                       pwl_from_formula(TENT))
+    assert_composes_to(pwl_from_formula(X0), double, double)
+
+
+def test_compose_adds_no_cut_where_an_image_starts_on_a_cell_end():
+    # both cells of x0 | !x0 map onto [1/2, 1], and 1/2 ends a cell of the tent
+    tent = pwl_from_formula(TENT)
+    w = assert_composes_to(tent, pwl_from_formula(Or(X0, Neg(X0))), tent)
+    assert len(w.complex.cells) == 2
+
+
+def test_compose_rational_flat_piece_stays_one_cell():
+    half = PWLMap(unit_complex(1), (AffineMap(((F(0),),), (F(1, 2),)),))
+    w = pwl_compose(pwl_from_formula(TENT), half)
+    assert len(w.complex.cells) == 1
+    assert pwl_eval(w, (F(1, 3),)) == 1
+
+
+def test_compose_2d_matches_substituted_formula():
+    r = parse_formula("x0 * x1 (+) !x0 & x1")
+    images = [TENT, parse_formula("x0 -> x1")]
+    assert_composes_to(pwl_from_formula(r, 2), geometric_form(*images),
+                       pwl_from_formula(apply_substitution(Substitution(images), r), 2))
+
+
+@pytest.mark.parametrize("images", [
+    [X0, Neg(X0)],      # onto the anti-diagonal
+    [ZERO, ONE],        # onto the corner (0, 1)
+    [X0, X0],           # onto the diagonal
+])
+def test_compose_through_a_singular_map(images):
+    # each image lies on edges or a vertex of x0 * x1's complex, where the
+    # preimages of neighbouring cells coincide
+    r = Star(X0, X1)
+    assert_composes_to(pwl_from_formula(r), geometric_form(*images),
+                       pwl_from_formula(apply_substitution(Substitution(images), r), 2))
+
+
+def test_compose_needs_a_self_map():
+    tent = pwl_from_formula(TENT)
+    with pytest.raises(ValueError, match="self-map"):
+        pwl_compose(tent, pwl_from_formula(X0, 2))
+    with pytest.raises(ValueError, match="self-map"):
+        pwl_compose(pwl_from_formula(X0, 2), geometric_form(TENT))
 
 
 # -- cell budget -------------------------------------------------------------------------------
