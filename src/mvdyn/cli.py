@@ -612,8 +612,8 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except (ValueError, ArithmeticError, AssertionError, OSError,
-            json.JSONDecodeError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            json.JSONDecodeError, RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .formula import (
     Formula, Var, Neg, And, OPlus, Substitution,
-    evaluate, LUKASIEWICZ, arity_of,
+    evaluate, LUKASIEWICZ, arity_of, fold,
 )
 from . import pwl as _pwl
 from .pwl import (
@@ -425,13 +425,9 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
 
 def _compile_float(f: Formula):
     """A float-valued evaluator of the formula's Lukasiewicz semantics."""
-    names: dict[int, str] = {}
     lines = []
 
-    def walk(node: Formula) -> str:
-        got = names.get(id(node))
-        if got is not None:
-            return got
+    def step(node: Formula, a=None, b=None) -> str:
         op = node.op
         if op == "var":
             expr = f"p[{node.index}]"
@@ -440,17 +436,14 @@ def _compile_float(f: Formula):
         elif op == "one":
             expr = "1.0"
         elif op == "star":
-            a, b = walk(node.args[0]), walk(node.args[1])
             expr = f"max({a} + {b} - 1.0, 0.0)"
         else:
-            a, b = walk(node.args[0]), walk(node.args[1])
             expr = f"(1.0 if {a} <= {b} else 1.0 - {a} + {b})"
-        name = f"v{len(names)}"
-        names[id(node)] = name
+        name = f"v{len(lines)}"
         lines.append(f"    {name} = {expr}")
         return name
 
-    result = walk(f.core())
+    result = fold(f.core(), step)
     source = "def _fn(p):\n" + "\n".join(lines) + f"\n    return {result}\n"
     scope: dict = {}
     exec(source, scope)

@@ -118,41 +118,90 @@ def _intern(op: str, args: tuple = (), index: Optional[int] = None,
     return got
 
 
+# -- traversal ----------------------------------------------------------------
+
+# How many levels below its entry point a fold recurses before it folds the rest
+# of a subformula on an explicit stack. Recursion is the faster of the two; the
+# margin leaves room under the default recursion limit for the caller's frames
+# and for a fold started inside a step.
+_FOLD_DEPTH = 200
+
+
+def fold(f: Formula, step: Callable, known: Optional[Callable] = None):
+    """The value at f of step(node, *values of node.args), called once per
+    distinct node of f, children first and left to right.
+
+    known(node), if given, returns a value kept from an earlier call, or None;
+    for a node it knows, the fold takes that value and does not descend into it.
+    Any nesting depth is folded: past _FOLD_DEPTH levels below f, the rest of a
+    subformula is folded on an explicit stack that shares the memo and step.
+    """
+    memo: dict[int, object] = {}
+
+    def deep(root: Formula):
+        # nodes wait on a list instead of the call stack, and each is visited
+        # once its children are done, so that visit does not recurse
+        stack = [root]
+        while stack:
+            pending = [a for a in reversed(stack[-1].args) if id(a) not in memo
+                       and (known is None or known(a) is None)]
+            if pending:
+                stack.extend(pending)
+            else:
+                visit(stack.pop(), 1)
+        return memo[id(root)]
+
+    def visit(node: Formula, depth: int):
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        if known is not None:
+            out = known(node)
+            if out is not None:
+                return out
+        if not depth:
+            return deep(node)
+        args = node.args
+        depth -= 1
+        if not args:
+            out = step(node)
+        elif len(args) == 1:
+            out = step(node, visit(args[0], depth))
+        else:
+            out = step(node, visit(args[0], depth), visit(args[1], depth))
+        memo[key] = out
+        return out
+
+    return visit(f, _FOLD_DEPTH)
+
+
+def _desugar_step(node: Formula, a=None, b=None) -> Formula:
+    op, args = node.op, node.args
+    if op in ("var", "zero", "one"):
+        out = _intern(op, (), node.index, node)
+    elif op in ("star", "impl"):
+        out = _intern(op, (a, b), None, node if (a is args[0] and b is args[1]) else None)
+    elif op == "neg":
+        out = _intern("impl", (a, ZERO))
+    elif op == "and":
+        out = _intern("star", (a, _intern("impl", (a, b))))
+    elif op == "or":
+        # ((a->b)->b) & ((b->a)->a), with & expanded
+        left = _intern("impl", (_intern("impl", (a, b)), b))
+        right = _intern("impl", (_intern("impl", (b, a)), a))
+        out = _intern("star", (left, _intern("impl", (left, right))))
+    else:  # oplus: !a -> b
+        out = _intern("impl", (_intern("impl", (a, ZERO)), b))
+    if out is not node:
+        _set(node, "_core", out)
+    return out
+
+
 def _desugar(f: Formula) -> Formula:
     """Core of f. Every visited node keeps its core in ``_core`` and reuses it
     later, so a formula built on top of desugared subterms costs only its new
     nodes."""
-
-    def walk(node: Formula) -> Formula:
-        got = node._core
-        if got is not None:
-            return node if got is _SELF else got
-        op, args = node.op, node.args
-        if op in ("var", "zero", "one"):
-            out = _intern(op, (), node.index, node)
-        elif op in ("star", "impl"):
-            a, b = walk(args[0]), walk(args[1])
-            out = _intern(op, (a, b), None,
-                          node if (a is args[0] and b is args[1]) else None)
-        elif op == "neg":
-            out = _intern("impl", (walk(args[0]), ZERO))
-        elif op == "and":
-            a, b = walk(args[0]), walk(args[1])
-            out = _intern("star", (a, _intern("impl", (a, b))))
-        elif op == "or":
-            a, b = walk(args[0]), walk(args[1])
-            # ((a->b)->b) & ((b->a)->a), with & expanded
-            left = _intern("impl", (_intern("impl", (a, b)), b))
-            right = _intern("impl", (_intern("impl", (b, a)), a))
-            out = _intern("star", (left, _intern("impl", (left, right))))
-        else:  # oplus: !a -> b
-            a, b = walk(args[0]), walk(args[1])
-            out = _intern("impl", (_intern("impl", (a, ZERO)), b))
-        if out is not node:
-            _set(node, "_core", out)
-        return out
-
-    return walk(f)
+    return fold(f, _desugar_step, lambda node: None if node._core is None else node.core())
 
 
 # -- constructors -------------------------------------------------------------
@@ -194,23 +243,14 @@ def OPlus(a: Formula, b: Formula) -> Formula:
     return Formula("oplus", (a, b))
 
 
+def _variables_step(node: Formula, *vals: frozenset) -> frozenset:
+    if node.op == "var":
+        return frozenset((node.index,))
+    return frozenset().union(*vals)
+
+
 def variables_of(f: Formula) -> frozenset[int]:
-    memo: dict[int, frozenset] = {}
-
-    def walk(node: Formula) -> frozenset:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if node.op == "var":
-            out = frozenset((node.index,))
-        elif node.args:
-            out = frozenset().union(*(walk(a) for a in node.args))
-        else:
-            out = frozenset()
-        memo[id(node)] = out
-        return out
-
-    return walk(f)
+    return fold(f, _variables_step)
 
 
 def arity_of(f: Formula) -> int:
@@ -238,12 +278,16 @@ _TOKEN_NAMES = {
 }
 
 
+def _syntax_error(text: str, message: str, pos: int, expected) -> ParseError:
+    """ParseError at char index pos of text, reported as a byte offset."""
+    return ParseError(message, len(text[:pos].encode("utf-8")), expected)
+
+
 def _tokenize(text: str) -> list[tuple[str, int, object]]:
+    """(kind, char index, value) per token, ending with an eof token. Char
+    indices become byte offsets only for an error, which keeps this linear."""
     toks = []
     i, n = 0, len(text)
-
-    def byte_off(pos):
-        return len(text[:pos].encode("utf-8"))
 
     while i < n:
         ch = text[i]
@@ -255,44 +299,48 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
             while j < n and text[j].isdigit():
                 j += 1
             if j == i + 1:
-                raise ParseError("variable name needs digits", byte_off(i), ["variable"])
-            toks.append(("var", byte_off(i), int(text[i + 1:j])))
+                raise _syntax_error(text, "variable name needs digits", i, ["variable"])
+            toks.append(("var", i, int(text[i + 1:j])))
             i = j
         elif ch == "0":
-            toks.append(("zero", byte_off(i), None)); i += 1
+            toks.append(("zero", i, None)); i += 1
         elif ch == "1":
-            toks.append(("one", byte_off(i), None)); i += 1
+            toks.append(("one", i, None)); i += 1
         elif ch == "!":
-            toks.append(("not", byte_off(i), None)); i += 1
+            toks.append(("not", i, None)); i += 1
         elif ch == "*":
-            toks.append(("star", byte_off(i), None)); i += 1
+            toks.append(("star", i, None)); i += 1
         elif ch == "&":
-            toks.append(("and", byte_off(i), None)); i += 1
+            toks.append(("and", i, None)); i += 1
         elif ch == "|":
-            toks.append(("or", byte_off(i), None)); i += 1
+            toks.append(("or", i, None)); i += 1
         elif ch == "-":
             if text.startswith("->", i):
-                toks.append(("impl", byte_off(i), None)); i += 2
+                toks.append(("impl", i, None)); i += 2
             else:
-                raise ParseError("stray '-'", byte_off(i), ["'->'"])
+                raise _syntax_error(text, "stray '-'", i, ["'->'"])
         elif ch == "(":
             if text.startswith("(+)", i):
-                toks.append(("oplus", byte_off(i), None)); i += 3
+                toks.append(("oplus", i, None)); i += 3
             else:
-                toks.append(("lparen", byte_off(i), None)); i += 1
+                toks.append(("lparen", i, None)); i += 1
         elif ch == ")":
-            toks.append(("rparen", byte_off(i), None)); i += 1
+            toks.append(("rparen", i, None)); i += 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", byte_off(i),
-                             ["variable", "'0'", "'1'", "'!'", "'('"])
-    toks.append(("eof", byte_off(n), None))
+            raise _syntax_error(text, f"unexpected character {ch!r}", i,
+                                ["variable", "'0'", "'1'", "'!'", "'('"])
+    toks.append(("eof", n, None))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+
+    def error(self, tok, expected) -> ParseError:
+        return _syntax_error(self.text, f"unexpected {_TOKEN_NAMES[tok[0]]}", tok[1], expected)
 
     def peek(self):
         return self.toks[self.pos]
@@ -300,7 +348,7 @@ class _Parser:
     def take(self, kind: str):
         tok = self.toks[self.pos]
         if tok[0] != kind:
-            raise ParseError(f"unexpected {_TOKEN_NAMES[tok[0]]}", tok[1], [_TOKEN_NAMES[kind]])
+            raise self.error(tok, [_TOKEN_NAMES[kind]])
         self.pos += 1
         return tok
 
@@ -308,7 +356,7 @@ class _Parser:
         f = self.implication()
         tok = self.peek()
         if tok[0] != "eof":
-            raise ParseError(f"unexpected {_TOKEN_NAMES[tok[0]]}", tok[1], [_TOKEN_NAMES["eof"]])
+            raise self.error(tok, [_TOKEN_NAMES["eof"]])
         return f
 
     def implication(self) -> Formula:
@@ -347,13 +395,19 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        if self.peek()[0] == "not":
+        # a run of ! in a loop, so its length is not bounded by the call stack
+        count = 0
+        while self.peek()[0] == "not":
             self.take("not")
-            return Neg(self.unary())
-        return self.atom()
+            count += 1
+        f = self.atom()
+        for _ in range(count):
+            f = Neg(f)
+        return f
 
     def atom(self) -> Formula:
-        kind, off, val = self.peek()
+        tok = self.peek()
+        kind, val = tok[0], tok[2]
         if kind == "var":
             self.take("var")
             return Var(val)
@@ -368,8 +422,7 @@ class _Parser:
             f = self.implication()
             self.take("rparen")
             return f
-        raise ParseError(f"unexpected {_TOKEN_NAMES[kind]}", off,
-                         ["variable", "'0'", "'1'", "'!'", "'('"])
+        raise self.error(tok, ["variable", "'0'", "'1'", "'!'", "'('"])
 
 
 def parse_formula(text: str) -> Formula:
@@ -381,43 +434,33 @@ _LEVEL = {"impl": 0, "or": 1, "and": 2, "oplus": 3, "star": 4, "neg": 5,
 _SYMBOL = {"impl": "->", "or": "|", "and": "&", "oplus": "(+)", "star": "*"}
 
 
+def _print_step(node: Formula, left=None, right=None) -> str:
+    op = node.op
+    if op == "var":
+        return f"x{node.index}"
+    if op == "zero":
+        return "0"
+    if op == "one":
+        return "1"
+    if op == "neg":
+        return "!" + (left if _LEVEL[node.args[0].op] >= 5 else f"({left})")
+    lvl = _LEVEL[op]
+    a, b = node.args
+    if op == "impl":  # right-assoc: parenthesize impl on the left
+        if _LEVEL[a.op] <= lvl:
+            left = f"({left})"
+        if _LEVEL[b.op] < lvl:
+            right = f"({right})"
+    else:  # left-assoc
+        if _LEVEL[a.op] < lvl:
+            left = f"({left})"
+        if _LEVEL[b.op] <= lvl:
+            right = f"({right})"
+    return f"{left} {_SYMBOL[op]} {right}"
+
+
 def print_formula(f: Formula) -> str:
-    memo: dict[int, str] = {}
-
-    def walk(node: Formula) -> str:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        op = node.op
-        if op == "var":
-            s = f"x{node.index}"
-        elif op == "zero":
-            s = "0"
-        elif op == "one":
-            s = "1"
-        elif op == "neg":
-            a = node.args[0]
-            inner = walk(a)
-            s = "!" + (inner if _LEVEL[a.op] >= 5 else f"({inner})")
-        else:
-            lvl = _LEVEL[op]
-            a, b = node.args
-            left, right = walk(a), walk(b)
-            if op == "impl":  # right-assoc: parenthesize impl on the left
-                if _LEVEL[a.op] <= lvl:
-                    left = f"({left})"
-                if _LEVEL[b.op] < lvl:
-                    right = f"({right})"
-            else:  # left-assoc
-                if _LEVEL[a.op] < lvl:
-                    left = f"({left})"
-                if _LEVEL[b.op] <= lvl:
-                    right = f"({right})"
-            s = f"{left} {_SYMBOL[op]} {right}"
-        memo[id(node)] = s
-        return s
-
-    return walk(f)
+    return fold(f, _print_step)
 
 
 # -- semantics ----------------------------------------------------------------
@@ -518,27 +561,20 @@ def interpret(f: Formula, alg, vals: Sequence):
     indices. vals must cover x0..x_{arity-1} and is not checked.
     """
     zero, one, star, impl = alg.zero, alg.one, alg.star, alg.impl
-    memo: dict[int, object] = {}
 
-    def walk(node: Formula):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    def step(node: Formula, a=None, b=None):
         op = node.op
         if op == "var":
-            out = vals[node.index]
-        elif op == "zero":
-            out = zero
-        elif op == "one":
-            out = one
-        elif op == "star":
-            out = star(walk(node.args[0]), walk(node.args[1]))
-        else:  # impl
-            out = impl(walk(node.args[0]), walk(node.args[1]))
-        memo[id(node)] = out
-        return out
+            return vals[node.index]
+        if op == "zero":
+            return zero
+        if op == "one":
+            return one
+        if op == "star":
+            return star(a, b)
+        return impl(a, b)
 
-    return walk(f.core())
+    return fold(f.core(), step)
 
 
 MAX_TABLE_VARS = 20
@@ -564,31 +600,24 @@ def boolean_table(f: Formula, n: int) -> int:
         raise ValueError(f"formula uses x{f.arity - 1}, beyond n={n}")
     full = (1 << (1 << n)) - 1
     masks = [_variable_mask(i, n) for i in range(n)]
-    memo: dict[int, int] = {}
 
-    def walk(node: Formula) -> int:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    def step(node: Formula, a=None, b=None) -> int:
         op = node.op
         if op == "var":
-            out = masks[node.index]
-        elif op == "zero":
-            out = 0
-        elif op == "one":
-            out = full
-        elif op == "neg":
-            out = ~walk(node.args[0]) & full
-        elif op in ("star", "and"):
-            out = walk(node.args[0]) & walk(node.args[1])
-        elif op in ("or", "oplus"):
-            out = walk(node.args[0]) | walk(node.args[1])
-        else:  # impl
-            out = (~walk(node.args[0]) | walk(node.args[1])) & full
-        memo[id(node)] = out
-        return out
+            return masks[node.index]
+        if op == "zero":
+            return 0
+        if op == "one":
+            return full
+        if op == "neg":
+            return ~a & full
+        if op in ("star", "and"):
+            return a & b
+        if op in ("or", "oplus"):
+            return a | b
+        return (~a | b) & full  # impl
 
-    return walk(f)
+    return fold(f, step)
 
 
 # -- substitutions ------------------------------------------------------------
@@ -627,26 +656,17 @@ class Substitution:
 
 def apply_substitution(sigma: Substitution, f: Formula) -> Formula:
     """sigma applied to f; shares structure so iterated application stays small."""
-    memo: dict[int, Formula] = {}
 
-    def walk(node: Formula) -> Formula:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        op = node.op
-        if op == "var":
+    def step(node: Formula, *args: Formula) -> Formula:
+        if node.op == "var":
             if node.index >= sigma.arity:
                 raise ValueError(f"substitution of arity {sigma.arity} misses x{node.index}")
-            out = sigma.images[node.index]
-        elif op in ("zero", "one"):
-            out = node
-        else:
-            args = tuple(walk(a) for a in node.args)
-            out = node if all(x is y for x, y in zip(args, node.args)) else Formula(op, args)
-        memo[id(node)] = out
-        return out
+            return sigma.images[node.index]
+        if all(map(operator.is_, args, node.args)):  # also 0 and 1
+            return node
+        return Formula(node.op, args)
 
-    return walk(f)
+    return fold(f, step)
 
 
 def compose_substitutions(sigma: Substitution, tau: Substitution) -> Substitution:

@@ -19,7 +19,7 @@ from operator import add, gt, mul, ne, sub
 from typing import Optional, Sequence
 
 from .formula import (
-    Formula, Var, Neg, And, Or, OPlus, Star, ZERO, ONE, arity_of, json_field,
+    Formula, Var, Neg, And, Or, OPlus, Star, ZERO, ONE, arity_of, fold, json_field,
 )
 
 Point = tuple  # tuple of Fractions, length = dim
@@ -316,21 +316,11 @@ def _build_complex_2d(tagged_polys):
 
 
 def _build_complex_1d(tagged_intervals):
-    cuts = sorted({x for (lo, hi), _ in tagged_intervals for x in (lo, hi)})
-    index = {x: i for i, x in enumerate(cuts)}
-    cells, tags = [], []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / 2
-        tag = None
-        for (lo, hi), t in tagged_intervals:
-            if lo <= mid <= hi:
-                tag = t
-                break
-        if tag is None:
-            raise ValueError("intervals do not cover [0,1]")
-        cells.append((index[a], index[b]))
-        tags.append(tag)
-    return CellComplex(1, [(x,) for x in cuts], cells), tags
+    """The complex of tagged intervals that tile [0,1] in left-to-right order,
+    and the tags aligned with its cells."""
+    cuts = [tagged_intervals[0][0][0]] + [hi for (_, hi), _ in tagged_intervals]
+    cells = [(i, i + 1) for i in range(len(tagged_intervals))]
+    return CellComplex(1, [(x,) for x in cuts], cells), [t for _, t in tagged_intervals]
 
 
 def _refine_tagged(w1: CellComplex, w2: CellComplex):
@@ -338,14 +328,16 @@ def _refine_tagged(w1: CellComplex, w2: CellComplex):
     if w1.dim != w2.dim:
         raise ValueError("dimension mismatch")
     if w1.dim == 1:
-        tagged = []
-        for i in range(len(w1.cells)):
-            a1, b1 = (p[0] for p in w1.cell_points(i))
-            for j in range(len(w2.cells)):
-                a2, b2 = (p[0] for p in w2.cell_points(j))
-                lo, hi = max(a1, a2), min(b1, b2)
-                if lo < hi:
-                    tagged.append(((lo, hi), (i, j)))
+        # merge the two partitions' sorted right ends
+        b1, b2 = w1._lattice_bounds, w2._lattice_bounds
+        tagged, lo, i, j = [], F0, 0, 0
+        while i < len(b1) and j < len(b2):
+            (c1, r1), (c2, r2) = b1[i], b2[j]
+            hi = min(r1, r2)
+            tagged.append(((lo, hi), (c1, c2)))
+            lo = hi
+            i += r1 == hi
+            j += r2 == hi
         return _build_complex_1d(tagged)
     tagged = []
     for i in range(len(w1.cells)):
@@ -709,13 +701,9 @@ def pwl_from_formula(f: Formula, dim: Optional[int] = None,
     if n > dim:
         raise ValueError(f"formula uses x{n - 1}, beyond dim {dim}")
 
-    memo: dict[int, PWLMap] = {}
     work = [0]
 
-    def walk(node: Formula) -> PWLMap:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    def step(node: Formula, a=None, b=None) -> PWLMap:
         op = node.op
         if op == "var":
             out = _coordinate(dim, node.index)
@@ -724,9 +712,8 @@ def pwl_from_formula(f: Formula, dim: Optional[int] = None,
         elif op == "one":
             out = _constant(dim, 1)
         elif op == "neg":
-            out = pwl_combine("neg", walk(node.args[0]))
+            out = pwl_combine("neg", a)
         else:
-            a, b = walk(node.args[0]), walk(node.args[1])
             if cell_budget is not None:
                 work[0] += len(a.complex.cells) * len(b.complex.cells)
                 if work[0] > 50 * cell_budget:
@@ -738,10 +725,9 @@ def pwl_from_formula(f: Formula, dim: Optional[int] = None,
         if cell_budget is not None and len(out.complex.cells) > cell_budget:
             raise CellBudgetError(
                 f"compilation exceeded {cell_budget} cells")
-        memo[id(node)] = out
         return out
 
-    return walk(f)
+    return fold(f, step)
 
 
 def pwl_min_value(f: PWLMap):

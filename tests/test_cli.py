@@ -363,9 +363,22 @@ def test_algebra_json_one_out_of_range_exits_one(capsys, monkeypatch):
 
 
 def test_deeply_nested_formula_exits_one(capsys):
-    code, out, err = capture(capsys, ["taut", "--logic", "bool", "!" * 1200 + "x0"])
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # a run of ! of any length parses and is decided
+    out = capture_json(capsys, ["taut", "--logic", "bool", "!" * 1200 + "x0"])
+    assert out == {"point": ["0"], "status": "countermodel"}
+    # nesting of parentheses is still bounded by the call stack
+    _one_error_line(*capture(capsys, ["taut", "--logic", "bool",
+                                      "(" * 400 + "x0" + ")" * 400]))
+
+
+def test_memory_error_exits_one(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("mvdyn.cli._cmd_taut", exhausted)
+    code, out, err = capture(capsys, ["taut", "--logic", "bool", "x0"])
+    _one_error_line(code, out, err)
+    assert "MemoryError" in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from mvdyn.algebra import evaluate_in, finite_chain
+from mvdyn.dynamics import empirical_statistics, induced_map
 from mvdyn.formula import (
     Formula, Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE,
     ParseError, parse_formula, print_formula, variables_of, arity_of,
@@ -17,6 +19,7 @@ from mvdyn.formula import (
     Substitution, apply_substitution, compose_substitutions,
     tautology_check, identity_check, rationals_up_to, boolean_table,
 )
+from mvdyn.pwl import pwl_equal, pwl_from_formula
 
 F = Fraction
 
@@ -211,12 +214,63 @@ def test_parse_errors_carry_offset():
         parse_formula("x0 @ x1")
     assert err.value.offset == 3
 
+    # U+00A0 is whitespace of two bytes in UTF-8: offsets count bytes, not chars
+    with pytest.raises(ParseError) as err:
+        parse_formula("x0\u00a0@")
+    assert err.value.offset == 4
+    with pytest.raises(ParseError) as err:
+        parse_formula("x0\u00a0->\u00a0")
+    assert err.value.offset == 8
+
     with pytest.raises(ParseError):
         parse_formula("(x0 -> x1")
     with pytest.raises(ParseError):
         parse_formula("")
     with pytest.raises(ParseError):
         parse_formula("x")
+
+
+def negations(depth, leaf):
+    f = leaf
+    for _ in range(depth):
+        f = Neg(f)
+    return f
+
+
+def conjunction_chain(depth, leaf):
+    """leaf & (leaf -> 0) & (0 -> leaf) & ..., nested to the left."""
+    f = leaf
+    for i in range(depth):
+        f = And(f, Impl(leaf, ZERO) if i % 2 == 0 else Impl(ZERO, leaf))
+    return f
+
+
+def check_deep_walks(build, depth, reference):
+    """Every formula walk on build(depth, x0), far deeper than the default
+    recursion limit, against the shallow formula reference with its semantics."""
+    f = build(depth, X0)
+    text = print_formula(f)
+    g = parse_formula(text)
+    assert g is not f and print_formula(g) == text
+    assert g == f and hash(g) == hash(f) and f != Neg(f)
+    assert variables_of(f) == {0}
+    assert evaluate(f, LUKASIEWICZ, [F(2, 3)]) == evaluate(reference, LUKASIEWICZ, [F(2, 3)])
+    chain = finite_chain(3)
+    assert evaluate_in(f, chain, [2]) == evaluate_in(reference, chain, [2])
+    assert boolean_table(f, 1) == boolean_table(reference, 1)
+    assert apply_substitution(Substitution([Neg(X0)]), f) == build(depth, Neg(X0))
+    assert pwl_equal(pwl_from_formula(f, dim=1), pwl_from_formula(reference, dim=1))
+    stats = [empirical_statistics(induced_map(Substitution([h])), [F(3, 5)], 20, 2)
+             for h in (f, reference)]
+    assert [c["count"] for c in stats[0]["table"]] == [c["count"] for c in stats[1]["table"]]
+
+
+def test_deep_negation_chain_through_every_walk():
+    check_deep_walks(negations, 5000, X0)
+
+
+def test_deep_conjunction_chain_through_every_walk():
+    check_deep_walks(conjunction_chain, 3000, And(X0, Neg(X0)))
 
 
 def test_print_parse_round_trip():

@@ -158,6 +158,12 @@ def test_derivation_random_cases():
         done += 1
 
 
+def test_derivation_at_n8_answers_in_process():
+    # its running conjunction nests about 1,800 levels deep once desugared
+    proof = derive_from_nontautology(Star(X0, X1), Neg(X1), 8)
+    assert len(proof.lines) == 1023
+
+
 def test_derivation_substitution_lines_track_orbit():
     proof = derive_from_nontautology(Star(X0, X1), ZERO, 2)
     sigma = odometer_substitution(2)
