@@ -120,59 +120,55 @@ def _intern(op: str, args: tuple = (), index: Optional[int] = None,
 
 # -- traversal ----------------------------------------------------------------
 
-# How many levels below its entry point a fold recurses before it folds the rest
-# of a subformula on an explicit stack. Recursion is the faster of the two; the
-# margin leaves room under the default recursion limit for the caller's frames
-# and for a fold started inside a step.
-_FOLD_DEPTH = 200
-
-
 def fold(f: Formula, step: Callable, known: Optional[Callable] = None):
     """The value at f of step(node, *values of node.args), called once per
     distinct node of f, children first and left to right.
 
     known(node), if given, returns a value kept from an earlier call, or None;
     for a node it knows, the fold takes that value and does not descend into it.
-    Any nesting depth is folded: past _FOLD_DEPTH levels below f, the rest of a
-    subformula is folded on an explicit stack that shares the memo and step.
+    Nodes wait on a list instead of the call stack, so any nesting depth folds.
     """
     memo: dict[int, object] = {}
-
-    def deep(root: Formula):
-        # nodes wait on a list instead of the call stack, and each is visited
-        # once its children are done, so that visit does not recurse
-        stack = [root]
-        while stack:
-            pending = [a for a in reversed(stack[-1].args) if id(a) not in memo
-                       and (known is None or known(a) is None)]
-            if pending:
-                stack.extend(pending)
-            else:
-                visit(stack.pop(), 1)
-        return memo[id(root)]
-
-    def visit(node: Formula, depth: int):
+    stack = [f]
+    while stack:
+        # a node stays on the stack, above its parent, until its children are done
+        node = stack[-1]
         key = id(node)
         if key in memo:
-            return memo[key]
-        if known is not None:
-            out = known(node)
-            if out is not None:
-                return out
-        if not depth:
-            return deep(node)
+            stack.pop()
+            continue
+        if known is not None and (out := known(node)) is not None:
+            memo[key] = out
+            stack.pop()
+            continue
         args = node.args
-        depth -= 1
         if not args:
-            out = step(node)
-        elif len(args) == 1:
-            out = step(node, visit(args[0], depth))
-        else:
-            out = step(node, visit(args[0], depth), visit(args[1], depth))
-        memo[key] = out
-        return out
+            memo[key] = step(node)
+            stack.pop()
+            continue
+        a = args[0]
+        va = memo.get(id(a), _MISSING)
+        if len(args) == 1:
+            if va is _MISSING:
+                stack.append(a)
+            else:
+                memo[key] = step(node, va)
+                stack.pop()
+            continue
+        b = args[1]
+        vb = memo.get(id(b), _MISSING)
+        if va is _MISSING or vb is _MISSING:
+            if vb is _MISSING:
+                stack.append(b)
+            if va is _MISSING:
+                stack.append(a)
+            continue
+        memo[key] = step(node, va, vb)
+        stack.pop()
+    return memo[id(f)]
 
-    return visit(f, _FOLD_DEPTH)
+
+_MISSING = object()
 
 
 def _desugar_step(node: Formula, a=None, b=None) -> Formula:
@@ -360,11 +356,15 @@ class _Parser:
         return f
 
     def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "impl":
+        # a run of -> in a loop, joined right to left: -> is right-associative
+        parts = [self.disjunction()]
+        while self.peek()[0] == "impl":
             self.take("impl")
-            return Impl(left, self.implication())  # right-associative
-        return left
+            parts.append(self.disjunction())
+        f = parts.pop()
+        while parts:
+            f = Impl(parts.pop(), f)
+        return f
 
     def disjunction(self) -> Formula:
         f = self.conjunction()

@@ -245,6 +245,14 @@ def conjunction_chain(depth, leaf):
     return f
 
 
+def implication_chain(depth, leaf):
+    """1 -> 1 -> ... -> leaf, nested to the right, so it prints without parentheses."""
+    f = leaf
+    for _ in range(depth):
+        f = Impl(ONE, f)
+    return f
+
+
 def check_deep_walks(build, depth, reference):
     """Every formula walk on build(depth, x0), far deeper than the default
     recursion limit, against the shallow formula reference with its semantics."""
@@ -271,6 +279,10 @@ def test_deep_negation_chain_through_every_walk():
 
 def test_deep_conjunction_chain_through_every_walk():
     check_deep_walks(conjunction_chain, 3000, And(X0, Neg(X0)))
+
+
+def test_deep_implication_chain_through_every_walk():
+    check_deep_walks(implication_chain, 3000, X0)
 
 
 def test_print_parse_round_trip():

@@ -131,6 +131,37 @@ def test_refinement_1d_unions_breakpoints():
     assert cuts == [F(0), F(1, 3), F(1, 2), F(1)]
 
 
+def test_refinement_1d_of_cells_stored_right_to_left():
+    """JSON may list 1-D cells and vertices in any order; combining and comparing
+    such maps gives the same cells, vertices and pieces as their sorted forms."""
+    def one_d(cuts, pieces):
+        return {"dim": 1, "vertices": [[[str(x.numerator), str(x.denominator)]] for x in cuts],
+                "cells": [[i, i + 1] for i in range(len(pieces))],
+                "pieces": [{"a": [a], "b": b} for a, b in pieces]}
+
+    def reversed_cells(obj):
+        last = len(obj["vertices"]) - 1
+        return {**obj, "vertices": obj["vertices"][::-1],
+                "cells": [[last - i, last - j] for i, j in obj["cells"][::-1]],
+                "pieces": obj["pieces"][::-1]}
+
+    tent = one_d([F(0), F(1, 2), F(1)], [(2, 0), (-2, 2)])
+    trapezoid = one_d([F(0), F(1, 3), F(2, 3), F(1)], [(3, 0), (0, 1), (-3, 3)])
+    f, g = pwl_from_json(tent), pwl_from_json(trapezoid)
+    f_rev, g_rev = pwl_from_json(reversed_cells(tent)), pwl_from_json(reversed_cells(trapezoid))
+    assert list(f_rev.complex.cells) == [(1, 0), (2, 1)]
+    assert pwl_equal(f_rev, f) and pwl_equal(g_rev, g) and not pwl_equal(f_rev, g_rev)
+    assert pwl_le(f_rev, g_rev) and not pwl_le(g_rev, f_rev)
+    low, high = pwl_combine("min", f_rev, g_rev), pwl_combine("max", g_rev, f_rev)
+    cuts = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
+    for out, ordered in ((low, pwl_combine("min", f, g)), (high, pwl_combine("max", g, f))):
+        assert list(out.complex.vertices) == [(x,) for x in cuts]
+        assert list(out.complex.cells) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert list(out.maps) == list(ordered.maps)
+    assert [m.a[0][0] for m in low.maps] == [2, 2, -2, -2]
+    assert [pwl_eval(high, [x]) for x in (F(1, 6), F(1, 2), F(5, 6))] == [F(1, 2), 1, F(1, 2)]
+
+
 def test_refinement_idempotent_supports():
     w = pwl_from_formula(FIGURE).complex
     r = common_refinement(w, w)
