@@ -126,12 +126,11 @@ def fold(f: Formula, step: Callable, known: Optional[Callable] = None):
 
     known(node), if given, returns a value kept from an earlier call, or None;
     for a node it knows, the fold takes that value and does not descend into it.
-    Nodes wait on a list instead of the call stack, so any nesting depth folds.
+    Nodes wait on a list, each above its parent, not on the call stack: any depth folds.
     """
     memo: dict[int, object] = {}
     stack = [f]
     while stack:
-        # a node stays on the stack, above its parent, until its children are done
         node = stack[-1]
         key = id(node)
         if key in memo:

@@ -132,6 +132,7 @@ def is_instance_of(schema: Formula, f: Formula) -> bool:
     """Whether f is a substitution instance of the schema (modulo desugaring)."""
     binding: dict[int, Formula] = {}
 
+    # a lockstep match of two trees, not a fold: it recurses only as deep as the schema
     def match(s: Formula, t: Formula) -> bool:
         op = s.op
         if op == "var":
