@@ -231,20 +231,23 @@ def _homeo_payload(smap: _pwl.PWLMap, with_report: bool):
     return payload
 
 
-def _cmd_homeo_build(args) -> int:
-    s = _dyn.induced_map(_substitution(args.subst))
+def _geometric_form(spec: str) -> _pwl.PWLMap:
+    """The geometric form of the substitution spec, or ValueError if it has none."""
+    s = _dyn.induced_map(_substitution(spec))
     if s.pwl is None:
         raise ValueError("no geometric form within budget (or arity > 2)")
-    payload = _homeo_payload(s.pwl, args.validate)
-    _emit(args, payload, f"{len(s.pwl.complex.cells)} affine cells")
+    return s.pwl
+
+
+def _cmd_homeo_build(args) -> int:
+    smap = _geometric_form(args.subst)
+    payload = _homeo_payload(smap, args.validate)
+    _emit(args, payload, f"{len(smap.complex.cells)} affine cells")
     return 0
 
 
 def _cmd_homeo_validate(args) -> int:
-    s = _dyn.induced_map(_substitution(args.subst))
-    if s.pwl is None:
-        raise ValueError("no geometric form within budget (or arity > 2)")
-    rep = _dyn.validate_homeomorphism(s.pwl)
+    rep = _dyn.validate_homeomorphism(_geometric_form(args.subst))
     _emit(args, rep, _report_line(rep))
     return 0
 
@@ -270,10 +273,7 @@ def _cmd_homeo_rotation(args) -> int:
 def _named_map(args) -> _pwl.PWLMap:
     if args.map == "rotation":
         return _dyn.rotation_homeomorphism()[1]
-    s = _dyn.induced_map(_substitution(args.map))
-    if s.pwl is None:
-        raise ValueError("no geometric form within budget (or arity > 2)")
-    return s.pwl
+    return _geometric_form(args.map)
 
 
 def _cmd_diff(args) -> int:

@@ -266,11 +266,28 @@ def json_field(obj, key: str, convert: Callable):
 
 # -- parser -------------------------------------------------------------------
 
-_TOKEN_NAMES = {
-    "var": "variable", "zero": "'0'", "one": "'1'", "not": "'!'", "star": "'*'",
-    "oplus": "'(+)'", "and": "'&'", "or": "'|'", "impl": "'->'",
-    "lparen": "'('", "rparen": "')'", "eof": "end of input",
+# Each binary connective, keyed by its op (also its token kind): precedence
+# level (higher binds tighter), symbol, constructor. -> is right-associative,
+# the others are left-associative; ! is at level 5 and the leaves at 6.
+_BINARY = {
+    "impl": (0, "->", Impl),
+    "or": (1, "|", Or),
+    "and": (2, "&", And),
+    "oplus": (3, "(+)", OPlus),
+    "star": (4, "*", Star),
 }
+
+_TOKEN_NAMES = {
+    "var": "variable", "zero": "'0'", "one": "'1'", "not": "'!'",
+    "lparen": "'('", "rparen": "')'", "eof": "end of input",
+    **{op: f"'{symbol}'" for op, (_, symbol, _) in _BINARY.items()},
+}
+_ATOM_STARTS = [_TOKEN_NAMES[kind] for kind in ("var", "zero", "one", "not", "lparen")]
+
+# Tokens of one character; '(' may start '(+)' and '-' must start '->'.
+_ONE_CHAR = {"0": "zero", "1": "one", "!": "not", ")": "rparen",
+             **{symbol: op for op, (_, symbol, _) in _BINARY.items() if len(symbol) == 1}}
+_CONSTANTS = {"zero": ZERO, "one": ONE}
 
 
 def _syntax_error(text: str, message: str, pos: int, expected) -> ParseError:
@@ -286,10 +303,12 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
 
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        kind = _ONE_CHAR.get(ch)
+        if kind is not None:
+            toks.append((kind, i, None)); i += 1
+        elif ch.isspace():
             i += 1
-            continue
-        if ch == "x":
+        elif ch == "x":
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
@@ -297,18 +316,6 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
                 raise _syntax_error(text, "variable name needs digits", i, ["variable"])
             toks.append(("var", i, int(text[i + 1:j])))
             i = j
-        elif ch == "0":
-            toks.append(("zero", i, None)); i += 1
-        elif ch == "1":
-            toks.append(("one", i, None)); i += 1
-        elif ch == "!":
-            toks.append(("not", i, None)); i += 1
-        elif ch == "*":
-            toks.append(("star", i, None)); i += 1
-        elif ch == "&":
-            toks.append(("and", i, None)); i += 1
-        elif ch == "|":
-            toks.append(("or", i, None)); i += 1
         elif ch == "-":
             if text.startswith("->", i):
                 toks.append(("impl", i, None)); i += 2
@@ -319,118 +326,65 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
                 toks.append(("oplus", i, None)); i += 3
             else:
                 toks.append(("lparen", i, None)); i += 1
-        elif ch == ")":
-            toks.append(("rparen", i, None)); i += 1
         else:
-            raise _syntax_error(text, f"unexpected character {ch!r}", i,
-                                ["variable", "'0'", "'1'", "'!'", "'('"])
+            raise _syntax_error(text, f"unexpected character {ch!r}", i, _ATOM_STARTS)
     toks.append(("eof", n, None))
     return toks
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def error(self, tok, expected) -> ParseError:
-        return _syntax_error(self.text, f"unexpected {_TOKEN_NAMES[tok[0]]}", tok[1], expected)
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self, kind: str):
-        tok = self.toks[self.pos]
-        if tok[0] != kind:
-            raise self.error(tok, [_TOKEN_NAMES[kind]])
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.implication()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise self.error(tok, [_TOKEN_NAMES["eof"]])
-        return f
-
-    def implication(self) -> Formula:
-        # a run of -> in a loop, joined right to left: -> is right-associative
-        parts = [self.disjunction()]
-        while self.peek()[0] == "impl":
-            self.take("impl")
-            parts.append(self.disjunction())
-        f = parts.pop()
-        while parts:
-            f = Impl(parts.pop(), f)
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "or":
-            self.take("or")
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.oplus()
-        while self.peek()[0] == "and":
-            self.take("and")
-            f = And(f, self.oplus())
-        return f
-
-    def oplus(self) -> Formula:
-        f = self.strong()
-        while self.peek()[0] == "oplus":
-            self.take("oplus")
-            f = OPlus(f, self.strong())
-        return f
-
-    def strong(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "star":
-            self.take("star")
-            f = Star(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        # a run of ! in a loop, so its length is not bounded by the call stack
-        count = 0
-        while self.peek()[0] == "not":
-            self.take("not")
-            count += 1
-        f = self.atom()
-        for _ in range(count):
-            f = Neg(f)
-        return f
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        kind, val = tok[0], tok[2]
-        if kind == "var":
-            self.take("var")
-            return Var(val)
-        if kind == "zero":
-            self.take("zero")
-            return ZERO
-        if kind == "one":
-            self.take("one")
-            return ONE
-        if kind == "lparen":
-            self.take("lparen")
-            f = self.implication()
-            self.take("rparen")
-            return f
-        raise self.error(tok, ["variable", "'0'", "'1'", "'!'", "'('"])
+def _reduce(operands: list, pending: list, level: int) -> None:
+    """Join the pending binary connectives of precedence level >= level, from
+    the innermost out, stopping at a pending '('."""
+    while pending and pending[-1] in _BINARY and _BINARY[pending[-1]][0] >= level:
+        right = operands.pop()
+        operands[-1] = _BINARY[pending.pop()][2](operands[-1], right)
 
 
 def parse_formula(text: str) -> Formula:
-    return _Parser(text).parse()
+    """Operator-precedence parse on two lists, operands and pending '!', '(' and
+    binary connectives, not on the call stack: any depth of nesting parses."""
+    operands: list[Formula] = []
+    pending: list[str] = []
+    open_parens = 0
+    after_operand = False
+    for kind, pos, val in _tokenize(text):
+        if not after_operand:
+            if kind == "not" or kind == "lparen":
+                pending.append(kind)
+                open_parens += kind == "lparen"
+                continue
+            if kind == "var":
+                operands.append(Var(val))
+            elif kind in _CONSTANTS:
+                operands.append(_CONSTANTS[kind])
+            else:
+                raise _syntax_error(text, f"unexpected {_TOKEN_NAMES[kind]}", pos, _ATOM_STARTS)
+            after_operand = True
+        elif kind in _BINARY:
+            # a pending -> of the same level waits: -> is right-associative
+            level = _BINARY[kind][0]
+            _reduce(operands, pending, level + 1 if kind == "impl" else level)
+            pending.append(kind)
+            after_operand = False
+            continue
+        elif kind == "rparen" and open_parens:
+            _reduce(operands, pending, 0)
+            pending.pop()  # its '('
+            open_parens -= 1
+        elif kind == "eof" and not open_parens:
+            _reduce(operands, pending, 0)
+            return operands[0]
+        else:
+            expected = _TOKEN_NAMES["rparen" if open_parens else "eof"]
+            raise _syntax_error(text, f"unexpected {_TOKEN_NAMES[kind]}", pos, [expected])
+        # an operand is complete, or a parenthesis closed: apply the ! pending before it
+        while pending and pending[-1] == "not":
+            pending.pop()
+            operands[-1] = Neg(operands[-1])
 
 
-_LEVEL = {"impl": 0, "or": 1, "and": 2, "oplus": 3, "star": 4, "neg": 5,
-          "var": 6, "zero": 6, "one": 6}
-_SYMBOL = {"impl": "->", "or": "|", "and": "&", "oplus": "(+)", "star": "*"}
+_LEVEL = {**{op: level for op, (level, _, _) in _BINARY.items()},
+          "neg": 5, "var": 6, "zero": 6, "one": 6}
 
 
 def _print_step(node: Formula, left=None, right=None) -> str:
@@ -455,7 +409,7 @@ def _print_step(node: Formula, left=None, right=None) -> str:
             left = f"({left})"
         if _LEVEL[b.op] <= lvl:
             right = f"({right})"
-    return f"{left} {_SYMBOL[op]} {right}"
+    return f"{left} {_BINARY[op][1]} {right}"
 
 
 def print_formula(f: Formula) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .formula import (
-    MAX_TABLE_VARS, Formula, Var, Neg, And, Impl, Substitution, apply_substitution,
+    MAX_TABLE_VARS, Formula, Var, Neg, And, Or, Impl, Substitution, apply_substitution,
     arity_of, boolean_table,
 )
 from .proofs import (
@@ -63,7 +63,6 @@ def truth_table(f: Formula, n: int) -> TruthTable:
 
 def symmetric_difference(a: Formula, b: Formula) -> Formula:
     """Boolean exclusive-or: (a and not b) or (not a and b)."""
-    from .formula import Or
     return Or(And(a, Neg(b)), And(Neg(a), b))
 
 

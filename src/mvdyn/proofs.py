@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
+from . import pwl as _pwl
 from .formula import (
     Formula, Var, Star, ONE, Substitution, apply_substitution,
     arity_of, evaluate, parse_formula, print_formula, tautology_check,
@@ -223,8 +224,6 @@ class ConsequenceVerdict:
 
 def _min_over_unit_set(cw, rw):
     """(min of rw over {cw = 1}, witness point), or (None, None) if empty."""
-    from . import pwl as _pwl
-
     refined, tags = _pwl._refine_tagged(cw.complex, rw.complex)
     best = None
     witness = None
@@ -279,8 +278,6 @@ def mp_consequence(delta: Sequence[Formula], r: Formula, sem: TNormSemantics,
         raise ValueError("no decidable backend for this semantics")
     if arity > 2:
         raise ValueError("the exact backend handles at most two variables")
-    from . import pwl as _pwl
-
     dim = max(arity, 1)
     conj = reduce(Star, delta) if delta else ONE
     cw = _pwl.pwl_from_formula(conj, dim)

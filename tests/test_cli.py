@@ -362,13 +362,15 @@ def test_algebra_json_one_out_of_range_exits_one(capsys, monkeypatch):
     _one_error_line(*capture(capsys, ["filters", "--algebra", "-"]))
 
 
-def test_deeply_nested_formula_exits_one(capsys):
-    # a run of ! of any length parses and is decided
+def test_deeply_nested_formula_exits_one(capsys, monkeypatch):
+    # runs of ! and nested parentheses of any depth parse and are decided
     out = capture_json(capsys, ["taut", "--logic", "bool", "!" * 1200 + "x0"])
     assert out == {"point": ["0"], "status": "countermodel"}
-    # nesting of parentheses is still bounded by the call stack
-    _one_error_line(*capture(capsys, ["taut", "--logic", "bool",
-                                      "(" * 400 + "x0" + ")" * 400]))
+    out = capture_json(capsys, ["taut", "--logic", "bool", "(" * 400 + "x0" + ")" * 400])
+    assert out == {"point": ["0"], "status": "countermodel"}
+    # the json decoder still recurses per level: one error line, exit 1
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000 + "]" * 100000))
+    _one_error_line(*capture(capsys, ["filters", "--algebra", "-"]))
 
 
 def test_memory_error_exits_one(capsys, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from mvdyn.algebra import evaluate_in, finite_chain
 from mvdyn.dynamics import empirical_statistics, induced_map
 from mvdyn.formula import (
-    Formula, Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE,
+    Formula, Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, fold,
     ParseError, parse_formula, print_formula, variables_of, arity_of,
     GODEL, PRODUCT, LUKASIEWICZ, BOOLE, chain_semantics, evaluate,
     Substitution, apply_substitution, compose_substitutions,
@@ -230,6 +230,25 @@ def test_parse_errors_carry_offset():
         parse_formula("x")
 
 
+ATOM_STARTS = ["'!'", "'('", "'0'", "'1'", "variable"]
+
+
+@pytest.mark.parametrize("text, message, offset, expected", [
+    ("x0 x1", "unexpected variable", 3, ["end of input"]),
+    ("x0)", "unexpected ')'", 2, ["end of input"]),
+    ("(x0 x1", "unexpected variable", 4, ["')'"]),
+    ("(x0", "unexpected end of input", 3, ["')'"]),
+    ("!)", "unexpected ')'", 1, ATOM_STARTS),
+    ("((x0) (+) x1 -> )", "unexpected ')'", 16, ATOM_STARTS),
+])
+def test_parse_error_message_offset_and_expected(text, message, offset, expected):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == f"{message} at byte {offset}; expected one of {expected}"
+    assert err.value.offset == offset
+    assert err.value.expected == frozenset(expected)
+
+
 def negations(depth, leaf):
     f = leaf
     for _ in range(depth):
@@ -250,6 +269,15 @@ def implication_chain(depth, leaf):
     f = leaf
     for _ in range(depth):
         f = Impl(ONE, f)
+    return f
+
+
+def left_implication_chain(depth, leaf):
+    """((leaf -> leaf) -> leaf) -> ..., nested to the left, so it prints with
+    depth - 1 nested parentheses."""
+    f = leaf
+    for _ in range(depth):
+        f = Impl(f, leaf)
     return f
 
 
@@ -285,11 +313,28 @@ def test_deep_implication_chain_through_every_walk():
     check_deep_walks(implication_chain, 3000, X0)
 
 
+def test_deep_left_implication_chain_through_every_walk():
+    f = left_implication_chain(3000, X0)
+    assert print_formula(f).startswith("(" * 2999 + "x0 -> x0)")
+    check_deep_walks(left_implication_chain, 3000, X0)
+
+
+def test_parse_deeply_nested_parentheses():
+    f = parse_formula("(" * 100000 + "x0" + ")" * 100000)
+    assert f.op == "var" and f.index == 0
+
+
+def shape(f):
+    """f as nested tuples (op, index, *children): equal iff the trees are the same."""
+    return fold(f, lambda node, *kids: (node.op, node.index, *kids))
+
+
 def test_print_parse_round_trip():
     rng = random.Random(42)
     for _ in range(300):
         f = rand_formula(rng, 3, 4)
-        assert parse_formula(print_formula(f)) == f
+        g = parse_formula(print_formula(f))
+        assert g == f and shape(g) == shape(f)
 
 
 def test_print_known_forms():

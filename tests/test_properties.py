@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mvdyn.dynamics import average_truth_value, induced_map, map_eval, orbit
 from mvdyn.formula import (
     And, Impl, Neg, OPlus, Or, Star, Substitution, Var, ONE, ZERO, LUKASIEWICZ,
-    apply_substitution, evaluate,
+    apply_substitution, evaluate, fold, parse_formula, print_formula,
 )
 from mvdyn.pwl import (
     pwl_compose, pwl_equal, pwl_eval, pwl_from_formula, pwl_from_json, pwl_integral,
@@ -43,6 +43,17 @@ rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 def json_trip(obj):
     return json.loads(json.dumps(obj))
+
+
+def shape(f):
+    """f as nested tuples (op, index, *children): equal iff the trees are the same."""
+    return fold(f, lambda node, *kids: (node.op, node.index, *kids))
+
+
+@SETTINGS
+@given(formulas)
+def test_parse_inverts_print_up_to_tree_shape(f):
+    assert shape(parse_formula(print_formula(f))) == shape(f)
 
 
 @SETTINGS
