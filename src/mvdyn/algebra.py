@@ -7,6 +7,9 @@ join, negation) is derived from them.
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -147,42 +150,27 @@ def finite_chain(m: int, base: str = "lukasiewicz") -> FiniteAlgebra:
     return FiniteAlgebra(names, star, impl, 0, m)
 
 
-def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
-    """Componentwise product; element (i, j) has index i * b.size + j."""
-    n, m = a.size, b.size
-    if n * m > DEFAULT_SIZE_CAP:
+def product_algebra(*factors: FiniteAlgebra) -> FiniteAlgebra:
+    """Componentwise product, its elements the tuples of factor elements in
+    itertools.product order, named "(x,y,...)"."""
+    if math.prod(a.size for a in factors) > DEFAULT_SIZE_CAP:
         raise ValueError("size cap exceeded")
-    names = [f"({a.names[i]},{b.names[j]})" for i in range(n) for j in range(m)]
-
-    def idx(i, j):
-        return i * m + j
-
-    star = [[idx(a.star(i1, i2), b.star(j1, j2))
-             for i2 in range(n) for j2 in range(m)]
-            for i1 in range(n) for j1 in range(m)]
-    impl = [[idx(a.impl(i1, i2), b.impl(j1, j2))
-             for i2 in range(n) for j2 in range(m)]
-            for i1 in range(n) for j1 in range(m)]
-    return FiniteAlgebra(names, star, impl, idx(a.zero, b.zero), idx(a.one, b.one))
+    tuples = list(itertools.product(*(range(a.size) for a in factors)))
+    index = {t: i for i, t in enumerate(tuples)}
+    names = ["(" + ",".join(a.names[i] for a, i in zip(factors, t)) + ")" for t in tuples]
+    star = [[index[tuple(a.star(x, y) for a, x, y in zip(factors, s, t))] for t in tuples]
+            for s in tuples]
+    impl = [[index[tuple(a.impl(x, y) for a, x, y in zip(factors, s, t))] for t in tuples]
+            for s in tuples]
+    return FiniteAlgebra(names, star, impl, index[tuple(a.zero for a in factors)],
+                         index[tuple(a.one for a in factors)])
 
 
 def power_algebra(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
     """k-fold componentwise power with flat tuple-style names."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if a.size ** k > DEFAULT_SIZE_CAP:
-        raise ValueError("size cap exceeded")
-    import itertools
-    tuples = list(itertools.product(range(a.size), repeat=k))
-    index = {t: i for i, t in enumerate(tuples)}
-    names = ["(" + ",".join(a.names[i] for i in t) + ")" for t in tuples]
-    star = [[index[tuple(a.star(x, y) for x, y in zip(s, t))] for t in tuples]
-            for s in tuples]
-    impl = [[index[tuple(a.impl(x, y) for x, y in zip(s, t))] for t in tuples]
-            for s in tuples]
-    zero = index[tuple([a.zero] * k)]
-    one = index[tuple([a.one] * k)]
-    return FiniteAlgebra(names, star, impl, zero, one)
+    return product_algebra(*[a] * k)
 
 
 def subalgebra_generated(a: FiniteAlgebra, gens: Iterable[int]) -> FiniteAlgebra:
@@ -483,9 +471,6 @@ def dual_map(phi: Homomorphism):
 
 def duality_check(a: FiniteAlgebra, seed: int = 0) -> dict:
     """Filters versus opens of the spectrum, with the subbasis laws."""
-    import itertools
-    import random
-
     filters, primes, _ = enumerate_filters(a)
     space = spec_space(a)
     k = len(space.points)

@@ -232,7 +232,10 @@ def _homeo_payload(smap: _pwl.PWLMap, with_report: bool):
 
 
 def _geometric_form(spec: str) -> _pwl.PWLMap:
-    """The geometric form of the substitution spec, or ValueError if it has none."""
+    """The geometric form of the substitution spec, or ValueError if it has none;
+    the rotation's is its exact 14-cell map."""
+    if spec.strip().lower() == "rotation":
+        return _dyn.rotation_homeomorphism()[1]
     s = _dyn.induced_map(_substitution(spec))
     if s.pwl is None:
         raise ValueError("no geometric form within budget (or arity > 2)")
@@ -270,14 +273,8 @@ def _cmd_homeo_rotation(args) -> int:
     return 0
 
 
-def _named_map(args) -> _pwl.PWLMap:
-    if args.map == "rotation":
-        return _dyn.rotation_homeomorphism()[1]
-    return _geometric_form(args.map)
-
-
 def _cmd_diff(args) -> int:
-    smap = _named_map(args)
+    smap = _geometric_form(args.map)
     dv = _dyn.tsujii_differential(smap, _point(args.point), _point(args.dir))
     _emit(args, {"differential": list(dv)}, ", ".join(str(x) for x in dv))
     return 0

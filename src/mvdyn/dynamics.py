@@ -8,6 +8,7 @@ appears only in empirical_statistics and is labeled as such.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -333,32 +334,24 @@ def tsujii_differential(s: PWLMap, p, v) -> tuple:
         raise ValueError("direction dimension mismatch")
     if all(x == 0 for x in v):
         return tuple(F0 for _ in range(s.dim))
-    for j in range(len(s.complex.cells)):
-        pts = s.complex.cell_points(j)
-        if s.dim == 1:
-            lo, hi = sorted((pts[0][0], pts[1][0]))
-            x = p[0]
-            if not (lo <= x <= hi):
-                continue
-            if (x < hi or v[0] < 0) and (x > lo or v[0] > 0):
-                a = s.maps[j].a[0][0]
-                return (a * v[0],)
-            continue
-        ok = True
-        for i in range(3):
-            a, b = pts[i], pts[(i + 1) % 3]
-            e = _pwl._cross(a, b, p)
-            if e < 0:
-                ok = False
-                break
-            if e == 0:
-                rate = _pwl._cross(a, b, (p[0] + v[0], p[1] + v[1]))
-                if rate < 0:
-                    ok = False
+    bounds = s.complex._bounds
+    if s.dim == 1:
+        # a step right enters the cell ending after p, a step left the cell
+        # ending at or after p, unless p is the end of the cube it leaves by
+        if (p[0] < 1) if v[0] > 0 else (p[0] > 0):
+            k = (bisect.bisect_right if v[0] > 0 else bisect.bisect_left)(
+                bounds, p[0], key=lambda b: b[1])
+            return (s.maps[bounds[k][0]].a[0][0] * v[0],)
+    else:
+        # the ray enters a cell where each half-plane is positive at p, or
+        # zero at p and not decreasing along v
+        for j, planes in bounds:
+            for c0, c1, c2 in planes:
+                e = c0 * p[0] + c1 * p[1] + c2
+                if e < 0 or e == 0 and c0 * v[0] + c1 * v[1] < 0:
                     break
-        if ok:
-            m = s.maps[j]
-            return tuple(sum(r * x for r, x in zip(row, v)) for row in m.a)
+            else:
+                return tuple(sum(r * x for r, x in zip(row, v)) for row in s.maps[j].a)
     raise ValueError("the ray leaves the unit cube immediately")
 
 

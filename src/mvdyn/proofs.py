@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
@@ -239,7 +238,7 @@ def _min_over_unit_set(cw, rw):
                 cand = [p for p, v in zip(pts, vals) if v == 1]
             else:
                 # the affine piece attains its maximum 1 on a face of the cell
-                hp = (Fraction(cp.a[0][0]), Fraction(cp.a[0][1]), Fraction(cp.b[0] - 1))
+                hp = (cp.a[0][0], cp.a[0][1], cp.b[0] - 1)
                 cand = _pwl._clip(list(pts), hp)
         else:
             continue

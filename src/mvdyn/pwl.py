@@ -155,24 +155,28 @@ class CellComplex:
         return self._locate(_cube_point(p))
 
     def _locate(self, p: Point) -> int:
-        """locate on a point of Fractions already checked to lie in the cube."""
+        """Index of a cell containing p (in 1-D the leftmost), for a point of
+        Fractions already checked to lie in the cube."""
+        bounds = self._bounds
         if self.dim == 1:
-            for j, (i0, i1) in enumerate(self.cells):
-                if self.vertices[i0][0] <= p[0] <= self.vertices[i1][0]:
-                    return j
+            k = bisect.bisect_left(bounds, p[0], key=lambda b: b[1])
+            if k < len(bounds):
+                return bounds[k][0]
         else:
-            for j in range(len(self.cells)):
-                tri = self.cell_points(j)
-                if all(_cross(tri[i], tri[(i + 1) % 3], p) >= 0 for i in range(3)):
+            x, y = p
+            for j, planes in bounds:
+                if all(c0 * x + c1 * y + c2 >= 0 for c0, c1, c2 in planes):
                     return j
         raise ValueError(f"point {p} not covered by the complex")
 
     @cached_property
-    def _lattice_bounds(self) -> list:
-        """Each cell's bounds, for PWLMap.lattice_step and pwl_compose: in dimension 1,
-        (cell, right end) in left-to-right order; in dimension 2, (cell, three
-        integer half-planes (c0, c1, c2)), each a positive multiple of the
-        _cross test of one edge, so the cell is where all c0 x + c1 y + c2 >= 0."""
+    def _bounds(self) -> list:
+        """Each cell's bounds, which every cell test reads (point location,
+        PWLMap.lattice_step, the pullback, 1-D validation, one-sided
+        differentials): in dimension 1, (cell, right end) in left-to-right
+        order; in dimension 2, (cell, three integer half-planes (c0, c1, c2)),
+        each a positive multiple of the _cross test of one edge, so the cell is
+        where all c0 x + c1 y + c2 >= 0."""
         if self.dim == 1:
             order = sorted(range(len(self.cells)),
                            key=lambda j: self.vertices[self.cells[j][0]][0])
@@ -207,13 +211,11 @@ class CellComplex:
             for i0, i1 in self.cells:
                 if not self.vertices[i0][0] < self.vertices[i1][0]:
                     raise ValueError("degenerate or reversed 1-cell")
-            order = sorted(range(len(self.cells)), key=lambda j: self.vertices[self.cells[j][0]][0])
             lo = F0
-            for j in order:
-                a, b = self.cell_points(j)
-                if a[0] != lo:
+            for j, hi in self._bounds:
+                if self.cell_points(j)[0][0] != lo:
                     raise ValueError("cells do not partition [0,1]")
-                lo = b[0]
+                lo = hi
             if lo != 1:
                 raise ValueError("cells do not reach 1")
             return
@@ -324,29 +326,25 @@ def _build_complex_1d(tagged_intervals):
 
 
 def _refine_tagged(w1: CellComplex, w2: CellComplex):
-    """Common refinement; each output cell tagged with its (w1, w2) parents."""
+    """Common refinement; each output cell tagged with its (w1, w2) parents.
+
+    In dimension 1 the two partitions' sorted right ends are merged; in
+    dimension 2 it is the pullback of w2 through the identity on w1."""
     if w1.dim != w2.dim:
         raise ValueError("dimension mismatch")
-    if w1.dim == 1:
-        # merge the two partitions' sorted right ends
-        b1, b2 = w1._lattice_bounds, w2._lattice_bounds
-        tagged, lo, i, j = [], F0, 0, 0
-        while i < len(b1) and j < len(b2):
-            (c1, r1), (c2, r2) = b1[i], b2[j]
-            hi = min(r1, r2)
-            tagged.append(((lo, hi), (c1, c2)))
-            lo = hi
-            i += r1 == hi
-            j += r2 == hi
-        return _build_complex_1d(tagged)
-    tagged = []
-    for i in range(len(w1.cells)):
-        t1 = w1.cell_points(i)
-        for j in range(len(w2.cells)):
-            inter = _poly_intersection(t1, w2.cell_points(j))
-            if inter and _canon(inter):
-                tagged.append((inter, (i, j)))
-    return _build_complex_2d(tagged)
+    if w1.dim == 2:
+        identity = AffineMap(((1, 0), (0, 1)), (0, 0))
+        return _pullback(w1, (identity,) * len(w1.cells), w2)
+    b1, b2 = w1._bounds, w2._bounds
+    tagged, lo, i, j = [], F0, 0, 0
+    while i < len(b1) and j < len(b2):
+        (c1, r1), (c2, r2) = b1[i], b2[j]
+        hi = min(r1, r2)
+        tagged.append(((lo, hi), (c1, c2)))
+        lo = hi
+        i += r1 == hi
+        j += r2 == hi
+    return _build_complex_1d(tagged)
 
 
 def common_refinement(w1: CellComplex, w2: CellComplex) -> CellComplex:
@@ -448,7 +446,7 @@ class PWLMap:
         """
         if not all(m.is_integral for m in self.maps):
             return None
-        bounds = self.complex._lattice_bounds
+        bounds = self.complex._bounds
         if self.dim == 1:
             ends = [r.numerator * d // r.denominator for _, r in bounds]
             pieces = [(int(self.maps[j].a[0][0]), int(self.maps[j].b[0]) * d)
@@ -572,7 +570,7 @@ def _combine(op: str, f: PWLMap, g: PWLMap) -> PWLMap:
                 tagged.append(((lo, root), (fp, gp, h, first_pos)))
                 tagged.append(((root, hi), (fp, gp, h, not first_pos)))
             else:
-                hp = (Fraction(ha[0]), Fraction(ha[1]), Fraction(hb))
+                hp = (ha[0], ha[1], hb)
                 pos = _clip(list(geom), hp)
                 neg = _clip(list(geom), tuple(-c for c in hp))
                 if _canon(pos):
@@ -605,31 +603,29 @@ def _compose_affine(fp: AffineMap, sp: AffineMap) -> AffineMap:
                      tuple(sum(map(mul, row, sp.b)) + e for row, e in zip(fp.a, fp.b)))
 
 
-def pwl_compose(f: PWLMap, s: PWLMap) -> PWLMap:
-    """f after s, for a self-map s of the cube (as many rows as coordinates),
-    on the pullback of f's complex through each cell of s.
+def _pullback(w: CellComplex, pieces: Sequence, v: CellComplex):
+    """The cells of w cut by v pulled back through w's affine pieces (one per
+    cell, each into the cube of v): (complex, tags), each tag (cell of w,
+    cell of v).
 
-    In dimension 1 the ends of f's cells inside a cell's image are found by
+    In dimension 1 the ends of v's cells inside a cell's image are found by
     bisection and pulled back through its piece; a flat piece stays one cell.
-    In dimension 2 each cell of s is clipped by the half-planes of f's cells,
-    pulled back through its piece, for the cells of f whose bounding box meets
+    In dimension 2 each cell of w is clipped by the half-planes of v's cells,
+    pulled back through its piece, for the cells of v whose bounding box meets
     that of the image.
     """
-    if s.rows != s.dim or f.dim != s.dim:
-        raise ValueError(f"need a self-map of the {f.dim}-cube, got "
-                         f"{s.rows} rows on dimension {s.dim}")
-    bounds = f.complex._lattice_bounds
-    if f.dim == 1:
+    bounds = v._bounds
+    if w.dim == 1:
         ends = [r for _, r in bounds]
-        cuts, maps = [], []
-        for j, x_hi in s.complex._lattice_bounds:
-            sp = s.maps[j]
+        tagged = []
+        for j, x_hi in w._bounds:
+            sp = pieces[j]
             alpha, beta = sp.a[0][0], sp.b[0]
-            x_lo = s.complex.vertices[s.complex.cells[j][0]][0]
+            x_lo = w.vertices[w.cells[j][0]][0]
             if alpha == 0:
                 starts, cells = [x_lo], [bisect.bisect_left(ends, beta)]
             else:
-                # f's cells first..last meet the open image (y0, y1), cut at
+                # v's cells first..last meet the open image (y0, y1), cut at
                 # the ends strictly inside it
                 y0, y1 = sorted((alpha * x_lo + beta, alpha * x_hi + beta))
                 first, last = bisect.bisect_right(ends, y0), bisect.bisect_left(ends, y1)
@@ -637,28 +633,26 @@ def pwl_compose(f: PWLMap, s: PWLMap) -> PWLMap:
                 if alpha < 0:
                     inner, cells = inner[::-1], cells[::-1]
                 starts = [x_lo] + [(e - beta) / alpha for e in inner]
-            cuts.extend(starts)
-            maps.extend(_compose_affine(f.maps[bounds[i][0]], sp) for i in cells)
-        cuts.append(F1)
-        return PWLMap(CellComplex(1, [(x,) for x in cuts],
-                                  [(i, i + 1) for i in range(len(maps))]), tuple(maps))
+            tagged.extend(((lo, hi), (j, bounds[i][0]))
+                          for lo, hi, i in zip(starts, starts[1:] + [x_hi], cells))
+        return _build_complex_1d(tagged)
 
     boxes = []
     for i, planes in bounds:
-        tri = f.complex.cell_points(i)
+        tri = v.cell_points(i)
         xs, ys = [p[0] for p in tri], [p[1] for p in tri]
         boxes.append((min(xs), max(xs), min(ys), max(ys), i, planes))
     tagged = []
-    for j in range(len(s.complex.cells)):
-        sp = s.maps[j]
-        tri = s.complex.cell_points(j)
+    for j in range(len(w.cells)):
+        sp = pieces[j]
+        tri = w.cell_points(j)
         image = [sp._apply(p) for p in tri]
         xlo, xhi = min(p[0] for p in image), max(p[0] for p in image)
         ylo, yhi = min(p[1] for p in image), max(p[1] for p in image)
         (a00, a01), (a10, a11) = sp.a
         b0, b1 = sp.b
         # a singular piece maps the cell onto a segment or a point, whose
-        # preimages under cells of f that share an edge or vertex coincide
+        # preimages under cells of v that share an edge or vertex coincide
         seen = set() if sp.det() == 0 else None
         for bx0, bx1, by0, by1, i, planes in boxes:
             if bx0 > xhi or bx1 < xlo or by0 > yhi or by1 < ylo:
@@ -676,9 +670,18 @@ def pwl_compose(f: PWLMap, s: PWLMap) -> PWLMap:
                 if tuple(poly) in seen:
                     continue
                 seen.add(tuple(poly))
-            tagged.append((poly, _compose_affine(f.maps[i], sp)))
-    complex_, maps = _build_complex_2d(tagged)
-    return PWLMap(complex_, tuple(maps))
+            tagged.append((poly, (j, i)))
+    return _build_complex_2d(tagged)
+
+
+def pwl_compose(f: PWLMap, s: PWLMap) -> PWLMap:
+    """f after s, for a self-map s of the cube (as many rows as coordinates),
+    on the pullback of f's complex through each cell of s."""
+    if s.rows != s.dim or f.dim != s.dim:
+        raise ValueError(f"need a self-map of the {f.dim}-cube, got "
+                         f"{s.rows} rows on dimension {s.dim}")
+    complex_, tags = _pullback(s.complex, s.maps, f.complex)
+    return PWLMap(complex_, tuple(_compose_affine(f.maps[i], s.maps[j]) for j, i in tags))
 
 
 class CellBudgetError(ValueError):
@@ -766,11 +769,6 @@ def pwl_equal(f: PWLMap, g: PWLMap) -> bool:
     return _holds_on_refinement(f, g, ne)
 
 
-def _box_halfplanes(box):
-    (xlo, xhi), (ylo, yhi) = box
-    return [(F1, F0, -xlo), (-F1, F0, xhi), (F0, F1, -ylo), (F0, -F1, yhi)]
-
-
 def pwl_integral(f: PWLMap, box=None) -> Fraction:
     """Exact integral of f over a rational box (defaults to the whole cube)."""
     _one_row(f)
@@ -797,20 +795,23 @@ def pwl_integral(f: PWLMap, box=None) -> Fraction:
                 total += (chi - clo) * (_row_value(m, (clo,)) + _row_value(m, (chi,))) / 2
         return total
 
-    planes = _box_halfplanes(box)
+    (xlo, xhi), (ylo, yhi) = box
+    planes = [(1, 0, -xlo), (-1, 0, xhi), (0, 1, -ylo), (0, -1, yhi)]
     for j in range(len(f.complex.cells)):
-        poly = list(f.complex.cell_points(j))
-        for h in planes:
-            poly = _clip(poly, h)
-            if not poly:
-                break
-        poly = _canon(poly)
-        if not poly:
+        poly = f.complex.cell_points(j)
+        x0, x1 = min(p[0] for p in poly), max(p[0] for p in poly)
+        y0, y1 = min(p[1] for p in poly), max(p[1] for p in poly)
+        if x0 >= xhi or x1 <= xlo or y0 >= yhi or y1 <= ylo:
             continue
+        if not (xlo <= x0 and x1 <= xhi and ylo <= y0 and y1 <= yhi):
+            for h in planes:
+                poly = _clip(poly, h)
+            poly = _canon(poly)
+            if not poly:
+                continue
         m = f.maps[j]
         for tri in _fan(poly):
-            area = _area2(tri) / 2
-            total += area * sum(_row_value(m, p) for p in tri) / 3
+            total += _area2(tri) / 2 * sum(_row_value(m, p) for p in tri) / 3
     return total
 
 

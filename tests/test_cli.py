@@ -140,6 +140,14 @@ def test_homeo_rotation_report(capsys):
     assert out.strip() == "invertible=true common_det=1 measure_preserving=true"
 
 
+def test_homeo_validate_rotation_uses_the_exact_form(capsys):
+    code, out, err = capture(capsys, ["homeo", "validate", "--subst", " Rotation "])
+    assert code == 0, err
+    assert json.loads(out) == capture_json(capsys, ["homeo", "rotation", "--validate"])["report"]
+    payload = capture_json(capsys, ["homeo", "build", "--subst", "rotation"])
+    assert len(payload["cells"]) == 14
+
+
 def test_homeo_validate_flip_and_tent(capsys):
     payload = capture_json(capsys, ["homeo", "validate", "--subst", "flip"])
     assert payload["invertible"] is True and payload["common_det"] == -1

@@ -1,6 +1,7 @@
 """Induced maps, exact orbits, reachability, the rotation homeomorphism,
 one-sided differentials, box hitting, and orbit statistics."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -370,6 +371,29 @@ def test_tsujii_matches_difference_quotient_2d(rotation):
             q = (p[0] + h * v[0], p[1] + h * v[1])
         img_p, img_q = smap.value(p), smap.value(q)
         assert tuple((img_q[i] - img_p[i]) / h for i in range(2)) == dv, (p, v)
+
+
+def test_tsujii_raises_only_where_the_ray_leaves_the_cube(rotation, tent_map):
+    # grid points lie on vertices and edges, and many directions run along an
+    # edge, where the ray enters the closure of two cells
+    for smap, den, dirs in ((rotation[1], 4, itertools.product((-1, 0, 1), repeat=2)),
+                            (tent_map.pwl, 8, ((-1,), (1,)))):
+        for v in dirs:
+            if not any(v):
+                continue
+            for p in itertools.product(range(den + 1), repeat=len(v)):
+                p = tuple(F(x, den) for x in p)
+                leaves = any(x == 0 and c < 0 or x == 1 and c > 0 for x, c in zip(p, v))
+                try:
+                    dv = tsujii_differential(smap, p, v)
+                except ValueError:
+                    assert leaves, (p, v)
+                    continue
+                assert not leaves, (p, v)
+                h = F(1, 64)
+                img_p = smap.value(p)
+                img_q = smap.value(tuple(x + h * c for x, c in zip(p, v)))
+                assert tuple((b - a) / h for a, b in zip(img_p, img_q)) == dv, (p, v)
 
 
 # -- box hitting and statistics ----------------------------------------------------------------

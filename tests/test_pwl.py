@@ -15,9 +15,10 @@ from mvdyn.pwl import (
     unit_complex, common_refinement, pwl_from_formula, pwl_eval, pwl_combine,
     pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula,
     pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
-    pwl_compose, _synthesize_formula,
+    pwl_compose, _synthesize_formula, _build_complex_2d, _canon, _poly_intersection,
+    _refine_tagged,
 )
-from mvdyn.dynamics import induced_map
+from mvdyn.dynamics import induced_map, rotation_homeomorphism
 
 F = Fraction
 
@@ -131,20 +132,24 @@ def test_refinement_1d_unions_breakpoints():
     assert cuts == [F(0), F(1, 3), F(1, 2), F(1)]
 
 
+def one_d(cuts, pieces):
+    """The JSON of a 1-D function with the given cuts and (slope, constant) pieces."""
+    return {"dim": 1, "vertices": [[[str(x.numerator), str(x.denominator)]] for x in cuts],
+            "cells": [[i, i + 1] for i in range(len(pieces))],
+            "pieces": [{"a": [a], "b": b} for a, b in pieces]}
+
+
+def reversed_cells(obj):
+    """The same 1-D function with its cells and vertices listed right to left."""
+    last = len(obj["vertices"]) - 1
+    return {**obj, "vertices": obj["vertices"][::-1],
+            "cells": [[last - i, last - j] for i, j in obj["cells"][::-1]],
+            "pieces": obj["pieces"][::-1]}
+
+
 def test_refinement_1d_of_cells_stored_right_to_left():
     """JSON may list 1-D cells and vertices in any order; combining and comparing
     such maps gives the same cells, vertices and pieces as their sorted forms."""
-    def one_d(cuts, pieces):
-        return {"dim": 1, "vertices": [[[str(x.numerator), str(x.denominator)]] for x in cuts],
-                "cells": [[i, i + 1] for i in range(len(pieces))],
-                "pieces": [{"a": [a], "b": b} for a, b in pieces]}
-
-    def reversed_cells(obj):
-        last = len(obj["vertices"]) - 1
-        return {**obj, "vertices": obj["vertices"][::-1],
-                "cells": [[last - i, last - j] for i, j in obj["cells"][::-1]],
-                "pieces": obj["pieces"][::-1]}
-
     tent = one_d([F(0), F(1, 2), F(1)], [(2, 0), (-2, 2)])
     trapezoid = one_d([F(0), F(1, 3), F(2, 3), F(1)], [(3, 0), (0, 1), (-3, 3)])
     f, g = pwl_from_json(tent), pwl_from_json(trapezoid)
@@ -160,6 +165,34 @@ def test_refinement_1d_of_cells_stored_right_to_left():
         assert list(out.maps) == list(ordered.maps)
     assert [m.a[0][0] for m in low.maps] == [2, 2, -2, -2]
     assert [pwl_eval(high, [x]) for x in (F(1, 6), F(1, 2), F(5, 6))] == [F(1, 2), 1, F(1, 2)]
+
+
+def all_pairs_refinement(w1, w2):
+    """The common refinement by intersecting every pair of 2-D cells, as a
+    reference for the pullback through the identity."""
+    tagged = []
+    for i in range(len(w1.cells)):
+        for j in range(len(w2.cells)):
+            inter = _poly_intersection(w1.cell_points(i), w2.cell_points(j))
+            if inter and _canon(inter):
+                tagged.append((inter, (i, j)))
+    return _build_complex_2d(tagged)
+
+
+def assert_refines_as_all_pairs(w1, w2):
+    got, tags = _refine_tagged(w1, w2)
+    want, want_tags = all_pairs_refinement(w1, w2)
+    assert (got.vertices, got.cells, tags) == (want.vertices, want.cells, want_tags)
+
+
+def test_refinement_2d_matches_all_pairs_reference():
+    rng = random.Random(20)
+    for _ in range(30):
+        f, g = (pwl_from_formula(rand_formula(rng, 2, 4), 2) for _ in range(2))
+        assert_refines_as_all_pairs(f.complex, g.complex)
+    rotation = rotation_homeomorphism()[1].complex
+    assert_refines_as_all_pairs(rotation, unit_complex(2))
+    assert_refines_as_all_pairs(unit_complex(2), rotation)
 
 
 def test_refinement_idempotent_supports():
@@ -338,6 +371,17 @@ def test_validate_rejects_discontinuity():
     g = PWLMap(w, (AffineMap(((2,),), (0,)),))
     with pytest.raises(ValueError):
         g.validate()
+
+
+def test_locate_and_value_at_every_cut_of_cells_stored_right_to_left():
+    cuts = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
+    obj = one_d(cuts, [(3, 0), (-6, 3), (6, -3), (-3, 3)])
+    f, f_rev = pwl_from_json(obj), pwl_from_json(reversed_cells(obj))
+    for x in cuts:
+        (lo,), (hi,) = f_rev.complex.cell_points(f_rev.complex.locate((x,)))
+        # the leftmost cell containing x
+        assert lo < x <= hi or lo == x == 0
+        assert f_rev.value((x,)) == f.value((x,)) == (pwl_eval(f, (x,)),)
 
 
 def test_locate_and_measure():
