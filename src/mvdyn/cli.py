@@ -46,15 +46,23 @@ def _semantics(name: str):
     raise ValueError(f"unknown logic {name!r}")
 
 
+def _rational(text: str) -> Fraction:
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational: {text!r}") from None
+
+
 def _point(text: str) -> tuple:
-    return tuple(Fraction(x.strip()) for x in text.split(","))
+    return tuple(_rational(x) for x in text.split(","))
 
 
 def _box(text: str):
     out = []
     for axis in text.split(","):
         lo, hi = axis.split(":")
-        out.append((Fraction(lo.strip()), Fraction(hi.strip())))
+        out.append((_rational(lo), _rational(hi)))
     return out
 
 
@@ -210,18 +218,20 @@ def _cmd_subst_apply(args) -> int:
     return 0
 
 
-def _cmd_subst_compose(args) -> int:
-    sig = compose_substitutions(_substitution(args.first), _substitution(args.second))
-    payload = {f"x{i}": print_formula(g) for i, g in enumerate(sig.images)}
-    _emit(args, payload, "; ".join(f"x{i}={v}" for i, v in sorted(payload.items())))
+def _emit_substitution(args, sigma: Substitution) -> int:
+    payload = _proofs._sigma_to_json(sigma)
+    _emit(args, payload, "; ".join(f"{k}={v}" for k, v in payload.items()))
     return 0
+
+
+def _cmd_subst_compose(args) -> int:
+    return _emit_substitution(args, compose_substitutions(_substitution(args.first),
+                                                          _substitution(args.second)))
 
 
 def _cmd_subst_reach(args) -> int:
-    sig = _dyn.reachability_substitution(_point(args.source), _point(args.target))
-    payload = {f"x{i}": print_formula(g) for i, g in enumerate(sig.images)}
-    _emit(args, payload, "; ".join(f"{k}={v}" for k, v in sorted(payload.items())))
-    return 0
+    return _emit_substitution(args, _dyn.reachability_substitution(_point(args.source),
+                                                                   _point(args.target)))
 
 
 def _homeo_payload(smap: _pwl.PWLMap, with_report: bool):
@@ -264,8 +274,7 @@ def _report_line(rep: dict) -> str:
 def _cmd_homeo_rotation(args) -> int:
     sigma, smap = _dyn.rotation_homeomorphism()
     payload = _homeo_payload(smap, args.validate)
-    payload["substitution"] = {f"x{i}": print_formula(g)
-                               for i, g in enumerate(sigma.images)}
+    payload["substitution"] = _proofs._sigma_to_json(sigma)
     text = f"{len(smap.complex.cells)} affine cells"
     if args.validate:
         text = _report_line(payload["report"])

@@ -267,61 +267,37 @@ def rotation_homeomorphism():
 
 def validate_homeomorphism(s: PWLMap) -> dict:
     """Determinant and exact image-tiling report for a piecewise-affine
-    self-map of the cube (as many rows as coordinates)."""
+    self-map of the cube (as many rows as coordinates).
+
+    The image complex keeps the vertex indices of s, each cell reversed where
+    its determinant is negative; s is invertible exactly when it validates.
+    """
     if s.rows != s.dim:
         raise ValueError(f"a self-map of the {s.dim}-cube needs {s.dim} rows, not {s.rows}")
     s.validate()
     dets = {m.det() for m in s.maps}
     common = dets.pop() if len(dets) == 1 else None
+    w = s.complex
+    vertices, cells = list(w.vertices), []
+    for cell, m in zip(w.cells, s.maps):
+        for i in cell:
+            vertices[i] = m._apply(w.vertices[i])
+        cells.append(cell[::-1] if m.det() < 0 else cell)
+    image = CellComplex(s.dim, vertices, cells)
+    try:
+        image.validate()
+        invertible = True
+    except ValueError:
+        invertible = False
     unimodular = common in (1, -1)
-
-    total = F0
-    images = []
-    degenerate = False
-    inside = True
-    for j in range(len(s.complex.cells)):
-        pts = [s.maps[j].apply(v) for v in s.complex.cell_points(j)]
-        for img in pts:
-            if any(not (0 <= x <= 1) for x in img):
-                inside = False
-        if s.dim == 1:
-            lo, hi = sorted(x[0] for x in pts)
-            if lo == hi:
-                degenerate = True
-            total += hi - lo
-            images.append((lo, hi))
-        else:
-            area2 = _pwl._area2(pts)
-            if area2 == 0:
-                degenerate = True
-            if area2 < 0:
-                pts.reverse()
-            total += abs(area2) / 2
-            images.append(pts)
-
-    overlap = False
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if s.dim == 1:
-                lo = max(images[a][0], images[b][0])
-                hi = min(images[a][1], images[b][1])
-                if lo < hi:
-                    overlap = True
-            else:
-                inter = _pwl._poly_intersection(images[a], images[b])
-                if inter and _pwl._canon(inter):
-                    overlap = True
-
-    invertible = (not degenerate) and (not overlap) and inside and total == 1
-    report = {
+    return {
         "invertible": invertible,
         "common_det": int(common) if common is not None and common.denominator == 1 else None,
         "determinants_equal": common is not None,
         "unimodular": unimodular,
-        "image_measure": total,
+        "image_measure": sum(image.measure(j) for j in range(len(cells))),
         "measure_preserving": invertible and unimodular,
     }
-    return report
 
 
 # -- one-sided differentials --------------------------------------------------------------
@@ -382,6 +358,8 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
 
     Sound but incomplete: a miss at the given resolution proves nothing.
     """
+    if grid_denominator < 1:
+        raise ValueError("need grid_denominator >= 1")
     if q_map.arity != r_map.arity:
         raise ValueError("maps must share an arity")
     for lo, hi in list(a_box) + list(b_box):
@@ -484,6 +462,8 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict
     form S of sigma, so r is compiled once and each iterate is the previous
     one pulled back through S (pwl_compose).
     """
+    if k < 0:
+        raise ValueError("need k >= 0")
     dims = [arity_of(r)] + [arity_of(g) for g in sigma.images]
     dim = max(max(dims), 1)
     if dim > 2:

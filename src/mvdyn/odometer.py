@@ -22,6 +22,12 @@ from .proofs import (
 MAX_DERIVE_VARS = 12
 
 
+def _check_table_vars(n: int) -> None:
+    """Refuse a variable count whose packed tables (2**n bits) are too long."""
+    if not 0 <= n <= MAX_TABLE_VARS:
+        raise ValueError(f"variable count must be within 0..{MAX_TABLE_VARS}")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """All 2**n Boolean values of a formula, packed into an integer."""
@@ -30,8 +36,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self):
-        if not (0 <= self.n <= MAX_TABLE_VARS):
-            raise ValueError(f"variable count must be within 0..{MAX_TABLE_VARS}")
+        _check_table_vars(self.n)
         if not (0 <= self.bits < (1 << (1 << self.n))):
             raise ValueError("bit vector length is not 2**n")
 
@@ -109,6 +114,7 @@ class BoolPermutation:
 
 def induced_permutation(sigma: Substitution, n: int) -> BoolPermutation:
     """The valuation map p -> (value of each image at p), for Boolean sigma."""
+    _check_table_vars(n)
     if sigma.arity != n:
         raise ValueError("substitution arity differs from n")
     tables = [truth_table(sigma.images[i], n).bits for i in range(n)]
@@ -123,6 +129,7 @@ def induced_permutation(sigma: Substitution, n: int) -> BoolPermutation:
 
 def odometer_induced_permutation(n: int) -> BoolPermutation:
     """Induced valuation map of the odometer; provably addition of one."""
+    _check_table_vars(n)
     perm = induced_permutation(odometer_substitution(n), n)
     size = 1 << n
     for p in range(size):

@@ -91,20 +91,6 @@ def _canon(poly):
     return out[k:] + out[:k]
 
 
-def _poly_intersection(p1, p2):
-    """p1 cap p2 for convex ccw polygons, via successive halfplane clips."""
-    out = list(p1)
-    n = len(p2)
-    for i in range(n):
-        a, b = p2[i], p2[(i + 1) % n]
-        # inside of the directed edge a->b for a ccw polygon: cross(a, b, x) >= 0
-        h = (-(b[1] - a[1]), (b[0] - a[0]), (b[1] - a[1]) * a[0] - (b[0] - a[0]) * a[1])
-        out = _clip(out, h)
-        if not out:
-            return []
-    return out
-
-
 def _on_open_segment(a, b, v) -> bool:
     if _cross(a, b, v) != 0:
         return False
@@ -172,8 +158,8 @@ class CellComplex:
     @cached_property
     def _bounds(self) -> list:
         """Each cell's bounds, which every cell test reads (point location,
-        PWLMap.lattice_step, the pullback, 1-D validation, one-sided
-        differentials): in dimension 1, (cell, right end) in left-to-right
+        PWLMap.lattice_step, the 1-D refinement, the pullback, 1-D validation,
+        one-sided differentials): in dimension 1, (cell, right end) in left-to-right
         order; in dimension 2, (cell, three integer half-planes (c0, c1, c2)),
         each a positive multiple of the _cross test of one edge, so the cell is
         where all c0 x + c1 y + c2 >= 0."""
@@ -207,6 +193,8 @@ class CellComplex:
             if len(cell) != self.dim + 1 or not all(0 <= i < n for i in cell):
                 raise ValueError(f"cell {j} needs {self.dim + 1} vertex indices "
                                  f"in 0..{n - 1}")
+            if not all(0 <= x <= 1 for i in cell for x in self.vertices[i]):
+                raise ValueError(f"cell {j} has a vertex outside the unit cube")
         if self.dim == 1:
             for i0, i1 in self.cells:
                 if not self.vertices[i0][0] < self.vertices[i1][0]:
@@ -219,30 +207,28 @@ class CellComplex:
             if lo != 1:
                 raise ValueError("cells do not reach 1")
             return
+        # ccw cells, no directed edge twice, and every edge without its
+        # reverse on a side of the square: the unpaired edges then run around
+        # the square k times, so every point of it is covered k times, and
+        # total area 1 makes k = 1. A T-junction or a duplicated vertex leaves
+        # an unpaired inner edge.
         total = F0
-        polys = []
-        for j in range(len(self.cells)):
-            tri = self.cell_points(j)
-            a2 = _area2(tri)
+        edges: dict[tuple, int] = {}
+        for j, cell in enumerate(self.cells):
+            a2 = _area2(self.cell_points(j))
             if a2 <= 0:
                 raise ValueError(f"cell {j} is degenerate or not ccw")
             total += a2
-            polys.append(tri)
+            for e in zip(cell, cell[1:] + cell[:1]):
+                if e in edges:
+                    raise ValueError(f"cells {edges[e]} and {j} overlap along edge {e}")
+                edges[e] = j
         if total != 2:
             raise ValueError("cells do not cover the unit square exactly")
-        vset = [set(c) for c in self.cells]
-        for j in range(len(polys)):
-            for k in range(j + 1, len(polys)):
-                inter = _poly_intersection(polys[j], polys[k])
-                if not inter:
-                    continue
-                if _canon(inter):
-                    raise ValueError(f"cells {j} and {k} overlap")
-                shared = vset[j] & vset[k]
-                shared_pts = {self.vertices[i] for i in shared}
-                for p in inter:
-                    if p not in shared_pts:
-                        raise ValueError(f"cells {j} and {k} meet outside a common face")
+        for (a, b), j in edges.items():
+            p, q = self.vertices[a], self.vertices[b]
+            if (b, a) not in edges and not any(p[k] == q[k] in (0, 1) for k in (0, 1)):
+                raise ValueError(f"edge {(a, b)} of cell {j} is unpaired inside the square")
 
 
 def unit_complex(dim: int) -> CellComplex:

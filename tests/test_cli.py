@@ -111,6 +111,9 @@ def test_subst_apply_and_compose(capsys):
                                     "--first", "flip", "--second", "flip"])
     g = parse_formula(payload["x0"])
     assert evaluate(g, LUKASIEWICZ, (F(1, 4),)) == F(1, 4)
+    code, out, _ = capture(capsys, ["--format", "text", "subst", "compose",
+                                    "--first", "x0=!x1;x1=x0", "--second", "x0=x1;x1=x0"])
+    assert code == 0 and out == "x0=x0; x1=!x1\n"
 
 
 def test_subst_explicit_assignments(capsys):
@@ -361,6 +364,35 @@ def test_pwl_synthesize_vertex_of_wrong_dimension_exits_one(capsys, tmp_path):
 
 def test_pwl_synthesize_piece_of_wrong_dimension_exits_one(capsys, tmp_path):
     _one_error_line(*_synthesize(capsys, tmp_path, pieces=[{"a": [1, 5], "b": 0}]))
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["eval", "--point", "1/0", "x0"], "'1/0'"),
+    (["orbit", "--subst", "tent", "--start", "1/0"], "'1/0'"),
+    (["subst", "reach", "--source", "1/3", "--target", "1/0"], "'1/0'"),
+    (["diff", "--map", "tent", "--point", "1/2", "--dir", "0/0"], "'0/0'"),
+], ids=["eval", "orbit", "subst-reach", "diff"])
+def test_bad_rational_is_named(capsys, argv, text):
+    code, out, err = capture(capsys, argv)
+    _one_error_line(code, out, err)
+    assert text in err
+
+
+@pytest.mark.parametrize("argv, text, work", [
+    (["avg", "--subst", "tent", "--k", "-1", "--box", "0:1", "x0"], "k >= 0",
+     "mvdyn.dynamics.pwl_from_formula"),
+    (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
+      "--grid", "0"], "grid_denominator >= 1", "mvdyn.dynamics._box_points"),
+    (["odometer", "perm", "--n", "21"], "0..20", "mvdyn.odometer.odometer_substitution"),
+], ids=["avg", "boxhit", "odometer-perm"])
+def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv, text, work):
+    def refused(*args, **kwargs):
+        raise AssertionError("work began on an out-of-range count")
+
+    monkeypatch.setattr(work, refused)
+    code, out, err = capture(capsys, argv)
+    _one_error_line(code, out, err)
+    assert text in err
 
 
 def test_algebra_json_one_out_of_range_exits_one(capsys, monkeypatch):

@@ -13,7 +13,8 @@ from mvdyn.formula import (
 )
 from mvdyn.odometer import odometer_substitution
 from mvdyn.pwl import (
-    AffineMap, PWLMap, unit_complex, pwl_from_formula, pwl_equal, pwl_map_to_json, pwl_map_from_json,
+    AffineMap, CellComplex, PWLMap, affine_from_simplex_pair, unit_complex,
+    pwl_from_formula, pwl_equal, pwl_map_to_json, pwl_map_from_json,
     pwl_eval, pwl_integral, pwl_min_value, pwl_le, pwl_combine, pwl_to_json,
     pwl_to_formula_1d, pwl_compose,
 )
@@ -263,6 +264,20 @@ def test_tent_and_flip_reports(tent_map):
     assert rep_f["invertible"] is True
     assert rep_f["common_det"] == -1
     assert rep_f["measure_preserving"] is True
+
+
+def test_a_map_gluing_two_boundary_points_is_not_invertible():
+    # a fan from (1, 1/2) onto the square slit from (1/2, 0) to (1/2, 1/2):
+    # the image cells tile the square, but (1, 0) and (1, 1) both go to (1/2, 0)
+    vertices = [(0, 0), (1, 0), (1, F(1, 2)), (1, 1), (F(2, 3), 1), (F(1, 3), 1), (0, 1)]
+    images = [(0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (F(1, 2), 0), (1, 0), (1, 1), (0, 1)]
+    cells = [(0, 1, 2), (0, 2, 6), (2, 5, 6), (2, 3, 4), (2, 4, 5)]
+    smap = PWLMap(CellComplex(2, vertices, cells), tuple(
+        affine_from_simplex_pair([vertices[i] for i in c], [images[i] for i in c])
+        for c in cells))
+    assert smap.value((1, 0)) == smap.value((1, 1))
+    rep = validate_homeomorphism(smap)
+    assert rep["image_measure"] == 1 and rep["invertible"] is False
 
 
 def test_pwl_map_json_round_trip(rotation):

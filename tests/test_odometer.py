@@ -118,6 +118,15 @@ def test_induced_permutation_rejects_collapse():
         induced_permutation(Substitution([X0]), 2)
 
 
+def test_induced_permutation_refuses_too_many_variables_before_any_table(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr("mvdyn.odometer.boolean_table", refused)
+    with pytest.raises(ValueError, match="0..20"):
+        induced_permutation(Substitution.identity(21), 21)
+
+
 def test_bool_permutation_guard():
     with pytest.raises(ValueError):
         BoolPermutation(1, (0, 0))

@@ -15,10 +15,10 @@ from mvdyn.pwl import (
     unit_complex, common_refinement, pwl_from_formula, pwl_eval, pwl_combine,
     pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula,
     pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
-    pwl_compose, _synthesize_formula, _build_complex_2d, _canon, _poly_intersection,
+    pwl_compose, _synthesize_formula, _build_complex_2d, _area2, _canon, _clip,
     _refine_tagged,
 )
-from mvdyn.dynamics import induced_map, rotation_homeomorphism
+from mvdyn.dynamics import induced_map, rotation_homeomorphism, validate_homeomorphism
 
 F = Fraction
 
@@ -165,6 +165,20 @@ def test_refinement_1d_of_cells_stored_right_to_left():
         assert list(out.maps) == list(ordered.maps)
     assert [m.a[0][0] for m in low.maps] == [2, 2, -2, -2]
     assert [pwl_eval(high, [x]) for x in (F(1, 6), F(1, 2), F(5, 6))] == [F(1, 2), 1, F(1, 2)]
+
+
+def _poly_intersection(p1, p2):
+    """p1 cap p2 for convex ccw polygons, via successive half-plane clips."""
+    out = list(p1)
+    n = len(p2)
+    for i in range(n):
+        a, b = p2[i], p2[(i + 1) % n]
+        # inside of the directed edge a->b for a ccw polygon: cross(a, b, x) >= 0
+        h = (-(b[1] - a[1]), (b[0] - a[0]), (b[1] - a[1]) * a[0] - (b[0] - a[0]) * a[1])
+        out = _clip(out, h)
+        if not out:
+            return []
+    return out
 
 
 def all_pairs_refinement(w1, w2):
@@ -358,8 +372,128 @@ def test_validate_rejects_gap():
 def test_validate_rejects_overlap_2d():
     verts = [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))]
     broken = CellComplex(2, verts, [(0, 1, 2), (0, 2, 3), (0, 1, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cells 0 and 2 overlap along edge \(0, 1\)"):
         broken.validate()
+
+
+def test_validate_rejects_a_cell_outside_the_square():
+    # area 1, but the cell reaches x = 2; value((1, 1)) would find no cell
+    verts = [[["0", "1"], ["0", "1"]], [["2", "1"], ["0", "1"]], [["0", "1"], ["1", "1"]]]
+    obj = {"dim": 2, "vertices": verts, "cells": [[0, 1, 2]],
+           "pieces": [{"a": [0, 0], "b": 0}]}
+    with pytest.raises(ValueError, match="outside the unit cube"):
+        pwl_from_json(obj)
+
+
+def pairwise_tiles(w):
+    """The all-pairs check of a 2-D complex: ccw cells of total area 1, any two
+    meeting only in a common face; the reference for CellComplex.validate."""
+    polys = [w.cell_points(j) for j in range(len(w.cells))]
+    if any(_area2(p) <= 0 for p in polys) or sum(_area2(p) for p in polys) != 2:
+        return False
+    for j in range(len(polys)):
+        for k in range(j + 1, len(polys)):
+            inter = _poly_intersection(polys[j], polys[k])
+            if not inter:
+                continue
+            shared = {w.vertices[i] for i in set(w.cells[j]) & set(w.cells[k])}
+            if _canon(inter) or any(p not in shared for p in inter):
+                return False
+    return True
+
+
+def pairwise_invertible(s):
+    """The all-pairs image check: nondegenerate image cells inside the cube,
+    of total measure 1, no two overlapping; the reference for
+    validate_homeomorphism's invertible."""
+    images, total = [], F(0)
+    for j in range(len(s.complex.cells)):
+        pts = [s.maps[j].apply(v) for v in s.complex.cell_points(j)]
+        if any(not 0 <= x <= 1 for p in pts for x in p):
+            return False
+        if s.dim == 1:
+            lo, hi = sorted(p[0] for p in pts)
+            image, measure = (lo, hi), hi - lo
+        else:
+            image, measure = pts if _area2(pts) > 0 else pts[::-1], abs(_area2(pts)) / 2
+        if measure == 0:
+            return False
+        images.append(image)
+        total += measure
+    if total != 1:
+        return False
+    for a in range(len(images)):
+        for b in range(a + 1, len(images)):
+            if s.dim == 1:
+                if max(images[a][0], images[b][0]) < min(images[a][1], images[b][1]):
+                    return False
+            else:
+                inter = _poly_intersection(images[a], images[b])
+                if inter and _canon(inter):
+                    return False
+    return True
+
+
+def validates(w) -> bool:
+    try:
+        w.validate()
+        return True
+    except ValueError:
+        return False
+
+
+def test_validate_agrees_with_the_pairwise_check():
+    square = [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))]
+    complexes = [
+        # a T-junction: (1/2, 1/2) lies inside the edge (0, 2) of cell 0
+        CellComplex(2, square + [(F(1, 2), F(1, 2))], [(0, 1, 2), (0, 4, 3), (4, 2, 3)]),
+        # vertex 4 repeats (0, 0), so the diagonal is two unpaired edges
+        CellComplex(2, square + [square[0]], [(0, 1, 2), (4, 2, 3)]),
+        unit_complex(2), rotation_homeomorphism()[1].complex,
+    ]
+    rng = random.Random(11)
+    for _ in range(40):
+        w = pwl_from_formula(rand_formula(rng, 2, 3), 2).complex
+        cells, verts = list(w.cells), list(w.vertices)
+        j, i = rng.randrange(len(cells)), rng.randrange(len(verts))
+        moved = verts[:i] + [rand_point(rng, 2, rng.choice([2, 3, 4, 6]))] + verts[i + 1:]
+        # cell j's first vertex becomes a new vertex at the same point
+        twin = cells[:j] + [(len(verts),) + cells[j][1:]] + cells[j + 1:]
+        complexes += [w, CellComplex(2, verts, cells[:j] + cells[j + 1:]),
+                      CellComplex(2, verts, cells + [cells[j]]),
+                      CellComplex(2, moved, cells),
+                      CellComplex(2, verts + [verts[cells[j][0]]], twin)]
+    verdicts = [validates(w) for w in complexes]
+    assert verdicts == [pairwise_tiles(w) for w in complexes]
+    assert verdicts[:4] == [False, False, True, True]
+    assert 40 < verdicts.count(True) < 100
+
+
+def test_invertible_agrees_with_the_pairwise_check():
+    # the one-variable family of acceptance criterion 07, each map once
+    atoms = [X0, ZERO, ONE]
+    ops = [Star, Impl, And, Or, OPlus]
+    depth1 = [Neg(a) for a in atoms] + [op(a, b) for op in ops for a in atoms for b in atoms]
+    depth2 = ([Neg(a) for a in depth1]
+              + [op(a, b) for op in ops for a in depth1 for b in atoms]
+              + [op(a, b) for op in ops for a in atoms for b in depth1])
+    distinct = {}
+    for f in atoms + depth1 + depth2:
+        w = pwl_from_formula(f, 1)
+        distinct.setdefault((tuple(w.complex.vertices), w.maps), w)
+    maps = list(distinct.values())
+    rng = random.Random(12)
+    plain = [X0, X1, Neg(X0), Neg(X1)]
+    for _ in range(60):
+        images = [rng.choice(plain) if rng.random() < 0.5 else rand_formula(rng, 2, 2)
+                  for _ in range(2)]
+        s = geometric_form(*images)
+        if s is not None:
+            maps.append(s)
+    maps += [rotation_homeomorphism()[1], geometric_form(X1, X0), geometric_form(Neg(X0), X1)]
+    verdicts = [validate_homeomorphism(s)["invertible"] for s in maps]
+    assert verdicts == [pairwise_invertible(s) for s in maps]
+    assert verdicts.count(True) > 10 and verdicts[-3:] == [True, True, True]
 
 
 def test_validate_rejects_discontinuity():
