@@ -17,8 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .formula import Formula, interpret, json_field
 
 DEFAULT_SIZE_CAP = 64
-FILTER_CANDIDATE_CAP = 1 << 16
-SUBSET_LIMIT = 4096  # duality_check tries every subset of an algebra up to this many
+SUBSET_LIMIT = 4096  # duality_check tries every subset while there are at most this many
 
 
 class FiniteAlgebra:
@@ -179,16 +178,15 @@ def subalgebra_generated(a: FiniteAlgebra, gens: Iterable[int]) -> FiniteAlgebra
     for g in carrier:
         if not (0 <= g < a.size):
             raise ValueError(f"generator index {g} out of range")
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(carrier)
-        for x in current:
-            for y in current:
-                for z in (a.star(x, y), a.impl(x, y)):
-                    if z not in carrier:
-                        carrier.add(z)
-                        changed = True
+    # each element, once taken, meets every element taken before it (and itself)
+    todo, taken = sorted(carrier), []
+    for x in todo:
+        taken.append(x)
+        for y in taken:
+            for z in (a.star(x, y), a.star(y, x), a.impl(x, y), a.impl(y, x)):
+                if z not in carrier:
+                    carrier.add(z)
+                    todo.append(z)
     order = sorted(carrier)
     pos = {e: i for i, e in enumerate(order)}
     names = [a.names[e] for e in order]
@@ -211,27 +209,21 @@ def is_filter(a: FiniteAlgebra, subset: Iterable[int]) -> bool:
     return True
 
 
+def _up_set(a: FiniteAlgebra, e: int) -> frozenset:
+    return frozenset(y for y in a.elements() if a.le(e, y))
+
+
 def filter_generated(a: FiniteAlgebra, items: Iterable[int]) -> frozenset:
-    """Smallest filter containing the given elements."""
-    f = {a.one} | set(items)
-    for g in f:
+    """Smallest filter containing the given elements: the up-set of the
+    idempotent that the powers of their product reach."""
+    p = a.one
+    for g in items:
         if not (0 <= g < a.size):
             raise ValueError(f"element index {g} out of range")
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(f):
-            for y in sorted(f):
-                z = a.star(x, y)
-                if z not in f:
-                    f.add(z)
-                    changed = True
-        for x in sorted(f):
-            for y in a.elements():
-                if a.le(x, y) and y not in f:
-                    f.add(y)
-                    changed = True
-    return frozenset(f)
+        p = a.star(p, g)
+    while a.star(p, p) != p:
+        p = a.star(p, p)
+    return _up_set(a, p)
 
 
 def _filter_sort_key(f: frozenset):
@@ -242,23 +234,9 @@ def enumerate_filters(a: FiniteAlgebra):
     """(all filters, prime filters, maximal filters), canonically sorted."""
     if a.size > DEFAULT_SIZE_CAP:
         raise ValueError("size cap exceeded")
-    bottom = filter_generated(a, ())
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for x in a.elements():
-                if x in f:
-                    continue
-                g = filter_generated(a, f | {x})
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-                    if len(seen) > FILTER_CANDIDATE_CAP:
-                        raise ValueError("filter candidate cap exceeded")
-        frontier = nxt
-    filters = sorted(seen, key=_filter_sort_key)
+    # a finite filter is the up-set of its least element, an idempotent
+    filters = sorted((_up_set(a, e) for e in a.elements() if a.star(e, e) == e),
+                     key=_filter_sort_key)
     primes = [f for f in filters if is_prime(a, f)]
     proper = [f for f in filters if len(f) < a.size]
     maximals = [f for f in proper
@@ -417,18 +395,10 @@ def spec_space(a: FiniteAlgebra) -> SpecSpace:
     subbasic = tuple(
         frozenset(i for i in range(k) if x not in points[i])
         for x in a.elements())
+    # every union of subbasic opens, one subbasic open at a time
     opens = {frozenset(), frozenset(range(k))}
-    opens.update(subbasic)
-    changed = True
-    while changed:
-        changed = False
-        current = list(opens)
-        for u in current:
-            for v in current:
-                w = u | v
-                if w not in opens:
-                    opens.add(w)
-                    changed = True
+    for b in subbasic:
+        opens |= {u | b for u in opens}
     opens = tuple(sorted(opens, key=lambda s: (len(s), tuple(sorted(s)))))
     le = tuple(tuple(points[i] <= points[j] for j in range(k)) for i in range(k))
     space = SpecSpace(points, subbasic, opens, le)
@@ -469,6 +439,15 @@ def dual_map(phi: Homomorphism):
     return tgt_spec, src_spec, tuple(mapping)
 
 
+def _subsets(n: int, rng: random.Random) -> list:
+    """Every subset of range(n), smallest first, while there are at most
+    SUBSET_LIMIT of them; otherwise 200 drawn from rng."""
+    if 2 ** n <= SUBSET_LIMIT:
+        return [frozenset(c) for r in range(n + 1)
+                for c in itertools.combinations(range(n), r)]
+    return [frozenset(x for x in range(n) if rng.random() < 0.5) for _ in range(200)]
+
+
 def duality_check(a: FiniteAlgebra, seed: int = 0) -> dict:
     """Filters versus opens of the spectrum, with the subbasis laws."""
     filters, primes, _ = enumerate_filters(a)
@@ -492,36 +471,23 @@ def duality_check(a: FiniteAlgebra, seed: int = 0) -> dict:
                and space.subbasic[x] | space.subbasic[y] == space.subbasic[a.meet(x, y)]
                for x in a.elements() for y in a.elements())
 
-    # D -> F_D -> intersection recovers the generated filter
-    if 2 ** a.size <= SUBSET_LIMIT:
-        subsets = [set(c) for r in range(a.size + 1)
-                   for c in itertools.combinations(range(a.size), r)]
-    else:
-        rng = random.Random(seed)
-        subsets = [{x for x in a.elements() if rng.random() < 0.5}
-                   for _ in range(200)]
-    gen_ok = True
-    everything = frozenset(a.elements())
-    for d in subsets:
-        hull = [p for p in space.points if d <= p]
-        meet_of_hull = everything
-        for p in hull:
-            meet_of_hull &= p
-        if meet_of_hull != filter_generated(a, d):
-            gen_ok = False
-            break
+    rng = random.Random(seed)
 
+    def above(s) -> frozenset:
+        """Indices of the points containing s."""
+        return frozenset(i for i in range(k) if s <= space.points[i])
+
+    def meet_of(point_set) -> frozenset:
+        out = frozenset(a.elements())
+        for i in point_set:
+            out &= space.points[i]
+        return out
+
+    # D -> F_D -> intersection recovers the generated filter
+    gen_ok = all(meet_of(above(d)) == filter_generated(a, d)
+                 for d in _subsets(a.size, rng))
     # P -> intersection -> F recovers the topological closure
-    closure_ok = True
-    for r in range(k + 1):
-        for combo in itertools.combinations(range(k), r):
-            pts = [space.points[i] for i in combo]
-            meet = everything
-            for p in pts:
-                meet &= p
-            hull = frozenset(i for i in range(k) if meet <= space.points[i])
-            if hull != space.closure(combo):
-                closure_ok = False
+    closure_ok = all(above(meet_of(c)) == space.closure(c) for c in _subsets(k, rng))
     report = {
         "filters": len(filters),
         "opens": len(space.opens),

@@ -137,6 +137,8 @@ def orbit(s: InducedMap, p, max_steps: int = 10000) -> Orbit:
     lattice (1/d)Z^n, and each step is integer point location plus one
     integer affine map; otherwise each step walks the formulas (map_eval).
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be at least 0")
     start = _cube_point(p, s.arity)
     d = denominator(start)
     lattice = _lattice_steps([s], d)
@@ -360,6 +362,9 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
     """
     if grid_denominator < 1:
         raise ValueError("need grid_denominator >= 1")
+    for name, budget in (("h_max", h_max), ("k_max", k_max)):
+        if budget < 0:
+            raise ValueError(f"{name} must be at least 0")
     if q_map.arity != r_map.arity:
         raise ValueError("maps must share an arity")
     for lo, hi in list(a_box) + list(b_box):

@@ -531,6 +531,16 @@ def interpret(f: Formula, alg, vals: Sequence):
 
 
 MAX_TABLE_VARS = 20
+MAX_CHAIN_VALUATIONS = 2_000_000
+
+
+def chain_axis(sem: TNormSemantics, n: int) -> list[Fraction]:
+    """The values of a finite chain, checked first to give at most
+    MAX_CHAIN_VALUATIONS valuations of n variables."""
+    if (sem.m + 1) ** n > MAX_CHAIN_VALUATIONS:
+        raise ValueError(f"the {sem.m + 1}**{n} valuations of a finite chain exceed "
+                         f"the cap of {MAX_CHAIN_VALUATIONS}")
+    return sem.carrier()
 
 
 def _variable_mask(i: int, n: int) -> int:
@@ -696,11 +706,11 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
             method = "grid"
 
     if method == "truth-table":
-        axis = sem.carrier()
-        if axis is None:
+        if sem.kind != "chain":
             raise ValueError("truth-table method needs a finite chain semantics")
         if sem.m == 1 and n <= MAX_TABLE_VARS:
-            return _boolean_verdict(f, n, axis)
+            return _boolean_verdict(f, n, sem.carrier())
+        axis = chain_axis(sem, n)
         exhausted = "tautology"
     elif method == "exact-pwl":
         if sem.kind != "lukasiewicz":

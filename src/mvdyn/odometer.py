@@ -13,7 +13,7 @@ from functools import reduce
 
 from .formula import (
     MAX_TABLE_VARS, Formula, Var, Neg, And, Or, Impl, Substitution, apply_substitution,
-    arity_of, boolean_table,
+    arity_of, boolean_table, compose_substitutions,
 )
 from .proofs import (
     Proof, ProofLine, Axiom, Hypothesis, ModusPonens, Substituted,
@@ -158,8 +158,12 @@ def derive_from_nontautology(r: Formula, target: Formula, n: int) -> Proof:
     lines = [ProofLine(r, Hypothesis(0))]
     shifted = [r]
     shift_line = [0]
+    # tau = sigma^k as one substitution, tau_(k+1)(x_i) = tau_k(sigma(x_i)), so
+    # sigma^k(r) = tau(r) walks r and sigma's images, never sigma^(k-1)(r)
+    tau = Substitution.identity(n)
     for _ in range(1, 1 << n):
-        nxt = apply_substitution(sigma, shifted[-1])
+        tau = compose_substitutions(tau, sigma)
+        nxt = apply_substitution(tau, r)
         lines.append(ProofLine(nxt, Substituted(len(lines) - 1, sigma)))
         shifted.append(nxt)
         shift_line.append(len(lines) - 1)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 from . import pwl as _pwl
 from .formula import (
     Formula, Var, Star, ONE, Substitution, apply_substitution,
-    arity_of, evaluate, parse_formula, print_formula, tautology_check,
+    arity_of, chain_axis, evaluate, parse_formula, print_formula, tautology_check,
     TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
 
@@ -261,9 +261,7 @@ def mp_consequence(delta: Sequence[Formula], r: Formula, sem: TNormSemantics,
     delta = list(delta)
     arity = max([arity_of(r)] + [arity_of(d) for d in delta])
     if sem.kind == "chain":
-        carrier = sem.carrier()
-        if len(carrier) ** arity > 2_000_000:
-            raise ValueError("finite valuation space too large")
+        carrier = chain_axis(sem, arity)
         satisfying = 0
         for p in itertools.product(carrier, repeat=arity):
             if all(evaluate(d, sem, p) == 1 for d in delta):

@@ -384,7 +384,16 @@ def test_bad_rational_is_named(capsys, argv, text):
     (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
       "--grid", "0"], "grid_denominator >= 1", "mvdyn.dynamics._box_points"),
     (["odometer", "perm", "--n", "21"], "0..20", "mvdyn.odometer.odometer_substitution"),
-], ids=["avg", "boxhit", "odometer-perm"])
+    (["orbit", "--subst", "tent", "--start", "1/5", "--max", "-5"], "max_steps",
+     "mvdyn.dynamics._lattice_steps"),
+    (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
+      "--hmax", "-1"], "h_max", "mvdyn.dynamics._box_points"),
+    (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
+      "--kmax", "-1"], "k_max", "mvdyn.dynamics._box_points"),
+    (["taut", "--logic", "chain:100000000", "x0"], "100000001**1",
+     "mvdyn.formula.TNormSemantics.carrier"),
+], ids=["avg", "boxhit", "odometer-perm", "orbit-max", "boxhit-hmax", "boxhit-kmax",
+        "taut-chain"])
 def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv, text, work):
     def refused(*args, **kwargs):
         raise AssertionError("work began on an out-of-range count")

@@ -15,7 +15,7 @@ from mvdyn.dynamics import empirical_statistics, induced_map
 from mvdyn.formula import (
     Formula, Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, fold,
     ParseError, parse_formula, print_formula, variables_of, arity_of,
-    GODEL, PRODUCT, LUKASIEWICZ, BOOLE, chain_semantics, evaluate,
+    GODEL, PRODUCT, LUKASIEWICZ, BOOLE, TNormSemantics, chain_semantics, evaluate,
     Substitution, apply_substitution, compose_substitutions,
     tautology_check, identity_check, rationals_up_to, boolean_table,
 )
@@ -483,6 +483,26 @@ def test_boolean_table_reads_sugar_like_its_desugaring():
                 stack.extend(node.args)
             assert boolean_table(f, n) == boolean_table(desugared_copy(f), n)
     assert ops == {"var", "zero", "one", "star", "impl", "neg", "and", "or", "oplus"}
+
+
+def test_chain_valuation_cap_is_checked_before_the_carrier(monkeypatch):
+    real_carrier = TNormSemantics.carrier
+
+    def refused(self):
+        raise AssertionError("the carrier was built past the cap")
+
+    monkeypatch.setattr(TNormSemantics, "carrier", refused)
+    with pytest.raises(ValueError, match=r"100000001\*\*1 valuations"):
+        tautology_check(X0, chain_semantics(100_000_000))
+    with pytest.raises(ValueError, match=r"2\*\*21 valuations"):
+        tautology_check(Var(20), BOOLE, method="truth-table")
+    monkeypatch.setattr(TNormSemantics, "carrier", real_carrier)
+    # the packed Boolean path has no cap below MAX_TABLE_VARS variables
+    assert tautology_check(Or(Var(19), Neg(Var(19))), BOOLE).is_tautology
+    monkeypatch.setattr("mvdyn.formula.MAX_CHAIN_VALUATIONS", 9)
+    assert tautology_check(Impl(X1, Or(X0, X1)), chain_semantics(2)).is_tautology
+    with pytest.raises(ValueError, match=r"3\*\*3 valuations"):
+        tautology_check(Impl(X2, Or(X0, X1)), chain_semantics(2))
 
 
 def test_tautology_exact_pwl():

@@ -10,7 +10,7 @@ import pytest
 from mvdyn.formula import (
     Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, parse_formula,
     print_formula, Substitution, chain_semantics, tautology_check,
-    LUKASIEWICZ, GODEL, PRODUCT, BOOLE,
+    LUKASIEWICZ, GODEL, PRODUCT, BOOLE, TNormSemantics,
 )
 from mvdyn.proofs import (
     Axiom, Hypothesis, ModusPonens, Substituted, ProofLine, Proof,
@@ -299,6 +299,17 @@ def test_mp_consequence_guards():
         mp_consequence([X0], X0, GODEL)
     with pytest.raises(ValueError):
         mp_consequence([X0], X0, PRODUCT)
+
+
+def test_mp_consequence_chain_cap_is_checked_before_the_carrier(monkeypatch):
+    def refused(self):
+        raise AssertionError("the carrier was built past the cap")
+
+    monkeypatch.setattr(TNormSemantics, "carrier", refused)
+    with pytest.raises(ValueError, match=r"100000001\*\*1 valuations"):
+        mp_consequence([X0], X0, chain_semantics(100_000_000))
+    with pytest.raises(ValueError, match=r"2\*\*21 valuations"):
+        mp_consequence([Var(20)], X0, BOOLE)
 
 
 def test_mp_consequence_matches_brute_force_on_chain():
