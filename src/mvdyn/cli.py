@@ -80,19 +80,8 @@ def _substitution(spec: str) -> Substitution:
         return Substitution.identity(int(key.split(":")[1]))
     if key.startswith("odometer:"):
         return _odo.odometer_substitution(int(key.split(":")[1]))
-    images: dict[int, object] = {}
-    arity = 0
-    for part in spec.split(";"):
-        lhs, rhs = part.split("=", 1)
-        lhs = lhs.strip()
-        if not (lhs.startswith("x") and lhs[1:].isdigit()):
-            raise ValueError(f"assignment target {lhs!r} is not a variable")
-        i = int(lhs[1:])
-        g = parse_formula(rhs)
-        images[i] = g
-        arity = max(arity, i + 1, g.arity)
-    base = Substitution.identity(arity)
-    return Substitution([images.get(i, base.images[i]) for i in range(arity)])
+    pairs = (part.split("=", 1) for part in spec.split(";"))
+    return _proofs._sigma_from_json({lhs.strip(): rhs for lhs, rhs in pairs})
 
 
 def _algebra(spec: str) -> _alg.FiniteAlgebra:

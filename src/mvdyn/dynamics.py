@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .formula import (
     Formula, Var, Neg, And, OPlus, Substitution,
-    evaluate, LUKASIEWICZ, arity_of, fold,
+    cap_points, evaluate, LUKASIEWICZ, arity_of, fold,
 )
 from . import pwl as _pwl
 from .pwl import (
@@ -154,12 +154,11 @@ def orbit(s: InducedMap, p, max_steps: int = 10000) -> Orbit:
     return Orbit(start, tuple(points), "cycle", pre, len(points) - 1 - pre, dens)
 
 
-def full_rational_orbit(n: int, d: int, cap: int = 500000) -> list:
+def full_rational_orbit(n: int, d: int) -> list:
     """All points of [0,1]^n whose denominator divides d."""
     if d < 1 or n < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    if (d + 1) ** n > cap:
-        raise ValueError("grid cap exceeded")
+    cap_points([d + 1], "points of denominator dividing d", n)
     coords = [Fraction(k, d) for k in range(d + 1)]
     return list(itertools.product(coords, repeat=n))
 
@@ -343,14 +342,10 @@ class BoxHit:
     image: tuple
 
 
-def _box_points(box, grid_denominator: int):
-    axes = []
-    for lo, hi in box:
-        lo, hi = Fraction(lo), Fraction(hi)
-        start = math.ceil(lo * grid_denominator)
-        stop = math.floor(hi * grid_denominator)
-        axes.append([Fraction(k, grid_denominator) for k in range(start, stop + 1)])
-    return list(itertools.product(*axes))
+def _box_points(numerators, grid_denominator: int):
+    """The grid points k/g of a box, given the range of numerators k per axis."""
+    return list(itertools.product(*([Fraction(k, grid_denominator) for k in axis]
+                                    for axis in numerators)))
 
 
 def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
@@ -370,7 +365,10 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
     for lo, hi in list(a_box) + list(b_box):
         if not Fraction(lo) < Fraction(hi):
             raise ValueError("boxes must be nondegenerate")
-    starts = _box_points(a_box, grid_denominator)
+    numerators = [range(math.ceil(Fraction(lo) * grid_denominator),
+                        math.floor(Fraction(hi) * grid_denominator) + 1) for lo, hi in a_box]
+    cap_points([len(axis) for axis in numerators], "grid points of the source box")
+    starts = _box_points(numerators, grid_denominator)
     lattice = _lattice_steps([q_map, r_map], grid_denominator)
     if lattice is None:
         q_step, r_step = q_map, r_map

@@ -1,8 +1,9 @@
 """Formula syntax, continuous t-norm semantics, exact evaluation, substitutions.
 
-Formulas are immutable trees over variables x0, x1, ... with primitive
-connectives * (strong conjunction) and -> (residual implication), constants 0
-and 1, and sugar connectives !, &, |, (+) that desugar into the primitives.
+Formulas are immutable, hash-consed nodes over variables x0, x1, ... with
+primitive connectives * (strong conjunction) and -> (residual implication),
+constants 0 and 1, and sugar connectives !, &, |, (+) that desugar into the
+primitives.
 All evaluation is exact: over fractions.Fraction point by point, and over
 packed integer truth tables on the two-element chain.
 """
@@ -10,6 +11,7 @@ packed integer truth tables on the two-element chain.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import weakref
 from fractions import Fraction
@@ -35,26 +37,42 @@ class ParseError(ValueError):
 class Formula:
     """Immutable formula node; equality and hashing are modulo desugaring.
 
+    Formula(op, args, index) returns the one live node of that shape: every
+    node, sugar or core, is hash-consed, so equal trees are the same object.
     ``arity`` is the smallest n such that every variable is among x0..x_{n-1}.
-    Two formulas are equal iff ``core()`` returns the same shared node.
+    Two formulas are equal iff ``core()`` returns the same node.
     """
 
     __slots__ = ("op", "args", "index", "arity", "_hash", "_core", "__weakref__")
 
-    def __init__(self, op: str, args: tuple = (), index: Optional[int] = None):
+    def __new__(cls, op: str, args: tuple = (), index: Optional[int] = None):
+        # a node holds its args, so their ids stay unique while its entry lives
+        if args:
+            a, b = args[0], args[-1]  # the same node for a unary connective
+            key = (op, id(a), id(b))
+        else:
+            key = (op, index)
+        ref = _NODES.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
         if op not in _OPS:
             raise ValueError(f"unknown connective {op!r}")
-        if op == "var":
-            arity = index + 1
-        elif args:  # args[0] is args[-1] for a unary connective
-            arity = max(args[0].arity, args[-1].arity)
+        node = object.__new__(cls)
+        if args:
+            _set(node, "arity", max(a.arity, b.arity))
+            _set(node, "_hash", hash((op, a._hash, b._hash)))
+            own = op in _CORE_OPS and a._core is _SELF and b._core is _SELF
         else:
-            arity = 0
-        _set(self, "op", op)
-        _set(self, "args", args)
-        _set(self, "index", index)
-        _set(self, "arity", arity)
-        _set(self, "_core", None)
+            _set(node, "arity", index + 1 if op == "var" else 0)
+            _set(node, "_hash", hash(key))
+            own = True
+        _set(node, "op", op)
+        _set(node, "args", args)
+        _set(node, "index", index)
+        _set(node, "_core", _SELF if own else None)
+        ref = _NODES[key] = _Ref(node, _drop)
+        ref.key = key
+        return node
 
     def __setattr__(self, name, value):
         raise AttributeError("Formula is immutable")
@@ -63,8 +81,8 @@ class Formula:
         return (Formula, (self.op, self.args, self.index))
 
     def core(self) -> "Formula":
-        """The desugared form, built from var/0/1/*/-> only: one shared node per
-        desugared formula, cached on every node it is computed for."""
+        """The desugared form, built from var/0/1/*/-> only, cached on every
+        node it is computed for."""
         c = self._core
         if c is None:
             return _desugar(self)
@@ -74,11 +92,9 @@ class Formula:
         return self.core()._hash
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Formula):
             return NotImplemented
-        return self.core() is other.core()
+        return self is other or self.core() is other.core()
 
     def __repr__(self):
         return f"Formula({print_formula(self)!r})"
@@ -89,33 +105,25 @@ class Formula:
 
 _set = object.__setattr__
 
-# Marks a node as its own core in ``_core``; storing the node itself would make a
-# reference cycle that only the cyclic garbage collector frees.
+# Marks a node as its own core in ``_core``: a core op over core args, or a
+# leaf. Storing the node itself would make a reference cycle that only the
+# cyclic garbage collector frees.
 _SELF = object()
 
-# Shared core nodes, keyed on (op, index) for a leaf and on (op, id(a), id(b))
-# for a * or -> node over a and b. A shared node holds its args, so their ids
-# stay unique while its entry lives.
-_INTERNED: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
 
 
-def _intern(op: str, args: tuple = (), index: Optional[int] = None,
-            node: Optional[Formula] = None) -> Formula:
-    """The shared core node for op over the shared core nodes args. When there
-    is none yet, node (an unshared core node of that shape, if given) becomes it.
-    Its hash is built from the args' hashes, never from addresses."""
-    if args:
-        a, b = args
-        key = (op, id(a), id(b))
-    else:
-        key = (op, index)
-    got = _INTERNED.get(key)
-    if got is None:
-        got = Formula(op, args, index) if node is None else node
-        _set(got, "_hash", hash((op, a._hash, b._hash) if args else key))
-        _set(got, "_core", _SELF)
-        _INTERNED[key] = got
-    return got
+# The live nodes, keyed on (op, index) for a leaf and on (op, id(a), id(b))
+# for a node over a and b; each entry holds only a weak reference.
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _drop(ref: _Ref, nodes=_NODES) -> None:
+    """Remove a dead node's entry, unless a new node already took its key."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 # -- traversal ----------------------------------------------------------------
@@ -170,25 +178,23 @@ def fold(f: Formula, step: Callable, known: Optional[Callable] = None):
 _MISSING = object()
 
 
-def _desugar_step(node: Formula, a=None, b=None) -> Formula:
-    op, args = node.op, node.args
-    if op in ("var", "zero", "one"):
-        out = _intern(op, (), node.index, node)
-    elif op in ("star", "impl"):
-        out = _intern(op, (a, b), None, node if (a is args[0] and b is args[1]) else None)
+def _desugar_step(node: Formula, a, b=None) -> Formula:
+    # leaves and core ops over core args are their own cores, so never reach here
+    op = node.op
+    if op in ("star", "impl"):
+        out = Formula(op, (a, b))
     elif op == "neg":
-        out = _intern("impl", (a, ZERO))
+        out = Impl(a, ZERO)
     elif op == "and":
-        out = _intern("star", (a, _intern("impl", (a, b))))
+        out = Star(a, Impl(a, b))
     elif op == "or":
         # ((a->b)->b) & ((b->a)->a), with & expanded
-        left = _intern("impl", (_intern("impl", (a, b)), b))
-        right = _intern("impl", (_intern("impl", (b, a)), a))
-        out = _intern("star", (left, _intern("impl", (left, right))))
+        left = Impl(Impl(a, b), b)
+        right = Impl(Impl(b, a), a)
+        out = Star(left, Impl(left, right))
     else:  # oplus: !a -> b
-        out = _intern("impl", (_intern("impl", (a, ZERO)), b))
-    if out is not node:
-        _set(node, "_core", out)
+        out = Impl(Impl(a, ZERO), b)
+    _set(node, "_core", out)
     return out
 
 
@@ -203,9 +209,6 @@ def _desugar(f: Formula) -> Formula:
 
 ZERO = Formula("zero")
 ONE = Formula("one")
-# Every 0 and 1 desugars to these two; the desugaring of ! and (+) uses ZERO as a core.
-ZERO.core()
-ONE.core()
 
 
 def Var(i: int) -> Formula:
@@ -287,7 +290,6 @@ _ATOM_STARTS = [_TOKEN_NAMES[kind] for kind in ("var", "zero", "one", "not", "lp
 # Tokens of one character; '(' may start '(+)' and '-' must start '->'.
 _ONE_CHAR = {"0": "zero", "1": "one", "!": "not", ")": "rparen",
              **{symbol: op for op, (_, symbol, _) in _BINARY.items() if len(symbol) == 1}}
-_CONSTANTS = {"zero": ZERO, "one": ONE}
 
 
 def _syntax_error(text: str, message: str, pos: int, expected) -> ParseError:
@@ -355,8 +357,8 @@ def parse_formula(text: str) -> Formula:
                 continue
             if kind == "var":
                 operands.append(Var(val))
-            elif kind in _CONSTANTS:
-                operands.append(_CONSTANTS[kind])
+            elif kind == "zero" or kind == "one":
+                operands.append(Formula(kind))
             else:
                 raise _syntax_error(text, f"unexpected {_TOKEN_NAMES[kind]}", pos, _ATOM_STARTS)
             after_operand = True
@@ -534,12 +536,19 @@ MAX_TABLE_VARS = 20
 MAX_CHAIN_VALUATIONS = 2_000_000
 
 
+def cap_points(sizes: Sequence[int], what: str, repeat: int = 1) -> None:
+    """Refuse, before any point is built, itertools.product over axes of these
+    sizes (one axis repeated, or several once) when it has more than
+    MAX_CHAIN_VALUATIONS points; the message names the count."""
+    if math.prod(sizes) ** repeat > MAX_CHAIN_VALUATIONS:
+        count = "*".join(map(str, sizes)) + (f"**{repeat}" if len(sizes) == 1 else "")
+        raise ValueError(f"the {count} {what} exceed the cap of {MAX_CHAIN_VALUATIONS}")
+
+
 def chain_axis(sem: TNormSemantics, n: int) -> list[Fraction]:
     """The values of a finite chain, checked first to give at most
     MAX_CHAIN_VALUATIONS valuations of n variables."""
-    if (sem.m + 1) ** n > MAX_CHAIN_VALUATIONS:
-        raise ValueError(f"the {sem.m + 1}**{n} valuations of a finite chain exceed "
-                         f"the cap of {MAX_CHAIN_VALUATIONS}")
+    cap_points([sem.m + 1], "valuations of a finite chain", n)
     return sem.carrier()
 
 
@@ -625,8 +634,6 @@ def apply_substitution(sigma: Substitution, f: Formula) -> Formula:
             if node.index >= sigma.arity:
                 raise ValueError(f"substitution of arity {sigma.arity} misses x{node.index}")
             return sigma.images[node.index]
-        if all(map(operator.is_, args, node.args)):  # also 0 and 1
-            return node
         return Formula(node.op, args)
 
     return fold(f, step)
@@ -726,6 +733,7 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
         return Verdict("countermodel", witness[:n])
     elif method == "grid":
         axis = [v for v in rationals_up_to(grid_bound) if sem.contains(v)]
+        cap_points([len(axis)], "points of the grid", n)
         exhausted = "unknown"
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 from . import pwl as _pwl
 from .formula import (
     Formula, Var, Star, ONE, Substitution, apply_substitution,
-    arity_of, chain_axis, evaluate, parse_formula, print_formula, tautology_check,
+    arity_of, chain_axis, interpret, parse_formula, print_formula, tautology_check,
     TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
 
@@ -263,10 +263,11 @@ def mp_consequence(delta: Sequence[Formula], r: Formula, sem: TNormSemantics,
     if sem.kind == "chain":
         carrier = chain_axis(sem, arity)
         satisfying = 0
+        # every point lies on the carrier and covers every formula's variables
         for p in itertools.product(carrier, repeat=arity):
-            if all(evaluate(d, sem, p) == 1 for d in delta):
+            if all(interpret(d, sem, p) == 1 for d in delta):
                 satisfying += 1
-                if evaluate(r, sem, p) != 1:
+                if interpret(r, sem, p) != 1:
                     return ConsequenceVerdict("no", countermodel=p)
         return ConsequenceVerdict(
             "yes", certificate={"method": "finite-valuations",
@@ -298,10 +299,12 @@ def _sigma_to_json(sigma: Substitution) -> dict:
 
 
 def _sigma_from_json(obj: dict) -> Substitution:
+    """The substitution x_i -> parse_formula(obj["x<i>"]); every other x_i
+    below the arity maps to itself."""
     entries = {}
     for key, text in obj.items():
         if not key.startswith("x") or not key[1:].isdigit():
-            raise ValueError(f"bad substitution key {key!r}")
+            raise ValueError(f"substitution target {key!r} is not a variable")
         entries[int(key[1:])] = parse_formula(text)
     arity = max([i + 1 for i in entries] + [g.arity for g in entries.values()], default=0)
     images = [entries.get(i, Var(i)) for i in range(arity)]

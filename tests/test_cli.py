@@ -392,8 +392,11 @@ def test_bad_rational_is_named(capsys, argv, text):
       "--kmax", "-1"], "k_max", "mvdyn.dynamics._box_points"),
     (["taut", "--logic", "chain:100000000", "x0"], "100000001**1",
      "mvdyn.formula.TNormSemantics.carrier"),
+    (["taut", "--logic", "product", "x7 -> (x0 -> x0)"], "13**8", "mvdyn.formula.interpret"),
+    (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
+      "--grid", "3000000"], "3000001**1", "mvdyn.dynamics._box_points"),
 ], ids=["avg", "boxhit", "odometer-perm", "orbit-max", "boxhit-hmax", "boxhit-kmax",
-        "taut-chain"])
+        "taut-chain", "taut-grid", "boxhit-grid"])
 def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv, text, work):
     def refused(*args, **kwargs):
         raise AssertionError("work began on an out-of-range count")

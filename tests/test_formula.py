@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvdyn import formula as formula_module
 from mvdyn.algebra import evaluate_in, finite_chain
 from mvdyn.dynamics import empirical_statistics, induced_map
 from mvdyn.formula import (
@@ -19,6 +20,7 @@ from mvdyn.formula import (
     Substitution, apply_substitution, compose_substitutions,
     tautology_check, identity_check, rationals_up_to, boolean_table,
 )
+from mvdyn.odometer import derive_from_nontautology
 from mvdyn.pwl import pwl_equal, pwl_from_formula
 
 F = Fraction
@@ -168,6 +170,69 @@ def test_interned_cores_die_with_their_formulas():
     assert ref() is None
 
 
+def test_every_node_is_hash_consed():
+    a = Neg(X0)
+    assert Neg(Var(0)) is a and Formula("neg", (X0,)) is a
+    assert And(a, X1) is And(Neg(Var(0)), Var(1))
+    assert Var(3) is Var(3) and Formula("zero") is ZERO and Formula("one", ()) is ONE
+    assert Star(X0, X1) is not Star(X1, X0)
+    # a sugar node and its core are two nodes; the core is built once
+    assert And(X0, X1) is not Star(X0, Impl(X0, X1))
+    assert And(X0, X1).core() is Star(X0, Impl(X0, X1))
+    assert Star(Neg(X0), X1).core() is Star(Impl(X0, ZERO), X1)
+
+
+def distinct_nodes(f):
+    nodes = []
+    fold(f, lambda node, *kids: nodes.append(node))
+    return len(nodes)
+
+
+def test_parsing_a_printed_formula_returns_its_node():
+    rng = random.Random(71)
+    for _ in range(200):
+        f = rand_formula(rng, 3, 5)
+        assert parse_formula(print_formula(f)) is f
+    # a derivation line repeats earlier lines inside it: printed as a tree, it
+    # parses back into the DAG it was derived as, even after that DAG is gone
+    proof = derive_from_nontautology(Star(X0, X1), Neg(X1), 3)
+    line = max((ln.formula for ln in proof.lines), key=lambda g: len(print_formula(g)))
+    text = print_formula(line)
+    nodes = distinct_nodes(line)
+    assert parse_formula(text) is line
+    assert 100 * nodes < len(text)
+    del proof, line
+    assert distinct_nodes(parse_formula(text)) == nodes
+
+
+def test_dropped_formula_and_its_core_are_freed_without_the_collector():
+    gc.disable()
+    try:
+        f = Or(OPlus(Var(913), Neg(Var(914))), Var(913))
+        nodes = (f, f.core(), f.args[0], f.args[0].core(), f.args[1], f.core().args[0])
+        refs = [weakref.ref(g) for g in nodes]
+        del f, nodes
+        assert [ref() for ref in refs] == [None] * 6
+    finally:
+        gc.enable()
+
+
+def test_node_table_shrinks_back_when_formulas_die():
+    gc.collect()
+    start = len(formula_module._NODES)
+    for seed in (83, 83, 84):
+        rng = random.Random(seed)
+        fs = [rand_formula(rng, 2, 2) for _ in range(300)]
+        fs += [desugared_copy(f) for f in fs[:100]]
+        shapes = [shape(desugared_copy(f)) for f in fs]
+        assert len(formula_module._NODES) > start
+        for (f, sf), (g, sg) in itertools.combinations(zip(fs, shapes), 2):
+            assert (f == g) == (sf == sg)
+            assert (f.core() is g.core()) == (sf == sg)
+        del fs, f, g
+        assert len(formula_module._NODES) == start
+
+
 def test_copy_and_pickle_round_trip():
     for f in (Neg(X0), ONE, Or(And(X0, Neg(X1)), OPlus(X2, ZERO))):
         for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
@@ -287,7 +352,7 @@ def check_deep_walks(build, depth, reference):
     f = build(depth, X0)
     text = print_formula(f)
     g = parse_formula(text)
-    assert g is not f and print_formula(g) == text
+    assert g is f and print_formula(g) == text
     assert g == f and hash(g) == hash(f) and f != Neg(f)
     assert variables_of(f) == {0}
     assert evaluate(f, LUKASIEWICZ, [F(2, 3)]) == evaluate(reference, LUKASIEWICZ, [F(2, 3)])
