@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .formula import Formula, interpret, json_field
+from .formula import Formula, cap_points, interpret, json_field
 
 DEFAULT_SIZE_CAP = 64
 SUBSET_LIMIT = 4096  # duality_check tries every subset while there are at most this many
@@ -138,6 +138,7 @@ def finite_chain(m: int, base: str = "lukasiewicz") -> FiniteAlgebra:
         raise ValueError("m must be at least 1")
     if base not in ("lukasiewicz", "godel"):
         raise ValueError("base must be 'lukasiewicz' or 'godel'")
+    cap_points([m + 1], "entries of each operation table", 2)
     n = m + 1
     names = [str(Fraction(k, m)) for k in range(n)]
     if base == "lukasiewicz":

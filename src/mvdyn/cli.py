@@ -84,6 +84,15 @@ def _substitution(spec: str) -> Substitution:
     return _proofs._sigma_from_json({lhs.strip(): rhs for lhs, rhs in pairs})
 
 
+def _induced_map(spec: str) -> _dyn.InducedMap:
+    """The induced map of the substitution spec; the rotation's geometric form
+    is its exact 14-cell map, so its synthesized formulas are not compiled."""
+    if spec.strip().lower() == "rotation":
+        sigma, smap = _dyn.rotation_homeomorphism()
+        return _dyn.InducedMap(2, tuple(sigma.images), smap)
+    return _dyn.induced_map(_substitution(spec))
+
+
 def _algebra(spec: str) -> _alg.FiniteAlgebra:
     """bool | luk:M | godel:M | @file.json | "-" for JSON on stdin."""
     key = spec.strip()
@@ -187,7 +196,7 @@ def _cmd_pwl_synthesize(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    s = _dyn.induced_map(_substitution(args.subst))
+    s = _induced_map(args.subst)
     o = _dyn.orbit(s, _point(args.start), max_steps=args.max)
     payload = {
         "start": list(o.start), "status": o.status,
@@ -231,11 +240,8 @@ def _homeo_payload(smap: _pwl.PWLMap, with_report: bool):
 
 
 def _geometric_form(spec: str) -> _pwl.PWLMap:
-    """The geometric form of the substitution spec, or ValueError if it has none;
-    the rotation's is its exact 14-cell map."""
-    if spec.strip().lower() == "rotation":
-        return _dyn.rotation_homeomorphism()[1]
-    s = _dyn.induced_map(_substitution(spec))
+    """The geometric form of the substitution spec, or ValueError if it has none."""
+    s = _induced_map(spec)
     if s.pwl is None:
         raise ValueError("no geometric form within budget (or arity > 2)")
     return s.pwl
@@ -279,9 +285,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_boxhit(args) -> int:
-    q = _dyn.induced_map(_substitution(args.q))
-    r = _dyn.induced_map(_substitution(args.r))
-    hit = _dyn.box_hitting_search(q, r, _box(args.source), _box(args.target),
+    hit = _dyn.box_hitting_search(_induced_map(args.q), _induced_map(args.r),
+                                  _box(args.source), _box(args.target),
                                   h_max=args.hmax, k_max=args.kmax,
                                   grid_denominator=args.grid)
     if hit is None:
@@ -295,7 +300,7 @@ def _cmd_boxhit(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    s = _dyn.induced_map(_substitution(args.subst))
+    s = _induced_map(args.subst)
     rep = _dyn.empirical_statistics(s, _point(args.start), args.iters,
                                     args.grid, seed=args.seed)
     if args.format == "csv":

@@ -109,11 +109,21 @@ class Orbit:
     denominators: tuple
 
 
-def _lattice_steps(maps, d: int):
-    """Each map's PWLMap.lattice_step on (1/d)Z^n, or None unless every map
-    has an integral geometric form."""
-    steps = [s.pwl.lattice_step(d) if s.pwl is not None else None for s in maps]
-    return None if None in steps else steps
+def _grid(k, d: int) -> tuple:
+    """The point k/d of the lattice (1/d)Z^n."""
+    return tuple([Fraction(x, d) for x in k])
+
+
+def _lattice_step(s: InducedMap, d: int):
+    """s on the lattice (1/d)Z^n, as a function on integer numerators.
+
+    A McNaughton function has integer coefficients, so s sends k/d to a
+    point over the same d: the step is the integral geometric form's
+    PWLMap.lattice_step when there is one, else the formulas walked at k/d.
+    """
+    step = s.pwl.lattice_step(d) if s.pwl is not None else None
+    return step or (lambda k: tuple(v.numerator * d // v.denominator
+                                    for v in map_eval(s, _grid(k, d))))
 
 
 def _iterate(step, start, max_steps: int):
@@ -133,25 +143,19 @@ def _iterate(step, start, max_steps: int):
 def orbit(s: InducedMap, p, max_steps: int = 10000) -> Orbit:
     """Iterate exactly until the first repeated point or the step budget.
 
-    With an integral geometric form, a start of denominator d stays on the
-    lattice (1/d)Z^n, and each step is integer point location plus one
-    integer affine map; otherwise each step walks the formulas (map_eval).
+    A start of denominator d stays on the lattice (1/d)Z^n, so the orbit
+    steps integer numerators over d (_lattice_step).
     """
     if max_steps < 0:
         raise ValueError("max_steps must be at least 0")
     start = _cube_point(p, s.arity)
     d = denominator(start)
-    lattice = _lattice_steps([s], d)
-    if lattice is None:
-        points, pre = _iterate(s, start, max_steps)
-        dens = tuple(denominator(q) for q in points)
-    else:
-        ks, pre = _iterate(lattice[0], tuple(int(v * d) for v in start), max_steps)
-        points = [tuple(Fraction(x, d) for x in k) for k in ks]
-        dens = tuple(d // math.gcd(d, *k) for k in ks)
+    ks, pre = _iterate(_lattice_step(s, d), tuple(int(v * d) for v in start), max_steps)
+    points = tuple([_grid(k, d) for k in ks])
+    dens = tuple(d // math.gcd(d, *k) for k in ks)
     if pre is None:
-        return Orbit(start, tuple(points), "truncated", None, None, dens)
-    return Orbit(start, tuple(points), "cycle", pre, len(points) - 1 - pre, dens)
+        return Orbit(start, points, "truncated", None, None, dens)
+    return Orbit(start, points, "cycle", pre, len(points) - 1 - pre, dens)
 
 
 def full_rational_orbit(n: int, d: int) -> list:
@@ -159,8 +163,7 @@ def full_rational_orbit(n: int, d: int) -> list:
     if d < 1 or n < 1:
         raise ValueError("need n >= 1 and d >= 1")
     cap_points([d + 1], "points of denominator dividing d", n)
-    coords = [Fraction(k, d) for k in range(d + 1)]
-    return list(itertools.product(coords, repeat=n))
+    return [_grid(k, d) for k in _box_points([range(d + 1)] * n)]
 
 
 def _extended_gcd_chain(values: Sequence[int]):
@@ -342,10 +345,9 @@ class BoxHit:
     image: tuple
 
 
-def _box_points(numerators, grid_denominator: int):
-    """The grid points k/g of a box, given the range of numerators k per axis."""
-    return list(itertools.product(*([Fraction(k, grid_denominator) for k in axis]
-                                    for axis in numerators)))
+def _box_points(numerators) -> list:
+    """The numerator tuples of a box's grid points, one range per axis."""
+    return list(itertools.product(*numerators))
 
 
 def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
@@ -353,45 +355,35 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
                        grid_denominator: int = 16) -> Optional[BoxHit]:
     """First (h, k, grid witness) with R^k(Q^h(a)) in the target box.
 
-    Sound but incomplete: a miss at the given resolution proves nothing.
+    The witnesses k/g lie on (1/g)Z^n, so both maps step integer numerators
+    over g (_lattice_step). Sound but incomplete: a miss at the given
+    resolution proves nothing.
     """
-    if grid_denominator < 1:
+    g = grid_denominator
+    if g < 1:
         raise ValueError("need grid_denominator >= 1")
     for name, budget in (("h_max", h_max), ("k_max", k_max)):
         if budget < 0:
             raise ValueError(f"{name} must be at least 0")
     if q_map.arity != r_map.arity:
         raise ValueError("maps must share an arity")
+    axes = []   # the numerators k of the grid points k/g, per axis of both boxes
     for lo, hi in list(a_box) + list(b_box):
         if not Fraction(lo) < Fraction(hi):
             raise ValueError("boxes must be nondegenerate")
-    numerators = [range(math.ceil(Fraction(lo) * grid_denominator),
-                        math.floor(Fraction(hi) * grid_denominator) + 1) for lo, hi in a_box]
-    cap_points([len(axis) for axis in numerators], "grid points of the source box")
-    starts = _box_points(numerators, grid_denominator)
-    lattice = _lattice_steps([q_map, r_map], grid_denominator)
-    if lattice is None:
-        q_step, r_step = q_map, r_map
-        lift = point = lambda x: x
-        bounds = [(Fraction(lo), Fraction(hi)) for lo, hi in b_box]
-    else:
-        # the grid points lie on (1/g)Z^n: step their integer numerators
-        (q_step, r_step), g = lattice, grid_denominator
-        lift = lambda x: tuple(int(v * g) for v in x)
-        point = lambda k: tuple(Fraction(v, g) for v in k)
-        bounds = [(math.ceil(Fraction(lo) * g), math.floor(Fraction(hi) * g))
-                  for lo, hi in b_box]
-    q_iter = {p: lift(p) for p in starts}
+        axes.append(range(math.ceil(Fraction(lo) * g), math.floor(Fraction(hi) * g) + 1))
+    sources, targets = axes[:len(a_box)], axes[len(a_box):]
+    cap_points([len(axis) for axis in sources], "grid points of the source box")
+    starts = q_iter = _box_points(sources)
+    q_step, r_step = _lattice_step(q_map, g), _lattice_step(r_map, g)
     for h in range(h_max + 1):
-        for start in starts:
-            x = q_iter[start]
+        for start, x in zip(starts, q_iter):
             for k in range(k_max + 1):
-                if all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds)):
-                    return BoxHit(h, k, start, point(x))
+                if all(v in axis for v, axis in zip(x, targets)):
+                    return BoxHit(h, k, _grid(start, g), _grid(x, g))
                 x = r_step(x)
         if h < h_max:
-            for start in starts:
-                q_iter[start] = q_step(q_iter[start])
+            q_iter = [q_step(x) for x in q_iter]
     return None
 
 

@@ -151,6 +151,30 @@ def test_homeo_validate_rotation_uses_the_exact_form(capsys):
     assert len(payload["cells"]) == 14
 
 
+def test_rotation_commands_read_its_exact_form(capsys, monkeypatch):
+    # the synthesized formulas of the rotation are walked, never compiled
+    def compiled(*args, **kwargs):
+        raise AssertionError("the rotation's formulas were compiled")
+
+    monkeypatch.setattr("mvdyn.dynamics.pwl_from_formula", compiled)
+    payload = capture_json(capsys, ["orbit", "--subst", "rotation", "--start", "1/8,3/8"])
+    assert (payload["preperiod"], payload["period"]) == (0, 15)
+    payload = capture_json(capsys, ["boxhit", "--q", "rotation", "--r", "rotation",
+                                    "--source", "1/8:3/16,3/8:7/16",
+                                    "--target", "5/8:3/4,1/8:1/4", "--grid", "8"])
+    assert (payload["h"], payload["k"], payload["image"]) == (0, 6, ["5/8", "1/8"])
+    payload = capture_json(capsys, ["stats", "--subst", "rotation", "--start", "1/3,1/5",
+                                    "--iters", "1000", "--grid", "2"])
+    assert sum(row["count"] for row in payload["table"]) == 1000
+    payload = capture_json(capsys, ["homeo", "build", "--subst", "rotation"])
+    assert len(payload["cells"]) == 14
+    payload = capture_json(capsys, ["homeo", "validate", "--subst", "rotation"])
+    assert payload["measure_preserving"] is True
+    payload = capture_json(capsys, ["diff", "--map", "rotation",
+                                    "--point", "7/12,1/6", "--dir", "1,1"])
+    assert payload == {"differential": ["-6", "5"]}
+
+
 def test_homeo_validate_flip_and_tent(capsys):
     payload = capture_json(capsys, ["homeo", "validate", "--subst", "flip"])
     assert payload["invertible"] is True and payload["common_det"] == -1
@@ -385,7 +409,7 @@ def test_bad_rational_is_named(capsys, argv, text):
       "--grid", "0"], "grid_denominator >= 1", "mvdyn.dynamics._box_points"),
     (["odometer", "perm", "--n", "21"], "0..20", "mvdyn.odometer.odometer_substitution"),
     (["orbit", "--subst", "tent", "--start", "1/5", "--max", "-5"], "max_steps",
-     "mvdyn.dynamics._lattice_steps"),
+     "mvdyn.dynamics._lattice_step"),
     (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
       "--hmax", "-1"], "h_max", "mvdyn.dynamics._box_points"),
     (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
@@ -395,8 +419,15 @@ def test_bad_rational_is_named(capsys, argv, text):
     (["taut", "--logic", "product", "x7 -> (x0 -> x0)"], "13**8", "mvdyn.formula.interpret"),
     (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
       "--grid", "3000000"], "3000001**1", "mvdyn.dynamics._box_points"),
+    (["taut", "--logic", "product", "--grid-bound", "100000", "x0"], "5000150000**1",
+     "mvdyn.formula.rationals_up_to"),
+    (["identity", "--method", "grid", "--grid-bound", "2000", "x0", "x0"], "2003000**1",
+     "mvdyn.formula.rationals_up_to"),
+    (["algebra", "chain", "--m", "20000"], "20001**2", "mvdyn.algebra.Fraction"),
+    (["filters", "--algebra", "luk:20000"], "20001**2", "mvdyn.algebra.Fraction"),
 ], ids=["avg", "boxhit", "odometer-perm", "orbit-max", "boxhit-hmax", "boxhit-kmax",
-        "taut-chain", "taut-grid", "boxhit-grid"])
+        "taut-chain", "taut-grid", "boxhit-grid", "taut-grid-bound", "identity-grid-bound",
+        "algebra-chain", "filters-chain"])
 def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv, text, work):
     def refused(*args, **kwargs):
         raise AssertionError("work began on an out-of-range count")
@@ -405,6 +436,25 @@ def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv
     code, out, err = capture(capsys, argv)
     _one_error_line(code, out, err)
     assert text in err
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1"],
+     "mvdyn.dynamics._box_points"),
+    (["orbit", "--subst", "tent", "--start", "1/5"], "mvdyn.dynamics._lattice_step"),
+    (["taut", "--logic", "product", "--grid-bound", "3", "x0"],
+     "mvdyn.formula.rationals_up_to"),
+    (["filters", "--algebra", "luk:3"], "mvdyn.algebra.Fraction"),
+], ids=["boxhit", "orbit", "taut-grid", "chain"])
+def test_the_refused_work_is_reached_in_range(capsys, monkeypatch, argv, work):
+    # the refusal cases above patch work that an in-range count does reach
+    def reached(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(work, reached)
+    code, out, err = capture(capsys, argv)
+    _one_error_line(code, out, err)
+    assert "work began" in err
 
 
 def test_algebra_json_one_out_of_range_exits_one(capsys, monkeypatch):

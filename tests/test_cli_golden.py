@@ -54,6 +54,7 @@ CASES = [
                        "--dir", "1,-1"]),
     ("avg_2d", ["avg", "--subst", "x0=(x0 (+) x0) & (!x0 (+) !x0);x1=(x1 (+) x1) & (!x1 (+) !x1)",
                 "--k", "2", "--box", "0:1/2,1/4:3/4", "x0 * x1"]),
+    ("orbit_rotation", ["orbit", "--subst", "rotation", "--start", "1/8,3/8"]),
     ("orbit_2d", ["orbit", "--subst", "x0=(x0 (+) x0) & (!x0 (+) !x0);x1=x0 * x1 (+) !x0 & x1",
                   "--start", "1/5,2/7"]),
     ("prove_check_derived", ["prove", "check", str(DATA / "odometer_derive.out"),
@@ -67,3 +68,9 @@ def test_cli_stdout_matches_golden(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (DATA / f"{name}.out").read_bytes()
+
+
+def test_every_golden_file_has_one_case():
+    names = [name for name, _ in CASES]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(path.stem for path in DATA.glob("*.out"))

@@ -427,12 +427,21 @@ def test_box_hitting_tent_to_tent(tent_map):
 
 
 def test_box_hitting_on_the_lattice_matches_the_formula_walk(tent_map):
-    walk = InducedMap(1, tent_map.components, None)
-    for lo_a in range(0, 9, 2):
-        for lo_b in range(0, 9, 3):
-            boxes = ([(F(lo_a, 10), F(lo_a + 2, 10))], [(F(lo_b, 10), F(lo_b + 1, 10))])
-            assert (box_hitting_search(tent_map, tent_map, *boxes, 3, 3, 20)
-                    == box_hitting_search(walk, walk, *boxes, 3, 3, 20))
+    pair = induced_map(Substitution([tent_substitution().images[0],
+                                     parse_formula("x0 * x1 (+) !x0 & x1")]))
+    hits = 0
+    for s, g in ((tent_map, 20), (pair, 10)):
+        assert s.pwl.lattice_step(g) is not None
+        walk = InducedMap(s.arity, s.components, None)
+        for lo_a in range(0, 9, 2):
+            for lo_b in range(0, 9, 3):
+                boxes = ([(F(lo_a, 10), F(lo_a + 2, 10))] * s.arity,
+                         [(F(lo_b, 10), F(lo_b + 1, 10)),
+                          (F(8 - lo_b, 10), F(10 - lo_b, 10))][:s.arity])
+                hit = box_hitting_search(s, s, *boxes, 3, 3, g)
+                assert hit == box_hitting_search(walk, walk, *boxes, 3, 3, g)
+                hits += hit is not None
+    assert 0 < hits < 40
 
 
 def test_box_hitting_identity_misses():

@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mvdyn.dynamics import average_truth_value, induced_map, map_eval, orbit
+from mvdyn.dynamics import InducedMap, average_truth_value, induced_map, map_eval, orbit
 from mvdyn.formula import (
     And, Impl, Neg, OPlus, Or, Star, Substitution, Var, ONE, ZERO, LUKASIEWICZ,
     apply_substitution, evaluate, fold, parse_formula, print_formula,
@@ -124,10 +124,12 @@ def test_orbit_matches_the_formula_walk(images, point, max_steps):
     s = induced_map(Substitution(images))
     assume(s.pwl is not None)
     p = point[:s.arity]
-    o = orbit(s, p, max_steps=max_steps)
-    assert ((o.points, o.status, o.preperiod, o.period, o.denominators)
-            == walk_orbit(s, p, max_steps))
-    assert all(isinstance(x, Fraction) for q in o.points for x in q)
+    walk = walk_orbit(s, p, max_steps)
+    # the geometric form's lattice step, then the formulas stepped on numerators
+    for m in (s, InducedMap(s.arity, s.components, None)):
+        o = orbit(m, p, max_steps=max_steps)
+        assert (o.points, o.status, o.preperiod, o.period, o.denominators) == walk
+        assert all(isinstance(x, Fraction) for q in o.points for x in q)
 
 
 def average_by_formula(r, k, sigma, box):
