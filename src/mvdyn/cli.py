@@ -61,8 +61,10 @@ def _point(text: str) -> tuple:
 def _box(text: str):
     out = []
     for axis in text.split(","):
-        lo, hi = axis.split(":")
-        out.append((_rational(lo), _rational(hi)))
+        bounds = axis.split(":")
+        if len(bounds) != 2:
+            raise ValueError(f"not a box axis: {axis.strip()!r}")
+        out.append(tuple(_rational(v) for v in bounds))
     return out
 
 
@@ -82,15 +84,6 @@ def _substitution(spec: str) -> Substitution:
         return _odo.odometer_substitution(int(key.split(":")[1]))
     pairs = (part.split("=", 1) for part in spec.split(";"))
     return _proofs._sigma_from_json({lhs.strip(): rhs for lhs, rhs in pairs})
-
-
-def _induced_map(spec: str) -> _dyn.InducedMap:
-    """The induced map of the substitution spec; the rotation's geometric form
-    is its exact 14-cell map, so its synthesized formulas are not compiled."""
-    if spec.strip().lower() == "rotation":
-        sigma, smap = _dyn.rotation_homeomorphism()
-        return _dyn.InducedMap(2, tuple(sigma.images), smap)
-    return _dyn.induced_map(_substitution(spec))
 
 
 def _algebra(spec: str) -> _alg.FiniteAlgebra:
@@ -196,7 +189,7 @@ def _cmd_pwl_synthesize(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    s = _induced_map(args.subst)
+    s = _dyn.induced_map(_substitution(args.subst))
     o = _dyn.orbit(s, _point(args.start), max_steps=args.max)
     payload = {
         "start": list(o.start), "status": o.status,
@@ -241,7 +234,7 @@ def _homeo_payload(smap: _pwl.PWLMap, with_report: bool):
 
 def _geometric_form(spec: str) -> _pwl.PWLMap:
     """The geometric form of the substitution spec, or ValueError if it has none."""
-    s = _induced_map(spec)
+    s = _dyn.induced_map(_substitution(spec))
     if s.pwl is None:
         raise ValueError("no geometric form within budget (or arity > 2)")
     return s.pwl
@@ -285,8 +278,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_boxhit(args) -> int:
-    hit = _dyn.box_hitting_search(_induced_map(args.q), _induced_map(args.r),
-                                  _box(args.source), _box(args.target),
+    q, r = (_dyn.induced_map(_substitution(spec)) for spec in (args.q, args.r))
+    hit = _dyn.box_hitting_search(q, r, _box(args.source), _box(args.target),
                                   h_max=args.hmax, k_max=args.kmax,
                                   grid_denominator=args.grid)
     if hit is None:
@@ -300,7 +293,7 @@ def _cmd_boxhit(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    s = _induced_map(args.subst)
+    s = _dyn.induced_map(_substitution(args.subst))
     rep = _dyn.empirical_statistics(s, _point(args.start), args.iters,
                                     args.grid, seed=args.seed)
     if args.format == "csv":

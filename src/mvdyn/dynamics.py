@@ -35,30 +35,30 @@ PIECE_CAP = 20000     # most pieces in one iterate of average_truth_value
 
 # -- induced maps of substitutions ----------------------------------------------------
 
-@dataclass(frozen=True)
-class InducedMap:
-    """The self-map of [0,1]^n whose i-th coordinate is sigma's image of x_i."""
+class InducedMap(Substitution):
+    """A substitution as a self-map of the cube, with its geometric form pwl when known."""
 
-    arity: int
-    components: tuple       # formulas
-    pwl: Optional[PWLMap]   # exact geometric form, built when arity <= 2
+    __slots__ = ("pwl",)
 
-    def __call__(self, p):
-        return map_eval(self, p)
+    def __init__(self, arity: int, images: Sequence[Formula], pwl: Optional[PWLMap]):
+        super().__init__(images)
+        if self.arity != arity:
+            raise ValueError(f"{self.arity} images for a map of arity {arity}")
+        self.pwl = pwl
 
 
-def _geometric_form(images, dim: int, cell_budget: Optional[int] = None):
-    """The map x -> (g(x) for g in images) of [0,1]^dim, with one compiled row
+def _geometric_form(images):
+    """The map x -> (g(x) for g in images) of the cube, with one compiled row
     per image (at most two) on the common refinement of their complexes; None
     when a compilation or that refinement would exceed the cell budget."""
     try:
-        funcs = [pwl_from_formula(g, dim, cell_budget=cell_budget) for g in images]
+        funcs = [pwl_from_formula(g, len(images), cell_budget=CELL_BUDGET) for g in images]
     except CellBudgetError:
         return None
     if len(funcs) == 1:
         return funcs[0]
     f, g = funcs
-    if cell_budget is not None and len(f.complex.cells) * len(g.complex.cells) > 50 * cell_budget:
+    if len(f.complex.cells) * len(g.complex.cells) > 50 * CELL_BUDGET:
         return None
     complex_, tags = _pwl._refine_tagged(f.complex, g.complex)
     return PWLMap(complex_, tuple(
@@ -67,18 +67,19 @@ def _geometric_form(images, dim: int, cell_budget: Optional[int] = None):
 
 
 def induced_map(sigma: Substitution) -> InducedMap:
-    """Wrap a substitution as a self-map; for one or two variables, also
-    compile the exact geometric form unless it exceeds the cell budget."""
+    """sigma with its geometric form: an InducedMap as it is, else the form
+    compiled for one or two variables unless it exceeds the cell budget."""
+    if isinstance(sigma, InducedMap):
+        return sigma
     n = sigma.arity
     if n == 0:
         raise ValueError("substitution must cover at least x0")
-    pwl_form = _geometric_form(sigma.images, n, CELL_BUDGET) if n <= 2 else None
-    return InducedMap(n, tuple(sigma.images), pwl_form)
+    return InducedMap(n, sigma.images, _geometric_form(sigma.images) if n <= 2 else None)
 
 
 def map_eval(s: InducedMap, p) -> tuple:
     p = _cube_point(p, s.arity)
-    return tuple(evaluate(g, LUKASIEWICZ, p) for g in s.components)
+    return tuple(evaluate(g, LUKASIEWICZ, p) for g in s.images)
 
 
 def tent_substitution() -> Substitution:
@@ -243,7 +244,7 @@ def _rotation_cells():
 
 
 def rotation_homeomorphism():
-    """(substitution, exact map) rotating the two inner triangles one step.
+    """(induced map, its exact form) rotating the two inner triangles one step.
 
     The square is cut into 14 triangles on 10 vertices; the three vertices of
     each inner triangle cycle while corners stay fixed, and every cell map
@@ -265,8 +266,8 @@ def rotation_homeomorphism():
     complex_ = CellComplex(2, vertices, [tuple(index[v] for v in tri) for tri in cells])
     smap = PWLMap(complex_, tuple(maps))
     smap.validate()
-    sigma = Substitution([_pwl._synthesize_formula(smap.row(i)) for i in range(2)])
-    return sigma, smap
+    images = [_pwl._synthesize_formula(smap.row(i)) for i in range(2)]
+    return InducedMap(2, images, smap), smap
 
 
 def validate_homeomorphism(s: PWLMap) -> dict:
@@ -427,7 +428,8 @@ def empirical_statistics(s: InducedMap, start, iterations: int, box_grid: int,
     if iterations < 1 or box_grid < 1:
         raise ValueError("need iterations >= 1 and box_grid >= 1")
     n = s.arity
-    fns = [_compile_float(g) for g in s.components]
+    cap_points([box_grid], "boxes of the statistics table", n)
+    fns = [_compile_float(g) for g in s.images]
     rng = random.Random(seed)
     x = [float(v) for v in _cube_point(start, n)]
     counts: dict[tuple, int] = {}
@@ -454,13 +456,12 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict
     """Exact averages of sigma^j(r) over a box, plus the Lebesgue average of r.
 
     The map of sigma^(j+1)(r) is the map of sigma^j(r) after the geometric
-    form S of sigma, so r is compiled once and each iterate is the previous
-    one pulled back through S (pwl_compose).
+    form S of sigma's induced map, so r is compiled once and each iterate is
+    the previous one pulled back through S (pwl_compose).
     """
     if k < 0:
         raise ValueError("need k >= 0")
-    dims = [arity_of(r)] + [arity_of(g) for g in sigma.images]
-    dim = max(max(dims), 1)
+    dim = max(arity_of(r), *(arity_of(g) for g in sigma.images), 1)
     if dim > 2:
         raise ValueError("exact averaging handles at most two variables")
     box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in mu_box)
@@ -476,12 +477,15 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict
     w = pwl_from_formula(r, dim)
     lebesgue = _pwl.pwl_integral(w)
     # every iterate of a constant r is r; otherwise sigma covers x0..x_{dim-1}
-    s = _geometric_form(sigma.images[:dim], dim) if k >= 1 and r.arity else None
+    if k >= 1 and r.arity:
+        s = induced_map(sigma if sigma.arity == dim else Substitution(sigma.images[:dim])).pwl
+        if s is None:
+            raise ValueError(f"the substitution's map exceeds {CELL_BUDGET} cells")
     sequence = []
     for j in range(k + 1):
         if len(w.complex.cells) > PIECE_CAP:
             raise ValueError(f"piece cap exceeded at step {j}")
         sequence.append(_pwl.pwl_integral(w, box) / volume)
-        if j < k and s is not None:
+        if j < k and r.arity:
             w = _pwl.pwl_compose(w, s)
     return {"sequence": sequence, "lebesgue_average": lebesgue}

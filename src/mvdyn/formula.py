@@ -732,6 +732,8 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
             return Verdict("tautology")
         return Verdict("countermodel", witness[:n])
     elif method == "grid":
+        if grid_bound < 1:
+            raise ValueError(f"grid_bound must be at least 1, not {grid_bound}")
         cap_points([grid_bound * (grid_bound + 3) // 2], "candidate values p/q of the grid")
         axis = [v for v in rationals_up_to(grid_bound) if sem.contains(v)]
         cap_points([len(axis)], "points of the grid", n)

@@ -157,6 +157,7 @@ def test_rotation_commands_read_its_exact_form(capsys, monkeypatch):
         raise AssertionError("the rotation's formulas were compiled")
 
     monkeypatch.setattr("mvdyn.dynamics.pwl_from_formula", compiled)
+    monkeypatch.setattr("mvdyn.dynamics._geometric_form", compiled)
     payload = capture_json(capsys, ["orbit", "--subst", "rotation", "--start", "1/8,3/8"])
     assert (payload["preperiod"], payload["period"]) == (0, 15)
     payload = capture_json(capsys, ["boxhit", "--q", "rotation", "--r", "rotation",
@@ -173,6 +174,12 @@ def test_rotation_commands_read_its_exact_form(capsys, monkeypatch):
     payload = capture_json(capsys, ["diff", "--map", "rotation",
                                     "--point", "7/12,1/6", "--dir", "1,1"])
     assert payload == {"differential": ["-6", "5"]}
+    # avg compiles r, and only r: the rotation preserves measure, so every
+    # iterate of r averages like r over the square
+    monkeypatch.setattr("mvdyn.dynamics.pwl_from_formula", pwl_from_formula)
+    payload = capture_json(capsys, ["avg", "--subst", "rotation", "--k", "3",
+                                    "--box", "0:1,0:1", "x0 & x1"])
+    assert payload == {"sequence": ["1/3"] * 4, "lebesgue_average": "1/3"}
 
 
 def test_homeo_validate_flip_and_tent(capsys):
@@ -395,7 +402,9 @@ def test_pwl_synthesize_piece_of_wrong_dimension_exits_one(capsys, tmp_path):
     (["orbit", "--subst", "tent", "--start", "1/0"], "'1/0'"),
     (["subst", "reach", "--source", "1/3", "--target", "1/0"], "'1/0'"),
     (["diff", "--map", "tent", "--point", "1/2", "--dir", "0/0"], "'0/0'"),
-], ids=["eval", "orbit", "subst-reach", "diff"])
+    (["pwl", "integrate", "--box", "0:1:2", "x0"], "not a box axis: '0:1:2'"),
+    (["pwl", "integrate", "--box", "1/2", "x0"], "not a box axis: '1/2'"),
+], ids=["eval", "orbit", "subst-reach", "diff", "box-three-bounds", "box-one-bound"])
 def test_bad_rational_is_named(capsys, argv, text):
     code, out, err = capture(capsys, argv)
     _one_error_line(code, out, err)
@@ -425,9 +434,13 @@ def test_bad_rational_is_named(capsys, argv, text):
      "mvdyn.formula.rationals_up_to"),
     (["algebra", "chain", "--m", "20000"], "20001**2", "mvdyn.algebra.Fraction"),
     (["filters", "--algebra", "luk:20000"], "20001**2", "mvdyn.algebra.Fraction"),
+    (["stats", "--subst", "odometer:4", "--start", "0,0,0,0", "--iters", "10",
+      "--grid", "100"], "100**4", "mvdyn.dynamics._compile_float"),
+    (["taut", "--logic", "product", "--grid-bound", "-5", "x0 | !x0"], "grid_bound",
+     "mvdyn.formula.rationals_up_to"),
 ], ids=["avg", "boxhit", "odometer-perm", "orbit-max", "boxhit-hmax", "boxhit-kmax",
         "taut-chain", "taut-grid", "boxhit-grid", "taut-grid-bound", "identity-grid-bound",
-        "algebra-chain", "filters-chain"])
+        "algebra-chain", "filters-chain", "stats-grid", "taut-grid-bound-below-one"])
 def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv, text, work):
     def refused(*args, **kwargs):
         raise AssertionError("work began on an out-of-range count")
@@ -445,7 +458,11 @@ def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv
     (["taut", "--logic", "product", "--grid-bound", "3", "x0"],
      "mvdyn.formula.rationals_up_to"),
     (["filters", "--algebra", "luk:3"], "mvdyn.algebra.Fraction"),
-], ids=["boxhit", "orbit", "taut-grid", "chain"])
+    (["stats", "--subst", "odometer:4", "--start", "0,0,0,0", "--iters", "10",
+      "--grid", "2"], "mvdyn.dynamics._compile_float"),
+    (["taut", "--logic", "product", "--grid-bound", "1", "x0"],
+     "mvdyn.formula.rationals_up_to"),
+], ids=["boxhit", "orbit", "taut-grid", "chain", "stats", "taut-grid-bound-one"])
 def test_the_refused_work_is_reached_in_range(capsys, monkeypatch, argv, work):
     # the refusal cases above patch work that an in-range count does reach
     def reached(*args, **kwargs):

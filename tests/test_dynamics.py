@@ -57,7 +57,7 @@ def test_tent_map_values(tent_map):
     assert map_eval(tent_map, (F(1, 4),)) == (F(1, 2),)
     assert map_eval(tent_map, (F(1, 2),)) == (F(1),)
     assert map_eval(tent_map, (F(3, 4),)) == (F(1, 2),)
-    assert tent_map((F(1, 8),)) == (F(1, 4),)
+    assert map_eval(tent_map, (F(1, 8),)) == (F(1, 4),)
 
 
 def test_tent_map_geometric_form_matches(tent_map):
@@ -70,7 +70,7 @@ def test_tent_map_geometric_form_matches(tent_map):
 
 def test_geometric_form_row_round_trip(tent_map):
     comp = tent_map.pwl.row(0)
-    direct = pwl_from_formula(tent_map.components[0], 1)
+    direct = pwl_from_formula(tent_map.images[0], 1)
     assert pwl_equal(comp, direct)
 
 
@@ -138,7 +138,7 @@ def test_odometer_orbit_walks_the_formulas():
 def test_orbit_walks_the_formulas_past_a_non_integral_form(tent_map):
     # x -> x/2 on the pieces, the tent in the formulas: the orbit is the tent's
     half = AffineMap(((F(1, 2),),), (F(0),))
-    s = InducedMap(1, tent_map.components, PWLMap(unit_complex(1), (half,)))
+    s = InducedMap(1, tent_map.images, PWLMap(unit_complex(1), (half,)))
     assert s.pwl.lattice_step(5) is None
     assert orbit(s, (F(1, 5),)) == orbit(tent_map, (F(1, 5),))
 
@@ -238,21 +238,36 @@ def test_rotation_validation_report(rotation):
 
 
 def test_rotation_inner_triangle_three_cycle(rotation):
-    sigma, _ = rotation
-    s = induced_map(sigma)
-    assert s.pwl is None
-    o = orbit(s, (F(1, 4), F(1, 4)))
-    assert o.preperiod == 0 and o.period == 3
-    assert o.points == ((F(1, 4), F(1, 4)), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)),
-                        (F(1, 4), F(1, 4)))
-    assert o.denominators == (4, 4, 4, 4)
+    rot, _ = rotation
+    # the exact form's lattice step, then the formulas walked
+    for s in (rot, InducedMap(2, rot.images, None)):
+        o = orbit(s, (F(1, 4), F(1, 4)))
+        assert o.preperiod == 0 and o.period == 3
+        assert o.points == ((F(1, 4), F(1, 4)), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)),
+                            (F(1, 4), F(1, 4)))
+        assert o.denominators == (4, 4, 4, 4)
 
 
 def test_rotation_formula_compile_falls_back(rotation):
-    sigma, _ = rotation
-    s = induced_map(sigma)
+    rot, _ = rotation
+    s = induced_map(Substitution(rot.images))
     assert s.pwl is None
     assert map_eval(s, (F(0), F(0))) == (F(0), F(0))
+
+
+def test_the_rotation_is_an_induced_map_with_its_exact_form(rotation):
+    rot, smap = rotation
+    assert isinstance(rot, Substitution) and rot.pwl is smap
+    assert induced_map(rot) is rot
+    with pytest.raises(ValueError, match="2 images for a map of arity 3"):
+        InducedMap(3, rot.images, smap)
+
+
+def test_rotation_orbits_match_the_formula_walk(rotation):
+    rot, _ = rotation
+    walk = InducedMap(2, rot.images, None)
+    for p in itertools.product([F(k, 8) for k in range(9)], repeat=2):
+        assert orbit(rot, p) == orbit(walk, p)
 
 
 def test_tent_and_flip_reports(tent_map):
@@ -432,7 +447,7 @@ def test_box_hitting_on_the_lattice_matches_the_formula_walk(tent_map):
     hits = 0
     for s, g in ((tent_map, 20), (pair, 10)):
         assert s.pwl.lattice_step(g) is not None
-        walk = InducedMap(s.arity, s.components, None)
+        walk = InducedMap(s.arity, s.images, None)
         for lo_a in range(0, 9, 2):
             for lo_b in range(0, 9, 3):
                 boxes = ([(F(lo_a, 10), F(lo_a + 2, 10))] * s.arity,
@@ -500,6 +515,14 @@ def test_average_truth_value_needs_sigma_only_after_step_zero():
         average_truth_value(Var(1), 1, tent_substitution(), square)
     avg = average_truth_value(Var(1), 0, tent_substitution(), square)
     assert avg == {"sequence": [F(1, 4)], "lebesgue_average": F(1, 2)}
+
+
+def test_average_truth_value_refuses_a_map_over_the_cell_budget(monkeypatch):
+    monkeypatch.setattr("mvdyn.dynamics.CELL_BUDGET", 1)
+    with pytest.raises(ValueError, match="map exceeds 1 cells"):
+        average_truth_value(Var(0), 1, tent_substitution(), [(F(0), F(1))])
+    avg = average_truth_value(Var(0), 0, tent_substitution(), [(F(0), F(1))])
+    assert avg == {"sequence": [F(1, 2)], "lebesgue_average": F(1, 2)}
 
 
 def test_average_of_a_constant_under_a_substitution_without_images():

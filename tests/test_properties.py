@@ -126,7 +126,7 @@ def test_orbit_matches_the_formula_walk(images, point, max_steps):
     p = point[:s.arity]
     walk = walk_orbit(s, p, max_steps)
     # the geometric form's lattice step, then the formulas stepped on numerators
-    for m in (s, InducedMap(s.arity, s.components, None)):
+    for m in (s, InducedMap(s.arity, s.images, None)):
         o = orbit(m, p, max_steps=max_steps)
         assert (o.points, o.status, o.preperiod, o.period, o.denominators) == walk
         assert all(isinstance(x, Fraction) for q in o.points for x in q)
