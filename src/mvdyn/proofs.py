@@ -238,8 +238,7 @@ def _min_over_unit_set(cw, rw):
                 cand = [p for p, v in zip(pts, vals) if v == 1]
             else:
                 # the affine piece attains its maximum 1 on a face of the cell
-                hp = (cp.a[0][0], cp.a[0][1], cp.b[0] - 1)
-                cand = _pwl._clip(list(pts), hp)
+                cand = _pwl._clip_cell(refined, jcell, (cp.a[0][0], cp.a[0][1], cp.b[0] - 1))
         else:
             continue
         for p in cand:

@@ -4,7 +4,8 @@ One type, PWLMap, represents continuous maps [0,1]^d -> [0,1]^r that are
 affine on each cell of a rational simplicial complex covering the unit
 interval (d=1) or unit square (d=2). A formula compiles to the one-row case
 with integer coefficients; a substitution's map has one row per variable.
-All arithmetic is exact.
+All arithmetic is exact: 2-D geometry computes on reduced integer homogeneous
+coordinates and returns Fractions, as does everything else.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from operator import add, gt, mul, ne, sub
 from typing import Optional, Sequence
 
@@ -34,11 +35,8 @@ def _frac_point(p) -> Point:
 
 # -- exact planar primitives ---------------------------------------------------
 
-def _cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _area2(poly) -> Fraction:
+    """Twice the signed area of a polygon of Fraction points."""
     s = F0
     for i in range(len(poly)):
         p, q = poly[i], poly[(i + 1) % len(poly)]
@@ -46,27 +44,56 @@ def _area2(poly) -> Fraction:
     return s
 
 
+# The rest of the 2-D geometry computes on integer triples: a point (x, y) is
+# the reduced triple (X, Y, W) with x = X/W, y = Y/W, W > 0 and gcd(X, Y, W) = 1.
+# The form is canonical, so equal points are equal tuples. A half-plane is an
+# integer triple h, the points where h . (X, Y, W) >= 0.
+
+def _reduced(x: int, y: int, w: int) -> tuple:
+    """The reduced triple of (x, y, w), w != 0."""
+    g = math.gcd(x, y, w) if w > 0 else -math.gcd(x, y, w)
+    return (x // g, y // g, w // g)
+
+
+def _scaled(coeffs) -> tuple:
+    """Rational coefficients times the lcm s of their denominators: (integers, s)."""
+    s = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (s // c.denominator) for c in coeffs), s
+
+
+def _dot(h, p) -> int:
+    return h[0] * p[0] + h[1] * p[1] + h[2] * p[2]
+
+
+def _det(o, a, b) -> int:
+    """Positive, zero or negative as o, a, b turn left, are collinear or turn right."""
+    return (o[0] * (a[1] * b[2] - a[2] * b[1]) - o[1] * (a[0] * b[2] - a[2] * b[0])
+            + o[2] * (a[0] * b[1] - a[1] * b[0]))
+
+
+def _lex(p, q) -> int:
+    """Negative, zero or positive as p comes before, at or after q in the
+    lexicographic order of the points."""
+    return p[0] * q[2] - q[0] * p[2] or p[1] * q[2] - q[1] * p[2]
+
+
 def _clip(poly, h):
-    """Clip a convex polygon by the halfplane h[0]*x + h[1]*y + h[2] >= 0."""
+    """Clip a convex polygon by the half-plane h; an edge from P to Q that
+    crosses its line is cut at (h.P) Q - (h.Q) P."""
     out = []
-    n = len(poly)
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        hp = h[0] * p[0] + h[1] * p[1] + h[2]
-        hq = h[0] * q[0] + h[1] * q[1] + h[2]
+    vals = [_dot(h, p) for p in poly]
+    for p, q, hp, hq in zip(poly, poly[1:] + poly[:1], vals, vals[1:] + vals[:1]):
         if hp >= 0:
             out.append(p)
-            if hq < 0:
-                t = hp / (hp - hq)
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        elif hq > 0:
-            t = hp / (hp - hq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        if hp >= 0 > hq or hp < 0 < hq:
+            out.append(_reduced(hp * q[0] - hq * p[0], hp * q[1] - hq * p[1],
+                                hp * q[2] - hq * p[2]))
     return out
 
 
 def _canon(poly):
-    """Deduplicate and drop collinear boundary points; ccw, lex-min first.
+    """Deduplicate and drop collinear boundary points of a convex polygon;
+    ccw, lexicographically least point first.
 
     Returns [] for polygons of zero area.
     """
@@ -78,43 +105,32 @@ def _canon(poly):
         pts.pop()
     if len(pts) < 3:
         return []
-    out = []
-    m = len(pts)
-    for i in range(m):
-        if _cross(pts[i - 1], pts[i], pts[(i + 1) % m]) != 0:
-            out.append(pts[i])
+    out, turn = [], 0
+    for o, p, q in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1]):
+        t = _det(o, p, q)
+        if t:
+            out.append(p)
+            turn = turn or t    # a convex polygon turns one way only
     if len(out) < 3:
         return []
-    if _area2(out) < 0:
+    if turn < 0:
         out.reverse()
-    k = out.index(min(out))
+    k = out.index(min(out, key=cmp_to_key(_lex)))
     return out[k:] + out[:k]
 
 
 def _on_open_segment(a, b, v) -> bool:
-    if _cross(a, b, v) != 0:
+    if _det(a, b, v):
         return False
-    dot = (v[0] - a[0]) * (b[0] - a[0]) + (v[1] - a[1]) * (b[1] - a[1])
-    if dot <= 0:
-        return False
-    ln = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
-    return dot < ln
+    # v is collinear with a and b, and inside iff a - v and b - v point apart
+    return ((a[0] * v[2] - v[0] * a[2]) * (b[0] * v[2] - v[0] * b[2])
+            + (a[1] * v[2] - v[1] * a[2]) * (b[1] * v[2] - v[1] * b[2])) < 0
 
 
 def _fan(poly):
     """Triangulate a canonical convex polygon by fanning from its first vertex."""
-    tris = []
     v0 = poly[0]
-    for i in range(1, len(poly) - 1):
-        a, b = poly[i], poly[i + 1]
-        if _cross(v0, a, b) != 0:
-            tris.append((v0, a, b))
-    return tris
-
-
-def _centroid(poly):
-    n = len(poly)
-    return (sum(p[0] for p in poly) / n, sum(p[1] for p in poly) / n)
+    return [(v0, a, b) for a, b in zip(poly[1:-1], poly[2:]) if _det(v0, a, b)]
 
 
 # -- cell complexes ------------------------------------------------------------
@@ -149,11 +165,17 @@ class CellComplex:
             if k < len(bounds):
                 return bounds[k][0]
         else:
-            x, y = p
+            x, y, w = _scaled((*p, 1))[0]
             for j, planes in bounds:
-                if all(c0 * x + c1 * y + c2 >= 0 for c0, c1, c2 in planes):
+                if all(c0 * x + c1 * y + c2 * w >= 0 for c0, c1, c2 in planes):
                     return j
         raise ValueError(f"point {p} not covered by the complex")
+
+    @cached_property
+    def _triples(self) -> list:
+        """In dimension 2, each vertex (x, y) as the integer triple the geometry
+        computes on: (x, y, 1) times the lcm of the denominators."""
+        return [_scaled((*p, 1))[0] for p in self.vertices]
 
     @cached_property
     def _bounds(self) -> list:
@@ -161,21 +183,21 @@ class CellComplex:
         PWLMap.lattice_step, the 1-D refinement, the pullback, 1-D validation,
         one-sided differentials): in dimension 1, (cell, right end) in left-to-right
         order; in dimension 2, (cell, three integer half-planes (c0, c1, c2)),
-        each a positive multiple of the _cross test of one edge, so the cell is
-        where all c0 x + c1 y + c2 >= 0."""
+        each the cross product of one ccw edge's end triples over its gcd, so the
+        cell is where all c0 x + c1 y + c2 >= 0."""
         if self.dim == 1:
             order = sorted(range(len(self.cells)),
                            key=lambda j: self.vertices[self.cells[j][0]][0])
             return [(j, self.vertices[self.cells[j][1]][0]) for j in order]
         out = []
-        for j in range(len(self.cells)):
-            tri = self.cell_points(j)
+        for j, cell in enumerate(self.cells):
+            tri = [self._triples[i] for i in cell]
             planes = []
-            for i in range(3):
-                a, b = tri[i], tri[(i + 1) % 3]
-                h = (a[1] - b[1], b[0] - a[0], a[0] * b[1] - b[0] * a[1])
-                scale = math.lcm(*(x.denominator for x in h))
-                planes.append(tuple(int(x * scale) for x in h))
+            for a, b in zip(tri, tri[1:] + tri[:1]):
+                h = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0])
+                g = math.gcd(*h) or 1
+                planes.append((h[0] // g, h[1] // g, h[2] // g))
             out.append((j, tuple(planes)))
         return out
 
@@ -239,68 +261,73 @@ def unit_complex(dim: int) -> CellComplex:
 
 
 def _build_complex_2d(tagged_polys):
-    """Assemble a face-to-face triangulation from tagged convex polygons.
+    """Assemble a face-to-face triangulation from tagged convex polygons of
+    integer triples.
 
     The polygons must tile the square with disjoint interiors and carry every
     arrangement vertex of the tiling on their boundaries as polygon vertices.
-    Returns (CellComplex, tags aligned with cells).
+    Returns (CellComplex, tags aligned with cells); its vertices are listed in
+    lexicographic order.
     """
-    polys = []
-    for poly, tag in tagged_polys:
-        cp = _canon(poly)
-        if cp:
-            polys.append((cp, tag))
+    polys = [(cp, tag) for poly, tag in tagged_polys if (cp := _canon(poly))]
+    tris = [(t, tag) for poly, tag in polys for t in _fan(poly)]
 
-    tris = []
-    for poly, tag in polys:
-        for t in _fan(poly):
-            tris.append((t, tag))
-
-    # conformity: vertices of other cells may sit inside a triangle's edges
-    vert_set = sorted({p for poly, _ in polys for p in poly})
+    # conformity: vertices of other cells may sit inside a triangle's edges.
+    # Rounding to floats keeps order, so an edge's float box holds every such
+    # vertex; the test on each vertex in it is exact.
+    near = {p: (p[0] / p[2], p[1] / p[2]) for poly, _ in polys for p in poly}
+    vert_set = sorted((x, y, p) for p, (x, y) in near.items())
     out = []
     for tri, tag in tris:
         cycle = []
-        hanging = False
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
+        for a, b in zip(tri, tri[1:] + tri[:1]):
             cycle.append(a)
-            x_lo, x_hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-            y_lo, y_hi = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
+            (ax, ay), (bx, by) = near[a], near[b]
+            x_lo, x_hi = (ax, bx) if ax <= bx else (bx, ax)
+            y_lo, y_hi = (ay, by) if ay <= by else (by, ay)
             hang = []
             for k in range(bisect.bisect_left(vert_set, (x_lo,)), len(vert_set)):
-                v = vert_set[k]
-                if v[0] > x_hi:
+                x, y, v = vert_set[k]
+                if x > x_hi:
                     break
-                if y_lo <= v[1] <= y_hi and _on_open_segment(a, b, v):
+                if y_lo <= y <= y_hi and _on_open_segment(a, b, v):
                     hang.append(v)
             if hang:
-                hanging = True
-                hang.sort(key=lambda v: (v[0] - a[0]) ** 2 + (v[1] - a[1]) ** 2)
+                # in order from a: along the edge, lexicographic order is monotone
+                hang.sort(key=cmp_to_key(_lex), reverse=_lex(b, a) < 0)
                 cycle.extend(hang)
-        if not hanging:
+        if len(cycle) == 3:
             out.append((tri, tag))
         else:
             # fan from an interior Steiner point so every boundary point
             # becomes a real vertex (apex on a collinear run would drop some)
-            c = _centroid(cycle)
-            m = len(cycle)
-            for i in range(m):
-                t = (c, cycle[i], cycle[(i + 1) % m])
-                if _cross(*t) != 0:
-                    out.append((t, tag))
+            w = math.lcm(*(p[2] for p in cycle))
+            c = _reduced(sum(p[0] * (w // p[2]) for p in cycle),
+                         sum(p[1] * (w // p[2]) for p in cycle), w * len(cycle))
+            for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+                if _det(c, p, q):
+                    out.append(((c, p, q), tag))
 
-    all_pts = sorted({p for t, _ in out for p in t})
+    all_pts = sorted({p for t, _ in out for p in t}, key=cmp_to_key(_lex))
     index = {p: i for i, p in enumerate(all_pts)}
     cells, tags = [], []
     order = sorted(range(len(out)), key=lambda i: tuple(sorted(index[p] for p in out[i][0])))
     for i in order:
         t, tag = out[i]
-        if _area2(t) < 0:
+        if _det(*t) < 0:
             t = (t[0], t[2], t[1])
         cells.append(tuple(index[p] for p in t))
         tags.append(tag)
-    return CellComplex(2, all_pts, cells), tags
+    complex_ = CellComplex(2, [(Fraction(x, w), Fraction(y, w)) for x, y, w in all_pts], cells)
+    complex_._triples = all_pts
+    return complex_, tags
+
+
+def _clip_cell(complex_: CellComplex, j: int, coeffs) -> list:
+    """Cell j of a 2-D complex clipped by the half-plane of rational coeffs
+    (c0, c1, c2), where c0 x + c1 y + c2 >= 0, as points of Fractions."""
+    poly = _clip([complex_._triples[i] for i in complex_.cells[j]], _scaled(coeffs)[0])
+    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in poly]
 
 
 def _build_complex_1d(tagged_intervals):
@@ -540,10 +567,14 @@ def _combine(op: str, f: PWLMap, g: PWLMap) -> PWLMap:
     for j, (i1, i2) in enumerate(tags):
         fp, gp = f.maps[i1], g.maps[i2]
         h = locus(fp, gp)
-        ha, hb = h.a[0], h.b[0]
-        pts = refined.cell_points(j)
-        vals = tuple(_row_value(h, p) for p in pts)
-        geom = pts if f.dim == 2 else (pts[0][0], pts[1][0])
+        if f.dim == 1:
+            pts = refined.cell_points(j)
+            vals = tuple(_row_value(h, p) for p in pts)
+            geom = (pts[0][0], pts[1][0])
+        else:
+            hp = _scaled(h.a[0] + h.b)[0]
+            geom = [refined._triples[i] for i in refined.cells[j]]
+            vals = [_dot(hp, p) for p in geom]
         if all(v >= 0 for v in vals):
             tagged.append((geom, (fp, gp, h, True)))
         elif all(v <= 0 for v in vals):
@@ -551,14 +582,13 @@ def _combine(op: str, f: PWLMap, g: PWLMap) -> PWLMap:
         else:
             if f.dim == 1:
                 lo, hi = geom
-                root = Fraction(-hb, ha[0])
+                root = Fraction(-h.b[0], h.a[0][0])
                 first_pos = vals[0] > 0
                 tagged.append(((lo, root), (fp, gp, h, first_pos)))
                 tagged.append(((root, hi), (fp, gp, h, not first_pos)))
             else:
-                hp = (ha[0], ha[1], hb)
-                pos = _clip(list(geom), hp)
-                neg = _clip(list(geom), tuple(-c for c in hp))
+                pos = _clip(geom, hp)
+                neg = _clip(geom, tuple(-c for c in hp))
                 if _canon(pos):
                     tagged.append((pos, (fp, gp, h, True)))
                 if _canon(neg):
@@ -623,30 +653,31 @@ def _pullback(w: CellComplex, pieces: Sequence, v: CellComplex):
                           for lo, hi, i in zip(starts, starts[1:] + [x_hi], cells))
         return _build_complex_1d(tagged)
 
+    # bounding boxes in floats, rounded in order: a box test that skips only
+    # cells of v the image misses
     boxes = []
     for i, planes in bounds:
-        tri = v.cell_points(i)
-        xs, ys = [p[0] for p in tri], [p[1] for p in tri]
+        tri = [v._triples[k] for k in v.cells[i]]
+        xs, ys = [p[0] / p[2] for p in tri], [p[1] / p[2] for p in tri]
         boxes.append((min(xs), max(xs), min(ys), max(ys), i, planes))
     tagged = []
-    for j in range(len(w.cells)):
+    for j, cell in enumerate(w.cells):
         sp = pieces[j]
-        tri = w.cell_points(j)
-        image = [sp._apply(p) for p in tri]
-        xlo, xhi = min(p[0] for p in image), max(p[0] for p in image)
-        ylo, yhi = min(p[1] for p in image), max(p[1] for p in image)
-        (a00, a01), (a10, a11) = sp.a
-        b0, b1 = sp.b
+        (a00, a01, a10, a11, b0, b1), s = _scaled(sp.a[0] + sp.a[1] + sp.b)
+        tri = [w._triples[k] for k in cell]
+        xs = [(a00 * x + a01 * y + b0 * z) / (s * z) for x, y, z in tri]
+        ys = [(a10 * x + a11 * y + b1 * z) / (s * z) for x, y, z in tri]
+        xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
         # a singular piece maps the cell onto a segment or a point, whose
         # preimages under cells of v that share an edge or vertex coincide
-        seen = set() if sp.det() == 0 else None
+        seen = set() if a00 * a11 == a01 * a10 else None
         for bx0, bx1, by0, by1, i, planes in boxes:
             if bx0 > xhi or bx1 < xlo or by0 > yhi or by1 < ylo:
                 continue
-            poly = list(tri)
+            poly = tri
             for c0, c1, c2 in planes:
                 poly = _clip(poly, (c0 * a00 + c1 * a10, c0 * a01 + c1 * a11,
-                                    c0 * b0 + c1 * b1 + c2))
+                                    c0 * b0 + c1 * b1 + c2 * s))
                 if not poly:
                     break
             poly = _canon(poly)
@@ -770,8 +801,8 @@ def pwl_integral(f: PWLMap, box=None) -> Fraction:
         warnings.warn("integration box has zero measure")
         return F0
 
-    total = F0
     if f.dim == 1:
+        total = F0
         lo, hi = box[0]
         for j in range(len(f.complex.cells)):
             a, b = (p[0] for p in f.complex.cell_points(j))
@@ -782,23 +813,24 @@ def pwl_integral(f: PWLMap, box=None) -> Fraction:
         return total
 
     (xlo, xhi), (ylo, yhi) = box
-    planes = [(1, 0, -xlo), (-1, 0, xhi), (0, 1, -ylo), (0, -1, yhi)]
-    for j in range(len(f.complex.cells)):
-        poly = f.complex.cell_points(j)
-        x0, x1 = min(p[0] for p in poly), max(p[0] for p in poly)
-        y0, y1 = min(p[1] for p in poly), max(p[1] for p in poly)
-        if x0 >= xhi or x1 <= xlo or y0 >= yhi or y1 <= ylo:
+    planes = [_scaled(h)[0] for h in ((1, 0, -xlo), (-1, 0, xhi), (0, 1, -ylo), (0, -1, yhi))]
+    # a triangle pqr adds det(p, q, r) (c.p q_W r_W + c.q p_W r_W + c.r p_W q_W)
+    # / (6 s (p_W q_W r_W)^2) for the piece c / s; numerators are summed per
+    # denominator
+    sums: dict[int, int] = {}
+    for cell, m in zip(f.complex.cells, f.maps):
+        poly = [f.complex._triples[i] for i in cell]
+        for h in planes:
+            poly = _clip(poly, h)
+        poly = _canon(poly)
+        if not poly:
             continue
-        if not (xlo <= x0 and x1 <= xhi and ylo <= y0 and y1 <= yhi):
-            for h in planes:
-                poly = _clip(poly, h)
-            poly = _canon(poly)
-            if not poly:
-                continue
-        m = f.maps[j]
-        for tri in _fan(poly):
-            total += _area2(tri) / 2 * sum(_row_value(m, p) for p in tri) / 3
-    return total
+        c, s = _scaled(m.a[0] + m.b)
+        for p, q, r in _fan(poly):
+            w = p[2] * q[2] * r[2]
+            num = _dot(c, p) * q[2] * r[2] + _dot(c, q) * p[2] * r[2] + _dot(c, r) * p[2] * q[2]
+            sums[s * w * w] = sums.get(s * w * w, 0) + _det(p, q, r) * num
+    return sum((Fraction(n, 6 * d) for d, n in sums.items()), F0)
 
 
 # -- synthesis: PWL -> formula ---------------------------------------------------
@@ -809,37 +841,37 @@ def _integer(x) -> int:
     return int(x)
 
 
+MAX_CLAMP_UNITS = 1000   # most unit literals in one clamped affine formula
+
+
 def clamp_affine_formula(coeffs: Sequence[int], const: int) -> Formula:
     """Formula whose Lukasiewicz value is ((sum coeffs[i]*x_i + const) v 0) ^ 1.
 
     Built by peeling one unit literal y at a time with the exact identity
     clamp(t + y) = (clamp(t) (+) y) * clamp(t + 1), valid for any y with
     range inside [0,1]. Coefficients and constant must be integers (ints or
-    integral Fractions); anything else raises ValueError.
+    integral Fractions); anything else raises ValueError, and so does a sum
+    of |coefficients| (the unit literals) above MAX_CLAMP_UNITS.
     """
-    units: list[Formula] = []
     base = _integer(const)
+    coeffs = [_integer(c) for c in coeffs]
+    count = sum(map(abs, coeffs))
+    if count > MAX_CLAMP_UNITS:
+        raise ValueError(f"a clamped formula with {count} unit literals exceeds "
+                         f"the cap of {MAX_CLAMP_UNITS}")
+    units: list[Formula] = []
     for i, c in enumerate(coeffs):
-        c = _integer(c)
         if c > 0:
             units.extend([Var(i)] * c)
         elif c < 0:
             units.extend([Neg(Var(i))] * (-c))
             base += c  # c*x = |c|*(!x) - |c|
 
-    memo: dict[tuple, Formula] = {}
-
-    def level(j: int, s: int) -> Formula:
-        key = (j, s)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if j == 0:
-            out = ONE if base + s >= 1 else ZERO
-        else:
-            low = level(j - 1, s)
-            high = level(j - 1, s + 1)
-            y = units[j - 1]
+    # level j holds clamp(base + s + the first j units) for s = 0..len(units) - j
+    level = [ONE if base + s >= 1 else ZERO for s in range(len(units) + 1)]
+    for y in units:
+        nxt = []
+        for low, high in zip(level, level[1:]):
             if high is ZERO:
                 out = ZERO
             elif low is ONE:
@@ -847,10 +879,9 @@ def clamp_affine_formula(coeffs: Sequence[int], const: int) -> Formula:
             else:
                 left = y if low is ZERO else OPlus(low, y)
                 out = left if high is ONE else Star(left, high)
-        memo[key] = out
-        return out
-
-    return level(len(units), 0)
+            nxt.append(out)
+        level = nxt
+    return level[0]
 
 
 def _synthesize_formula(f: PWLMap) -> Formula:

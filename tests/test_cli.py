@@ -129,6 +129,13 @@ def test_subst_reach(capsys):
     assert evaluate(g, LUKASIEWICZ, (F(1, 3),)) == F(2, 3)
 
 
+def test_subst_reach_peels_996_unit_literals(capsys):
+    payload = capture_json(capsys, ["subst", "reach",
+                                    "--source", "1/997", "--target", "996/997"])
+    g = parse_formula(payload["x0"])
+    assert evaluate(g, LUKASIEWICZ, (F(1, 997),)) == F(996, 997)
+
+
 def test_homeo_rotation_report(capsys):
     payload = capture_json(capsys, ["homeo", "rotation", "--validate"])
     assert len(payload["cells"]) == 14
@@ -438,9 +445,12 @@ def test_bad_rational_is_named(capsys, argv, text):
       "--grid", "100"], "100**4", "mvdyn.dynamics._compile_float"),
     (["taut", "--logic", "product", "--grid-bound", "-5", "x0 | !x0"], "grid_bound",
      "mvdyn.formula.rationals_up_to"),
+    (["subst", "reach", "--source", "2/997", "--target", "5/997"], "2490 unit literals",
+     "mvdyn.pwl.Var"),
 ], ids=["avg", "boxhit", "odometer-perm", "orbit-max", "boxhit-hmax", "boxhit-kmax",
         "taut-chain", "taut-grid", "boxhit-grid", "taut-grid-bound", "identity-grid-bound",
-        "algebra-chain", "filters-chain", "stats-grid", "taut-grid-bound-below-one"])
+        "algebra-chain", "filters-chain", "stats-grid", "taut-grid-bound-below-one",
+        "subst-reach-units"])
 def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv, text, work):
     def refused(*args, **kwargs):
         raise AssertionError("work began on an out-of-range count")
@@ -462,7 +472,9 @@ def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv
       "--grid", "2"], "mvdyn.dynamics._compile_float"),
     (["taut", "--logic", "product", "--grid-bound", "1", "x0"],
      "mvdyn.formula.rationals_up_to"),
-], ids=["boxhit", "orbit", "taut-grid", "chain", "stats", "taut-grid-bound-one"])
+    (["subst", "reach", "--source", "1/3", "--target", "2/3"], "mvdyn.pwl.Var"),
+], ids=["boxhit", "orbit", "taut-grid", "chain", "stats", "taut-grid-bound-one",
+        "subst-reach-units"])
 def test_the_refused_work_is_reached_in_range(capsys, monkeypatch, argv, work):
     # the refusal cases above patch work that an in-range count does reach
     def reached(*args, **kwargs):

@@ -178,6 +178,14 @@ def test_reachability_random_exact():
         assert tuple(evaluate(img, LUKASIEWICZ, p) for img in s.images) == q
 
 
+def test_reachability_at_the_clamp_cap():
+    # the image of x0 peels 996 unit literals, one level each
+    sig = reachability_substitution((F(1, 997),), (F(996, 997),))
+    assert map_eval(sig, (F(1, 997),)) == (F(996, 997),)
+    with pytest.raises(ValueError, match="2490 unit literals"):
+        reachability_substitution((F(2, 997),), (F(5, 997),))
+
+
 def test_reachability_guards():
     with pytest.raises(ValueError):
         reachability_substitution((F(1, 2),), (F(1, 3),))

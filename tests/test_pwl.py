@@ -1,10 +1,13 @@
 """Exact piecewise-linear calculus: complexes, compilation, integration,
 synthesis, and affine maps."""
 
+import bisect
 import random
 from fractions import Fraction
 
 import pytest
+
+import mvdyn.pwl as pwl_module
 
 from mvdyn.formula import (
     Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, Substitution, parse_formula,
@@ -13,12 +16,15 @@ from mvdyn.formula import (
 from mvdyn.pwl import (
     CellComplex, PWLMap, AffineMap, CellBudgetError,
     unit_complex, common_refinement, pwl_from_formula, pwl_eval, pwl_combine,
-    pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula,
+    pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula, MAX_CLAMP_UNITS,
     pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
-    pwl_compose, _synthesize_formula, _build_complex_2d, _area2, _canon, _clip,
+    pwl_compose, _synthesize_formula, _area2, _build_complex_2d, _compose_affine, _pullback,
     _refine_tagged,
 )
-from mvdyn.dynamics import induced_map, rotation_homeomorphism, validate_homeomorphism
+from mvdyn.dynamics import (
+    induced_map, rotation_homeomorphism, tent_substitution, validate_homeomorphism,
+)
+from mvdyn.proofs import _min_over_unit_set
 
 F = Fraction
 
@@ -27,14 +33,14 @@ TENT = parse_formula("x0 (+) x0 & !x0 (+) !x0")
 FIGURE = parse_formula("!x0 | (x0 & !x0) (+) (x0 & !x0)")
 
 
-def rand_formula(rng, n, depth):
-    if depth == 0 or rng.random() < 0.25:
+def rand_formula(rng, n, depth, leaf_p=0.25):
+    if depth == 0 or rng.random() < leaf_p:
         return rng.choice([Var(rng.randrange(n)), ZERO, ONE])
     op = rng.choice(["star", "impl", "neg", "and", "or", "oplus"])
     if op == "neg":
-        return Neg(rand_formula(rng, n, depth - 1))
+        return Neg(rand_formula(rng, n, depth - 1, leaf_p))
     ctor = {"star": Star, "impl": Impl, "and": And, "or": Or, "oplus": OPlus}[op]
-    return ctor(rand_formula(rng, n, depth - 1), rand_formula(rng, n, depth - 1))
+    return ctor(rand_formula(rng, n, depth - 1, leaf_p), rand_formula(rng, n, depth - 1, leaf_p))
 
 
 def rand_point(rng, n, den=16):
@@ -167,6 +173,310 @@ def test_refinement_1d_of_cells_stored_right_to_left():
     assert [pwl_eval(high, [x]) for x in (F(1, 6), F(1, 2), F(5, 6))] == [F(1, 2), 1, F(1, 2)]
 
 
+# -- the Fraction reference of the 2-D kernel ------------------------------------------
+#
+# The library computes 2-D geometry on reduced integer triples (X, Y, W). These
+# are its former Fraction versions, points as pairs of Fractions, kept as the
+# reference that it must equal exactly.
+
+def ref_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def ref_clip(poly, h):
+    """Clip a convex polygon by the halfplane h[0]*x + h[1]*y + h[2] >= 0."""
+    out = []
+    n = len(poly)
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        hp = h[0] * p[0] + h[1] * p[1] + h[2]
+        hq = h[0] * q[0] + h[1] * q[1] + h[2]
+        if hp >= 0:
+            out.append(p)
+            if hq < 0:
+                t = hp / (hp - hq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        elif hq > 0:
+            t = hp / (hp - hq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def ref_canon(poly):
+    """Deduplicate and drop collinear boundary points; ccw, lex-min first;
+    [] for polygons of zero area."""
+    pts = []
+    for p in poly:
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    while len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    if len(pts) < 3:
+        return []
+    m = len(pts)
+    out = [pts[i] for i in range(m) if ref_cross(pts[i - 1], pts[i], pts[(i + 1) % m]) != 0]
+    if len(out) < 3:
+        return []
+    if _area2(out) < 0:
+        out.reverse()
+    k = out.index(min(out))
+    return out[k:] + out[:k]
+
+
+def ref_on_open_segment(a, b, v):
+    if ref_cross(a, b, v) != 0:
+        return False
+    dot = (v[0] - a[0]) * (b[0] - a[0]) + (v[1] - a[1]) * (b[1] - a[1])
+    return 0 < dot < (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+
+
+def ref_fan(poly):
+    v0 = poly[0]
+    return [(v0, a, b) for a, b in zip(poly[1:-1], poly[2:]) if ref_cross(v0, a, b) != 0]
+
+
+def ref_build_complex_2d(tagged_polys):
+    polys = [(cp, tag) for cp, tag in ((ref_canon(p), tag) for p, tag in tagged_polys) if cp]
+    tris = [(t, tag) for poly, tag in polys for t in ref_fan(poly)]
+    vert_set = sorted({p for poly, _ in polys for p in poly})
+    out = []
+    for tri, tag in tris:
+        cycle = []
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            cycle.append(a)
+            x_lo, x_hi = sorted((a[0], b[0]))
+            y_lo, y_hi = sorted((a[1], b[1]))
+            hang = []
+            for k in range(bisect.bisect_left(vert_set, (x_lo,)), len(vert_set)):
+                v = vert_set[k]
+                if v[0] > x_hi:
+                    break
+                if y_lo <= v[1] <= y_hi and ref_on_open_segment(a, b, v):
+                    hang.append(v)
+            hang.sort(key=lambda v: (v[0] - a[0]) ** 2 + (v[1] - a[1]) ** 2)
+            cycle.extend(hang)
+        if len(cycle) == 3:
+            out.append((tri, tag))
+        else:
+            m = len(cycle)
+            c = (sum(p[0] for p in cycle) / m, sum(p[1] for p in cycle) / m)
+            for i in range(m):
+                t = (c, cycle[i], cycle[(i + 1) % m])
+                if ref_cross(*t) != 0:
+                    out.append((t, tag))
+    all_pts = sorted({p for t, _ in out for p in t})
+    index = {p: i for i, p in enumerate(all_pts)}
+    cells, tags = [], []
+    for i in sorted(range(len(out)), key=lambda i: tuple(sorted(index[p] for p in out[i][0]))):
+        t, tag = out[i]
+        if _area2(t) < 0:
+            t = (t[0], t[2], t[1])
+        cells.append(tuple(index[p] for p in t))
+        tags.append(tag)
+    return CellComplex(2, all_pts, cells), tags
+
+
+def ref_edge_planes(tri):
+    """The half-planes whose intersection is a ccw triangle."""
+    return [(a[1] - b[1], b[0] - a[0], a[0] * b[1] - b[0] * a[1])
+            for a, b in zip(tri, tri[1:] + tri[:1])]
+
+
+def ref_pullback(w, pieces, v):
+    boxes = []
+    for i in range(len(v.cells)):
+        tri = v.cell_points(i)
+        xs, ys = [p[0] for p in tri], [p[1] for p in tri]
+        boxes.append((min(xs), max(xs), min(ys), max(ys), i, ref_edge_planes(tri)))
+    tagged = []
+    for j in range(len(w.cells)):
+        sp = pieces[j]
+        tri = w.cell_points(j)
+        image = [sp.apply(p) for p in tri]
+        xlo, xhi = min(p[0] for p in image), max(p[0] for p in image)
+        ylo, yhi = min(p[1] for p in image), max(p[1] for p in image)
+        (a00, a01), (a10, a11) = sp.a
+        b0, b1 = sp.b
+        seen = set() if sp.det() == 0 else None
+        for bx0, bx1, by0, by1, i, planes in boxes:
+            if bx0 > xhi or bx1 < xlo or by0 > yhi or by1 < ylo:
+                continue
+            poly = list(tri)
+            for c0, c1, c2 in planes:
+                poly = ref_clip(poly, (c0 * a00 + c1 * a10, c0 * a01 + c1 * a11,
+                                       c0 * b0 + c1 * b1 + c2))
+            poly = ref_canon(poly)
+            if not poly or seen is not None and tuple(poly) in seen:
+                continue
+            if seen is not None:
+                seen.add(tuple(poly))
+            tagged.append((poly, (j, i)))
+    return ref_build_complex_2d(tagged)
+
+
+IDENTITY = AffineMap(((1, 0), (0, 1)), (0, 0))
+
+
+def ref_refine(w1, w2):
+    return ref_pullback(w1, (IDENTITY,) * len(w1.cells), w2)
+
+
+def ref_combine(op, f, g):
+    """The 2-D combine of two one-row maps on the Fraction kernel."""
+    refined, tags = ref_refine(f.complex, g.complex)
+    flat = ((0, 0),)
+    zero, one = AffineMap(flat, (0,)), AffineMap(flat, (1,))
+    tagged = []
+    for j, (i1, i2) in enumerate(tags):
+        fp, gp = f.maps[i1], g.maps[i2]
+        h = gp - fp if op == "impl" else fp - gp if op in ("min", "max") else (fp + gp).shift(-1)
+        pts = refined.cell_points(j)
+        hp = (h.a[0][0], h.a[0][1], h.b[0])
+        vals = [hp[0] * x + hp[1] * y + hp[2] for x, y in pts]
+        if all(v >= 0 for v in vals):
+            parts = [(pts, True)]
+        elif all(v <= 0 for v in vals):
+            parts = [(pts, False)]
+        else:
+            parts = [(ref_clip(pts, hp), True), (ref_clip(pts, tuple(-c for c in hp)), False)]
+        tagged += [(poly, (fp, gp, h, pos)) for poly, pos in parts if ref_canon(poly)]
+    out, out_tags = ref_build_complex_2d(tagged)
+
+    def branch(fp, gp, h, positive):
+        if op == "min":
+            return gp if positive else fp
+        if op == "max":
+            return fp if positive else gp
+        if positive:
+            return h if op == "star" else one
+        return zero if op == "star" else h.shift(1)
+    return PWLMap(out, tuple(branch(*t) for t in out_tags))
+
+
+def ref_integral(f, box):
+    (xlo, xhi), (ylo, yhi) = box
+    total = F(0)
+    for j, m in enumerate(f.maps):
+        poly = f.complex.cell_points(j)
+        for h in [(1, 0, -xlo), (-1, 0, xhi), (0, 1, -ylo), (0, -1, yhi)]:
+            poly = ref_clip(poly, h)
+        poly = ref_canon(poly)
+        for tri in ref_fan(poly) if poly else ():
+            total += _area2(tri) / 2 * sum(m.apply(p)[0] for p in tri) / 3
+    return total
+
+
+def ref_min_over_unit_set(cw, rw):
+    refined, tags = ref_refine(cw.complex, rw.complex)
+    best = witness = None
+    for j, (i1, i2) in enumerate(tags):
+        cp, rp = cw.maps[i1], rw.maps[i2]
+        pts = refined.cell_points(j)
+        vals = [cp.apply(p)[0] for p in pts]
+        if all(v == 1 for v in vals):
+            cand = pts
+        elif any(v == 1 for v in vals):
+            cand = ref_clip(list(pts), (cp.a[0][0], cp.a[0][1], cp.b[0] - 1))
+        else:
+            continue
+        for p in cand:
+            v = rp.apply(p)[0]
+            if best is None or v < best:
+                best, witness = v, p
+    return best, witness
+
+
+def tent_pair():
+    x = X1
+    return Substitution([tent_substitution().images[0],
+                         And(OPlus(x, x), OPlus(Neg(x), Neg(x)))])
+
+
+def test_integer_kernel_compiles_as_the_reference(monkeypatch):
+    # the first 100 formulas of acceptance criterion 11, whose generator
+    # draws 20 points after each
+    rng = random.Random(111)
+    formulas = []
+    for _ in range(100):
+        formulas.append(rand_formula(rng, 2, 4, leaf_p=0.3))
+        for _ in range(20):
+            rng.randint(0, 16), rng.randint(0, 16)
+    got = [pwl_from_formula(f, 2) for f in formulas]
+    monkeypatch.setattr(pwl_module, "_combine", ref_combine)
+    for f, w in zip(formulas, got):
+        want = pwl_from_formula(f, 2)
+        assert (w.complex.vertices, w.complex.cells, w.maps) == \
+            (want.complex.vertices, want.complex.cells, want.maps), f
+
+
+def test_integer_kernel_refines_integrates_and_minimizes_as_the_reference():
+    rng = random.Random(1616)
+    rotation = rotation_homeomorphism()[1].complex
+    pairs = [(rotation, unit_complex(2)), (unit_complex(2), rotation)]
+    maps = [pwl_from_formula(rand_formula(rng, 2, 4), 2) for _ in range(40)]
+    pairs += [(f.complex, g.complex) for f, g in zip(maps[::2], maps[1::2])]
+    for w1, w2 in pairs:
+        got, tags = _refine_tagged(w1, w2)
+        want, want_tags = ref_refine(w1, w2)
+        assert (got.vertices, got.cells, tags) == (want.vertices, want.cells, want_tags)
+    for f in maps:
+        for _ in range(3):
+            box = [tuple(sorted(F(k, 8) for k in rng.sample(range(9), 2))) for _ in range(2)]
+            assert pwl_integral(f, box) == ref_integral(f, box), box
+    for cw, rw in zip(maps[::2], maps[1::2]):
+        assert _min_over_unit_set(cw, rw) == ref_min_over_unit_set(cw, rw)
+    # a conjunction that is 1 on a face only, and a flat hypothesis
+    for c, r in ((Or(X0, X1), Star(X0, X1)), (And(Neg(X0), X1), X0),
+                 (OPlus(X0, X1), Neg(Star(X0, X1))), (ONE, Neg(X1))):
+        cw, rw = pwl_from_formula(c, 2), pwl_from_formula(r, 2)
+        assert _min_over_unit_set(cw, rw) == ref_min_over_unit_set(cw, rw)
+
+
+def test_integer_kernel_assembles_hanging_vertices_as_the_reference():
+    # one half of the square whole, the other fanned from its far corner
+    # through points of the diagonal between them, which hang on the whole
+    # half's diagonal edge; both diagonals, both halves, so the edge runs
+    # in either lexicographic direction
+    rng = random.Random(1717)
+    corners = [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))]
+    for _ in range(12):
+        k = rng.randrange(4)
+        a, b, c, d = corners[k:] + corners[:k]      # ccw; the diagonal is a-c
+        den = rng.choice([3, 4, 5, 7, 12])
+        ts = sorted(rng.sample(range(1, den), rng.randint(1, min(3, den - 1))))
+        ts = [F(t, den) for t in ts]
+        inner = [(a[0] + t * (c[0] - a[0]), a[1] + t * (c[1] - a[1])) for t in ts]
+        path = [a] + inner + [c]
+        polys = [[a, b, c]] + [[p, q, d] for p, q in zip(path, path[1:])]
+        tagged = [(poly, i) for i, poly in enumerate(polys)]
+        if rng.random() < 0.5:
+            tagged.reverse()
+        triples = [([pwl_module._scaled((*p, 1))[0] for p in poly], t) for poly, t in tagged]
+        got, tags = _build_complex_2d(triples)
+        want, want_tags = ref_build_complex_2d(tagged)
+        assert (got.vertices, got.cells, tags) == (want.vertices, want.cells, want_tags)
+        got.validate()
+        # the whole half is fanned from a Steiner point: 3 + m cells, and m + 1 others
+        assert len(got.cells) == 2 * len(ts) + 4
+
+
+@pytest.mark.parametrize("s, r, steps", [
+    (induced_map(tent_pair()).pwl, Star(X0, X1), 3),
+    (rotation_homeomorphism()[1], parse_formula("x0 * x1 (+) !x0 & x1"), 3),
+], ids=["tent-pair", "rotation"])
+def test_integer_kernel_composes_as_the_reference(s, r, steps):
+    w = pwl_from_formula(r, 2)
+    for _ in range(steps):
+        got, tags = _pullback(s.complex, s.maps, w.complex)
+        want, want_tags = ref_pullback(s.complex, s.maps, w.complex)
+        assert (got.vertices, got.cells, tags) == (want.vertices, want.cells, want_tags)
+        nxt = pwl_compose(w, s)
+        assert nxt.complex.cells == want.cells
+        assert nxt.maps == tuple(_compose_affine(w.maps[i], s.maps[j]) for j, i in want_tags)
+        w = nxt
+
+
 def _poly_intersection(p1, p2):
     """p1 cap p2 for convex ccw polygons, via successive half-plane clips."""
     out = list(p1)
@@ -175,7 +485,7 @@ def _poly_intersection(p1, p2):
         a, b = p2[i], p2[(i + 1) % n]
         # inside of the directed edge a->b for a ccw polygon: cross(a, b, x) >= 0
         h = (-(b[1] - a[1]), (b[0] - a[0]), (b[1] - a[1]) * a[0] - (b[0] - a[0]) * a[1])
-        out = _clip(out, h)
+        out = ref_clip(out, h)
         if not out:
             return []
     return out
@@ -188,9 +498,9 @@ def all_pairs_refinement(w1, w2):
     for i in range(len(w1.cells)):
         for j in range(len(w2.cells)):
             inter = _poly_intersection(w1.cell_points(i), w2.cell_points(j))
-            if inter and _canon(inter):
+            if inter and ref_canon(inter):
                 tagged.append((inter, (i, j)))
-    return _build_complex_2d(tagged)
+    return ref_build_complex_2d(tagged)
 
 
 def assert_refines_as_all_pairs(w1, w2):
@@ -328,6 +638,20 @@ def test_clamp_constant_edges():
     assert evaluate(f, LUKASIEWICZ, (F(1, 3),)) == F(1, 3)
 
 
+def test_clamp_unit_cap_is_checked_before_any_work(monkeypatch):
+    f = clamp_affine_formula([-MAX_CLAMP_UNITS], MAX_CLAMP_UNITS)
+    assert evaluate(f, LUKASIEWICZ, (F(999, 1000),)) == F(1)
+    assert evaluate(f, LUKASIEWICZ, (F(9999, 10000),)) == F(1, 10)
+
+    def refused(*args):
+        raise AssertionError("a unit literal was built")
+
+    monkeypatch.setattr(pwl_module, "Var", refused)
+    for coeffs in ([MAX_CLAMP_UNITS + 1], [600, -401], [10 ** 12, 1]):
+        with pytest.raises(ValueError, match=f"{sum(map(abs, coeffs))} unit literals"):
+            clamp_affine_formula(coeffs, 0)
+
+
 def test_clamp_rejects_non_integer_coefficients():
     for coeffs, const in (((F(1, 2),), 0), ((F(3, 2),), 0), ((1,), F(1, 3))):
         with pytest.raises(ValueError):
@@ -397,7 +721,7 @@ def pairwise_tiles(w):
             if not inter:
                 continue
             shared = {w.vertices[i] for i in set(w.cells[j]) & set(w.cells[k])}
-            if _canon(inter) or any(p not in shared for p in inter):
+            if ref_canon(inter) or any(p not in shared for p in inter):
                 return False
     return True
 
@@ -429,7 +753,7 @@ def pairwise_invertible(s):
                     return False
             else:
                 inter = _poly_intersection(images[a], images[b])
-                if inter and _canon(inter):
+                if inter and ref_canon(inter):
                     return False
     return True
 
