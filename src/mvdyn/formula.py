@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 import weakref
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -269,8 +270,8 @@ def json_field(obj, key: str, convert: Callable):
 
 # -- parser -------------------------------------------------------------------
 
-# Each binary connective, keyed by its op (also its token kind): precedence
-# level (higher binds tighter), symbol, constructor. -> is right-associative,
+# Each binary connective, keyed by its op: precedence level (higher binds
+# tighter), symbol (also its token), constructor. -> is right-associative,
 # the others are left-associative; ! is at level 5 and the leaves at 6.
 _BINARY = {
     "impl": (0, "->", Impl),
@@ -279,110 +280,149 @@ _BINARY = {
     "oplus": (3, "(+)", OPlus),
     "star": (4, "*", Star),
 }
+_INFIX = {symbol: (level, ctor) for level, symbol, ctor in _BINARY.values()}
 
-_TOKEN_NAMES = {
-    "var": "variable", "zero": "'0'", "one": "'1'", "not": "'!'",
-    "lparen": "'('", "rparen": "')'", "eof": "end of input",
-    **{op: f"'{symbol}'" for op, (_, symbol, _) in _BINARY.items()},
-}
-_ATOM_STARTS = [_TOKEN_NAMES[kind] for kind in ("var", "zero", "one", "not", "lparen")]
+# One token per match: a variable, a connective, a constant, '!', '(' or ')',
+# else any one non-space character, an error (regex \s is str.isspace).
+_TOKEN = re.compile(r"x[0-9]+|->|\(\+\)|[01!()*&|]|\S")
+# The '(' and ')' that open and close groups: not those of '(+)'.
+_PARENS = re.compile(r"(\((?!\+\))|(?<!\(\+)\))")
+_MAX_INDEX_DIGITS = 4300  # the longest decimal string int() reads by default
+_SPLIT_FROM = 256
 
-# Tokens of one character; '(' may start '(+)' and '-' must start '->'.
-_ONE_CHAR = {"0": "zero", "1": "one", "!": "not", ")": "rparen",
-             **{symbol: op for op, (_, symbol, _) in _BINARY.items() if len(symbol) == 1}}
-
-
-def _syntax_error(text: str, message: str, pos: int, expected) -> ParseError:
-    """ParseError at char index pos of text, reported as a byte offset."""
-    return ParseError(message, len(text[:pos].encode("utf-8")), expected)
+_TOKEN_NAMES = {tok: f"'{tok}'" for tok in ("0", "1", "!", "(", ")", *_INFIX)}
+_ATOM_STARTS = ["variable", "'0'", "'1'", "'!'", "'('"]
+_BAD_CHARS = {"x": ("variable name needs digits", ["variable"]), "-": ("stray '-'", ["'->'"])}
 
 
-def _tokenize(text: str) -> list[tuple[str, int, object]]:
-    """(kind, char index, value) per token, ending with an eof token. Char
-    indices become byte offsets only for an error, which keeps this linear."""
-    toks = []
-    i, n = 0, len(text)
+def variable_index(name: str) -> Optional[int]:
+    """i if name is the variable x<i>: 'x' then 1 to 4300 ASCII digits; else None."""
+    digits = name[1:]
+    ok = name[:1] == "x" and 0 < len(digits) <= _MAX_INDEX_DIGITS and digits.isascii()
+    return int(digits) if ok and digits.isdigit() else None
 
-    while i < n:
-        ch = text[i]
-        kind = _ONE_CHAR.get(ch)
-        if kind is not None:
-            toks.append((kind, i, None)); i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise _syntax_error(text, "variable name needs digits", i, ["variable"])
-            toks.append(("var", i, int(text[i + 1:j])))
-            i = j
-        elif ch == "-":
-            if text.startswith("->", i):
-                toks.append(("impl", i, None)); i += 2
-            else:
-                raise _syntax_error(text, "stray '-'", i, ["'->'"])
-        elif ch == "(":
-            if text.startswith("(+)", i):
-                toks.append(("oplus", i, None)); i += 3
-            else:
-                toks.append(("lparen", i, None)); i += 1
-        else:
-            raise _syntax_error(text, f"unexpected character {ch!r}", i, _ATOM_STARTS)
-    toks.append(("eof", n, None))
-    return toks
+
+class _Stuck(Exception):
+    """args: the index of the token that cannot come next (len(tokens): the end), what could."""
 
 
 def _reduce(operands: list, pending: list, level: int) -> None:
     """Join the pending binary connectives of precedence level >= level, from
     the innermost out, stopping at a pending '('."""
-    while pending and pending[-1] in _BINARY and _BINARY[pending[-1]][0] >= level:
+    while pending and pending[-1] in _INFIX and _INFIX[pending[-1]][0] >= level:
         right = operands.pop()
-        operands[-1] = _BINARY[pending.pop()][2](operands[-1], right)
+        operands[-1] = _INFIX[pending.pop()][1](operands[-1], right)
 
 
-def parse_formula(text: str) -> Formula:
+def _parse_tokens(tokens: list) -> Formula:
     """Operator-precedence parse on two lists, operands and pending '!', '(' and
-    binary connectives, not on the call stack: any depth of nesting parses."""
+    binary connectives, not on the call stack: any depth of nesting parses. A
+    Formula among the tokens is an operand: a group parsed before."""
     operands: list[Formula] = []
     pending: list[str] = []
     open_parens = 0
     after_operand = False
-    for kind, pos, val in _tokenize(text):
+    for i, tok in enumerate(tokens):
         if not after_operand:
-            if kind == "not" or kind == "lparen":
-                pending.append(kind)
-                open_parens += kind == "lparen"
+            if tok.__class__ is not str:
+                operands.append(tok)
+            elif tok == "!" or tok == "(":
+                pending.append(tok)
+                open_parens += tok == "("
                 continue
-            if kind == "var":
-                operands.append(Var(val))
-            elif kind == "zero" or kind == "one":
-                operands.append(Formula(kind))
+            elif tok == "0" or tok == "1":
+                operands.append(ONE if tok == "1" else ZERO)
+            elif tok[0] == "x" and 1 < len(tok) <= _MAX_INDEX_DIGITS + 1:  # ASCII by _TOKEN
+                operands.append(Var(int(tok[1:])))
             else:
-                raise _syntax_error(text, f"unexpected {_TOKEN_NAMES[kind]}", pos, _ATOM_STARTS)
-            after_operand = True
-        elif kind in _BINARY:
+                raise _Stuck(i, _ATOM_STARTS)
+        elif tok.__class__ is str and tok in _INFIX:
             # a pending -> of the same level waits: -> is right-associative
-            level = _BINARY[kind][0]
-            _reduce(operands, pending, level + 1 if kind == "impl" else level)
-            pending.append(kind)
+            level = _INFIX[tok][0]
+            _reduce(operands, pending, level + 1 if tok == "->" else level)
+            pending.append(tok)
             after_operand = False
             continue
-        elif kind == "rparen" and open_parens:
+        elif tok == ")" and open_parens:
             _reduce(operands, pending, 0)
             pending.pop()  # its '('
             open_parens -= 1
-        elif kind == "eof" and not open_parens:
-            _reduce(operands, pending, 0)
-            return operands[0]
         else:
-            expected = _TOKEN_NAMES["rparen" if open_parens else "eof"]
-            raise _syntax_error(text, f"unexpected {_TOKEN_NAMES[kind]}", pos, [expected])
+            raise _Stuck(i, [_TOKEN_NAMES[")"] if open_parens else "end of input"])
+        after_operand = True
         # an operand is complete, or a parenthesis closed: apply the ! pending before it
-        while pending and pending[-1] == "not":
+        while pending and pending[-1] == "!":
             pending.pop()
             operands[-1] = Neg(operands[-1])
+    if not after_operand or open_parens:
+        raise _Stuck(len(tokens), [_TOKEN_NAMES[")"]] if after_operand else _ATOM_STARTS)
+    _reduce(operands, pending, 0)
+    return operands[0]
+
+
+def _parse_positioned(text: str) -> Formula:
+    """The whole text parsed as one token list, to raise its ParseError: at the
+    first token the tokenizer rejects, else at the first that cannot come next."""
+    matches = list(_TOKEN.finditer(text))
+    tokens = [m.group() for m in matches]
+    for i, tok in enumerate(tokens):
+        if tok not in _TOKEN_NAMES and variable_index(tok) is None:
+            message, expected = (
+                _BAD_CHARS.get(tok, (f"unexpected character {tok!r}", _ATOM_STARTS))
+                if len(tok) == 1  # else x and more digits than int() reads
+                else (f"variable index over {_MAX_INDEX_DIGITS} digits", ["variable"]))
+            break
+    else:
+        try:
+            return _parse_tokens(tokens)
+        except _Stuck as stuck:
+            i, expected = stuck.args
+        message = "unexpected " + (_TOKEN_NAMES.get(tokens[i], "variable") if i < len(tokens)
+                                   else "end of input")
+    pos = matches[i].start() if i < len(tokens) else len(text)
+    raise ParseError(message, len(text[:pos].encode("utf-8")), expected)
+
+
+def parse_formula(text: str) -> Formula:
+    """The formula that text writes, read in one pass over its parentheses.
+
+    Each group ( ... ), and the whole text, is keyed by its text segments and
+    the nodes of the groups in it, and each distinct group body is parsed once
+    per call. Nodes are hash-consed, so a DAG printed as a tree costs its
+    distinct groups, not its tokens. On any error the whole text is parsed
+    again as one token list, which raises the ParseError.
+    """
+    # a short text is one segment: its groups cannot repeat enough to pay for their keys
+    pieces = _PARENS.split(text) if len(text) >= _SPLIT_FROM else [text]
+    pieces = iter(pieces + [")", ""])  # the top level closes like a group
+    memo: dict[tuple, Formula] = {}   # group key -> node
+    nodes: dict[int, Formula] = {}    # id -> node, for every node in memo
+    stack = [[]]                      # the items of the groups around this one
+    items = [next(pieces)]            # text segments, and node ids between them
+    try:
+        for paren, segment in zip(pieces, pieces):
+            if paren == "(":
+                stack.append(items)
+                items = [segment]
+                continue
+            if not stack:
+                raise _Stuck  # a ')' that closes no group
+            key = tuple(items)
+            node = memo.get(key)
+            if node is None:
+                tokens = _TOKEN.findall(items[0])
+                for j in range(1, len(items), 2):
+                    tokens.append(nodes[items[j]])
+                    tokens += _TOKEN.findall(items[j + 1])
+                node = memo[key] = _parse_tokens(tokens)
+                nodes[id(node)] = node
+            items = stack.pop()
+            items += (id(node), segment)
+        if not stack:
+            return node
+    except _Stuck:
+        pass
+    return _parse_positioned(text)
 
 
 _LEVEL = {**{op: level for op, (level, _, _) in _BINARY.items()},

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence, Union
 from . import pwl as _pwl
 from .formula import (
     Formula, Var, Star, ONE, Substitution, apply_substitution,
-    arity_of, chain_axis, interpret, parse_formula, print_formula, tautology_check,
+    arity_of, chain_axis, interpret, json_field, parse_formula, print_formula,
+    tautology_check, variable_index,
     TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
 
@@ -300,11 +301,14 @@ def _sigma_to_json(sigma: Substitution) -> dict:
 def _sigma_from_json(obj: dict) -> Substitution:
     """The substitution x_i -> parse_formula(obj["x<i>"]); every other x_i
     below the arity maps to itself."""
+    if not isinstance(obj, dict):
+        raise ValueError("a substitution is a JSON object")
     entries = {}
     for key, text in obj.items():
-        if not key.startswith("x") or not key[1:].isdigit():
+        i = variable_index(key)
+        if i is None:
             raise ValueError(f"substitution target {key!r} is not a variable")
-        entries[int(key[1:])] = parse_formula(text)
+        entries[i] = parse_formula(text)
     arity = max([i + 1 for i in entries] + [g.arity for g in entries.values()], default=0)
     images = [entries.get(i, Var(i)) for i in range(arity)]
     return Substitution(images)
@@ -328,26 +332,37 @@ def proof_to_jsonl(proof: Proof) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
+def _premises(pair) -> tuple[int, int]:
+    k, m = pair
+    return int(k) - 1, int(m) - 1
+
+
+def _line_from_json(obj) -> ProofLine:
+    formula = json_field(obj, "formula", parse_formula)
+    j = json_field(obj, "just", lambda j: j)
+    if j == "axiom":
+        return ProofLine(formula, Axiom())
+    if isinstance(j, dict) and "hyp" in j:
+        return ProofLine(formula, Hypothesis(json_field(j, "hyp", int) - 1))
+    if isinstance(j, dict) and "mp" in j:
+        return ProofLine(formula, ModusPonens(*json_field(j, "mp", _premises)))
+    if isinstance(j, dict) and "subst" in j:
+        s = j["subst"]
+        return ProofLine(formula, Substituted(json_field(s, "line", int) - 1,
+                                              json_field(s, "sigma", _sigma_from_json)))
+    raise ValueError(f"unknown justification {j!r}")
+
+
 def proof_from_jsonl(text: str, hypotheses: Sequence[Formula] = ()) -> Proof:
+    """The proof that proof_to_jsonl wrote. A malformed line raises ValueError
+    that names its proof line number (blank lines do not count) and its field."""
     lines = []
     for raw in text.splitlines():
         raw = raw.strip()
         if not raw:
             continue
-        obj = json.loads(raw)
-        formula = parse_formula(obj["formula"])
-        j = obj["just"]
-        if j == "axiom":
-            just: Justification = Axiom()
-        elif isinstance(j, dict) and "hyp" in j:
-            just = Hypothesis(int(j["hyp"]) - 1)
-        elif isinstance(j, dict) and "mp" in j:
-            k, m = j["mp"]
-            just = ModusPonens(int(k) - 1, int(m) - 1)
-        elif isinstance(j, dict) and "subst" in j:
-            just = Substituted(int(j["subst"]["line"]) - 1,
-                               _sigma_from_json(j["subst"]["sigma"]))
-        else:
-            raise ValueError(f"unknown justification {j!r}")
-        lines.append(ProofLine(formula, just))
+        try:
+            lines.append(_line_from_json(json.loads(raw)))
+        except ValueError as exc:
+            raise ValueError(f"line {len(lines) + 1}: {exc}") from None
     return Proof(tuple(hypotheses), tuple(lines))

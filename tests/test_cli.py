@@ -299,6 +299,34 @@ def test_prove_check_malformed_exits_two(capsys, tmp_path):
     assert "malformed" in err
 
 
+VALID_LINE = '{"formula": "x0", "just": {"hyp": 1}}'
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"just": "axiom"}', "missing field 'formula'"),
+    ('{"formula": "x0"}', "missing field 'just'"),
+    ('{"formula": 5, "just": "axiom"}', "ill-typed field 'formula': TypeError"),
+    ('{"formula": "x0 x1", "just": "axiom"}',
+     "ill-typed field 'formula': ParseError: unexpected variable at byte 3"),
+    ('{"formula": "x0", "just": {"mp": [1]}}', "ill-typed field 'mp': ValueError"),
+    ('{"formula": "x0", "just": {"mp": 1}}', "ill-typed field 'mp': TypeError"),
+    ('{"formula": "x0", "just": {"hyp": [1]}}', "ill-typed field 'hyp': TypeError"),
+    ('{"formula": "x0", "just": {"subst": {"sigma": {}}}}', "missing field 'line'"),
+    ('{"formula": "x0", "just": {"subst": {"line": 1, "sigma": ["x0"]}}}',
+     "ill-typed field 'sigma': ValueError: a substitution is a JSON object"),
+    ('{"formula": "x0", "just": {"subst": {"line": 1, "sigma": {"x\u00b2": "x0"}}}}',
+     "ill-typed field 'sigma': ValueError: substitution target 'x²' is not a variable"),
+    ('{"formula": "x0", "just": {"wave": 1}}', "unknown justification {'wave': 1}"),
+    ('{"formula": "x0", ', "Expecting"),
+])
+def test_prove_check_malformed_line_names_its_line_and_field(capsys, monkeypatch, line, message):
+    # the bad line is the second line of the proof; a blank line does not count
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{VALID_LINE}\n\n{line}\n"))
+    code, out, err = capture(capsys, ["prove", "check", "-", "--hyp", "x0"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"malformed proof: line 2: {message}")
+
+
 def test_prove_check_strict_mode(capsys, tmp_path):
     path = tmp_path / "axiom.jsonl"
     path.write_text('{"formula": "0 -> (x2 * x2)", "just": "axiom"}\n',

@@ -1,6 +1,7 @@
 """Formula construction, parsing, printing, semantics, and substitutions."""
 
 import copy
+import functools
 import gc
 import itertools
 import pickle
@@ -9,6 +10,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvdyn import formula as formula_module
 from mvdyn.algebra import evaluate_in, finite_chain
@@ -406,6 +408,273 @@ def test_print_known_forms():
     assert print_formula(Impl(X0, X1)) == "x0 -> x1"
     assert print_formula(Star(Neg(X0), X1)) == "!x0 * x1"
     assert print_formula(Impl(Impl(X0, X1), X2)) == "(x0 -> x1) -> x2"
+
+
+# -- the reference parser -----------------------------------------------------------
+# The character loop and parse loop that parse_formula replaced, kept as the
+# reference it must match: the same node for every text the reference accepts,
+# and the same ParseError (message, byte offset, expected set) for every text it
+# rejects. The one intended difference: the reference reads any Unicode digits
+# in a variable name (see test_variable_names_take_ascii_digits_only).
+
+REF_BINARY = {
+    "impl": (0, "->", Impl),
+    "or": (1, "|", Or),
+    "and": (2, "&", And),
+    "oplus": (3, "(+)", OPlus),
+    "star": (4, "*", Star),
+}
+REF_TOKEN_NAMES = {
+    "var": "variable", "zero": "'0'", "one": "'1'", "not": "'!'",
+    "lparen": "'('", "rparen": "')'", "eof": "end of input",
+    **{op: f"'{symbol}'" for op, (_, symbol, _) in REF_BINARY.items()},
+}
+REF_ATOM_STARTS = [REF_TOKEN_NAMES[kind] for kind in ("var", "zero", "one", "not", "lparen")]
+REF_ONE_CHAR = {"0": "zero", "1": "one", "!": "not", ")": "rparen",
+                **{symbol: op for op, (_, symbol, _) in REF_BINARY.items() if len(symbol) == 1}}
+
+
+def ref_syntax_error(text, message, pos, expected):
+    return ParseError(message, len(text[:pos].encode("utf-8")), expected)
+
+
+def ref_tokenize(text):
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        kind = REF_ONE_CHAR.get(ch)
+        if kind is not None:
+            toks.append((kind, i, None)); i += 1
+        elif ch.isspace():
+            i += 1
+        elif ch == "x":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ref_syntax_error(text, "variable name needs digits", i, ["variable"])
+            toks.append(("var", i, int(text[i + 1:j])))
+            i = j
+        elif ch == "-":
+            if text.startswith("->", i):
+                toks.append(("impl", i, None)); i += 2
+            else:
+                raise ref_syntax_error(text, "stray '-'", i, ["'->'"])
+        elif ch == "(":
+            if text.startswith("(+)", i):
+                toks.append(("oplus", i, None)); i += 3
+            else:
+                toks.append(("lparen", i, None)); i += 1
+        else:
+            raise ref_syntax_error(text, f"unexpected character {ch!r}", i, REF_ATOM_STARTS)
+    toks.append(("eof", n, None))
+    return toks
+
+
+def ref_reduce(operands, pending, level):
+    while pending and pending[-1] in REF_BINARY and REF_BINARY[pending[-1]][0] >= level:
+        right = operands.pop()
+        operands[-1] = REF_BINARY[pending.pop()][2](operands[-1], right)
+
+
+def ref_parse_formula(text):
+    operands = []
+    pending = []
+    open_parens = 0
+    after_operand = False
+    for kind, pos, val in ref_tokenize(text):
+        if not after_operand:
+            if kind == "not" or kind == "lparen":
+                pending.append(kind)
+                open_parens += kind == "lparen"
+                continue
+            if kind == "var":
+                operands.append(Var(val))
+            elif kind == "zero" or kind == "one":
+                operands.append(Formula(kind))
+            else:
+                raise ref_syntax_error(text, f"unexpected {REF_TOKEN_NAMES[kind]}", pos,
+                                       REF_ATOM_STARTS)
+            after_operand = True
+        elif kind in REF_BINARY:
+            level = REF_BINARY[kind][0]
+            ref_reduce(operands, pending, level + 1 if kind == "impl" else level)
+            pending.append(kind)
+            after_operand = False
+            continue
+        elif kind == "rparen" and open_parens:
+            ref_reduce(operands, pending, 0)
+            pending.pop()
+            open_parens -= 1
+        elif kind == "eof" and not open_parens:
+            ref_reduce(operands, pending, 0)
+            return operands[0]
+        else:
+            expected = REF_TOKEN_NAMES["rparen" if open_parens else "eof"]
+            raise ref_syntax_error(text, f"unexpected {REF_TOKEN_NAMES[kind]}", pos, [expected])
+        while pending and pending[-1] == "not":
+            pending.pop()
+            operands[-1] = Neg(operands[-1])
+
+
+def reparse_refused(text):
+    raise AssertionError(f"a valid text was parsed again as one token list: {text!r}")
+
+
+def parse_both_ways(text, valid):
+    """parse_formula(text) with the text split at its parentheses into keyed
+    groups, and as one segment, which it is when short: (node or ParseError) each.
+    A valid text must parse without the whole-text reparse that reports errors."""
+    saved = formula_module._SPLIT_FROM, formula_module._parse_positioned
+    outcomes = []
+    try:
+        if valid:
+            formula_module._parse_positioned = reparse_refused
+        for split_from in (0, len(text) + 1):
+            formula_module._SPLIT_FROM = split_from
+            try:
+                outcomes.append(parse_formula(text))
+            except ParseError as err:
+                outcomes.append(err)
+    finally:
+        formula_module._SPLIT_FROM, formula_module._parse_positioned = saved
+    return outcomes
+
+
+def assert_parses_as_reference(text):
+    """parse_formula(text), split into groups or not, is the reference's node, or
+    raises its ParseError (message, offset and expected set)."""
+    try:
+        want = ref_parse_formula(text)
+    except ParseError as ref_err:
+        for err in parse_both_ways(text, valid=False):
+            assert isinstance(err, ParseError)
+            assert (str(err), err.offset, err.expected) == \
+                (str(ref_err), ref_err.offset, ref_err.expected)
+        return None
+    assert all(got is want for got in parse_both_ways(text, valid=True))
+    return want
+
+
+PARSE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# Formulas with runs of ! and long -> chains besides the random binary nodes.
+parse_leaves = st.sampled_from([Var(0), Var(1), Var(12), ZERO, ONE])
+parse_formulas = st.recursive(parse_leaves, lambda sub: st.one_of(
+    st.builds(lambda f, k: negations(k, f), sub, st.integers(1, 5)),
+    st.builds(lambda op, a, b: op(a, b), st.sampled_from([Star, Impl, And, Or, OPlus]), sub, sub),
+    st.builds(lambda fs: functools.reduce(lambda acc, g: Impl(g, acc), reversed(fs)),
+              st.lists(sub, min_size=3, max_size=8)),
+), max_leaves=12)
+SPACES = ["", " ", "  ", "\t", "\n", " ", "　 "]
+
+
+@st.composite
+def printed_variants(draw):
+    """A printed random formula and that text with its tokens rejoined by random
+    whitespace, with redundant parentheses around atoms, doubled around groups
+    and around the whole text."""
+    f = draw(parse_formulas)
+    out, doubled = [], []
+    for kind, _, val in ref_tokenize(print_formula(f))[:-1]:
+        if kind == "var":
+            tok = f"x{val}"
+        elif kind in REF_BINARY:
+            tok = REF_BINARY[kind][1]
+        else:
+            tok = {"zero": "0", "one": "1", "not": "!", "lparen": "(", "rparen": ")"}[kind]
+        if kind in ("var", "zero", "one"):
+            k = draw(st.integers(0, 2))
+            tok = "(" * k + tok + ")" * k
+        elif kind == "lparen":
+            doubled.append(draw(st.booleans()))
+            tok *= 1 + doubled[-1]
+        elif kind == "rparen":
+            tok *= 1 + doubled.pop()
+        out.append(draw(st.sampled_from(SPACES)) + tok)
+    wrap = draw(st.integers(0, 2))
+    return f, "(" * wrap + "".join(out) + draw(st.sampled_from(SPACES)) + ")" * wrap
+
+
+@st.composite
+def mutated_texts(draw):
+    """A printed variant with one to three characters deleted, inserted or
+    swapped with the next; the inserted ones include every token's characters."""
+    _, text = draw(printed_variants())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(["delete", "insert", "swap"]))
+        if how == "delete":
+            text = text[:i] + text[i + 1:]
+        elif how == "insert":
+            text = text[:i] + draw(st.sampled_from("x01!()*&|->+ \t @é")) + text[i:]
+        else:
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+    return text
+
+
+@PARSE_SETTINGS
+@given(printed_variants())
+def test_parser_returns_the_reference_node(case):
+    f, text = case
+    assert assert_parses_as_reference(text) is f
+
+
+@PARSE_SETTINGS
+@given(mutated_texts())
+def test_parser_raises_the_reference_error_on_mutated_text(text):
+    assert_parses_as_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "()", "( + )", "x", "-", "x0 x1 (x2 ->)", "((x0)", "(x0))", ")(", "(+)", "x0 (+",
+    "x0 (+ x1)", "x0 (+)(+) x1", "((+) x1)", "(x0)(+)(x1))", "!" * 40, "x0 ->" * 30,
+    "(" * 50 + "x0" + ")" * 49, "x0 @ (x1", " x0 x1", "x0 -> x1 -",
+])
+def test_parser_matches_the_reference_on_malformed_text(text):
+    assert assert_parses_as_reference(text) is None
+
+
+def test_parser_rejects_a_non_string():
+    for bad in (5, None, b"x0", ["x0"]):
+        with pytest.raises(TypeError):
+            parse_formula(bad)
+
+
+def test_each_distinct_group_is_parsed_once(monkeypatch):
+    proof = derive_from_nontautology(Star(X0, X1), Neg(X1), 3)
+    line = max((ln.formula for ln in proof.lines), key=lambda g: len(print_formula(g)))
+    text = print_formula(line)
+    calls = []
+    real = formula_module._parse_tokens
+    monkeypatch.setattr(formula_module, "_parse_tokens",
+                        lambda tokens: calls.append(len(tokens)) or real(tokens))
+    assert parse_formula(text) is line
+    # one parse per distinct group body and one for the top level: a few
+    # hundred tokens, against about 500 parentheses and 6,000 tokens in the text
+    assert len(calls) <= distinct_nodes(line) + 1
+    assert 20 * sum(calls) < len(text) and 50 * len(calls) < text.count("(")
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("x²", 0),              # a superscript digit: int() refuses it
+    ("x0 * x٣", 5),         # an Arabic-Indic digit: it would print back as x3
+    (" x٣", 2),
+    ("x1 -> x" + "1" * 4301, 6),  # more digits than int() reads
+])
+def test_variable_names_take_ascii_digits_only(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert err.value.offset == offset
+    assert err.value.expected == {"variable"}
+
+
+def test_variable_index_limits():
+    assert parse_formula("x" + "1" * 4300) is Var(int("1" * 4300))
+    assert parse_formula("x007") is Var(7)
+    # the reference read x٣ as x3, which prints back as a different text
+    assert print_formula(ref_parse_formula("x٣")) == "x3"
 
 
 # -- semantics ----------------------------------------------------------------------

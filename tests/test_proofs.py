@@ -238,6 +238,20 @@ def test_jsonl_rejects_unknown_justification():
         proof_from_jsonl('{"formula": "x0", "just": {"wave": 1}}')
 
 
+@pytest.mark.parametrize("key", ["x\u00b2", "x\u0663", "x" + "1" * 4301, "x", "y0", "x-1", " x0"])
+def test_jsonl_substitution_targets_take_ascii_digits_only(key):
+    # the parser's rule for a variable name: x and 1 to 4300 ASCII digits
+    line = {"formula": "x0", "just": {"subst": {"line": 1, "sigma": {key: "1"}}}}
+    with pytest.raises(ValueError, match=r"line 1: .*is not a variable"):
+        proof_from_jsonl(json.dumps(line))
+
+
+def test_jsonl_substitution_target_digits_read_as_the_parser_reads_them():
+    line = {"formula": "x0", "just": {"subst": {"line": 1, "sigma": {"x02": "1"}}}}
+    sigma = proof_from_jsonl(json.dumps(line)).lines[0].justification.sigma
+    assert sigma.images == (Var(0), Var(1), ONE) and parse_formula("x02") is Var(2)
+
+
 def test_jsonl_blank_lines_ignored():
     text = proof_to_jsonl(mp_proof())
     padded = "\n" + text.replace("\n", "\n\n") + "\n\n"
