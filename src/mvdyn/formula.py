@@ -288,7 +288,6 @@ _TOKEN = re.compile(r"x[0-9]+|->|\(\+\)|[01!()*&|]|\S")
 # The '(' and ')' that open and close groups: not those of '(+)'.
 _PARENS = re.compile(r"(\((?!\+\))|(?<!\(\+)\))")
 _MAX_INDEX_DIGITS = 4300  # the longest decimal string int() reads by default
-_SPLIT_FROM = 256
 
 _TOKEN_NAMES = {tok: f"'{tok}'" for tok in ("0", "1", "!", "(", ")", *_INFIX)}
 _ATOM_STARTS = ["variable", "'0'", "'1'", "'!'", "'('"]
@@ -392,21 +391,19 @@ def parse_formula(text: str) -> Formula:
     distinct groups, not its tokens. On any error the whole text is parsed
     again as one token list, which raises the ParseError.
     """
-    # a short text is one segment: its groups cannot repeat enough to pay for their keys
-    pieces = _PARENS.split(text) if len(text) >= _SPLIT_FROM else [text]
-    pieces = iter(pieces + [")", ""])  # the top level closes like a group
+    pieces = iter(_PARENS.split(text) + [")", ""])  # the top level closes like a group
     memo: dict[tuple, Formula] = {}   # group key -> node
     nodes: dict[int, Formula] = {}    # id -> node, for every node in memo
     stack = [[]]                      # the items of the groups around this one
     items = [next(pieces)]            # text segments, and node ids between them
     try:
         for paren, segment in zip(pieces, pieces):
+            if not stack:
+                raise _Stuck  # a parenthesis after a ')' that closed the top level
             if paren == "(":
                 stack.append(items)
                 items = [segment]
                 continue
-            if not stack:
-                raise _Stuck  # a ')' that closes no group
             key = tuple(items)
             node = memo.get(key)
             if node is None:

@@ -337,6 +337,12 @@ def _premises(pair) -> tuple[int, int]:
     return int(k) - 1, int(m) - 1
 
 
+def _json_object(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise TypeError("not a JSON object")
+    return obj
+
+
 def _line_from_json(obj) -> ProofLine:
     formula = json_field(obj, "formula", parse_formula)
     j = json_field(obj, "just", lambda j: j)
@@ -347,7 +353,7 @@ def _line_from_json(obj) -> ProofLine:
     if isinstance(j, dict) and "mp" in j:
         return ProofLine(formula, ModusPonens(*json_field(j, "mp", _premises)))
     if isinstance(j, dict) and "subst" in j:
-        s = j["subst"]
+        s = json_field(j, "subst", _json_object)
         return ProofLine(formula, Substituted(json_field(s, "line", int) - 1,
                                               json_field(s, "sigma", _sigma_from_json)))
     raise ValueError(f"unknown justification {j!r}")

@@ -311,6 +311,10 @@ VALID_LINE = '{"formula": "x0", "just": {"hyp": 1}}'
     ('{"formula": "x0", "just": {"mp": [1]}}', "ill-typed field 'mp': ValueError"),
     ('{"formula": "x0", "just": {"mp": 1}}', "ill-typed field 'mp': TypeError"),
     ('{"formula": "x0", "just": {"hyp": [1]}}', "ill-typed field 'hyp': TypeError"),
+    ('{"formula": "x0", "just": {"subst": 5}}',
+     "ill-typed field 'subst': TypeError: not a JSON object"),
+    ('{"formula": "x0", "just": {"subst": [1]}}',
+     "ill-typed field 'subst': TypeError: not a JSON object"),
     ('{"formula": "x0", "just": {"subst": {"sigma": {}}}}', "missing field 'line'"),
     ('{"formula": "x0", "just": {"subst": {"line": 1, "sigma": ["x0"]}}}',
      "ill-typed field 'sigma': ValueError: a substitution is a JSON object"),

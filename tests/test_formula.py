@@ -522,38 +522,32 @@ def reparse_refused(text):
     raise AssertionError(f"a valid text was parsed again as one token list: {text!r}")
 
 
-def parse_both_ways(text, valid):
-    """parse_formula(text) with the text split at its parentheses into keyed
-    groups, and as one segment, which it is when short: (node or ParseError) each.
-    A valid text must parse without the whole-text reparse that reports errors."""
-    saved = formula_module._SPLIT_FROM, formula_module._parse_positioned
-    outcomes = []
+def parse_checked(text, valid):
+    """parse_formula(text): its node, or its ParseError. A valid text must parse
+    without the whole-text reparse that reports errors."""
+    saved = formula_module._parse_positioned
     try:
         if valid:
             formula_module._parse_positioned = reparse_refused
-        for split_from in (0, len(text) + 1):
-            formula_module._SPLIT_FROM = split_from
-            try:
-                outcomes.append(parse_formula(text))
-            except ParseError as err:
-                outcomes.append(err)
+        return parse_formula(text)
+    except ParseError as err:
+        return err
     finally:
-        formula_module._SPLIT_FROM, formula_module._parse_positioned = saved
-    return outcomes
+        formula_module._parse_positioned = saved
 
 
 def assert_parses_as_reference(text):
-    """parse_formula(text), split into groups or not, is the reference's node, or
-    raises its ParseError (message, offset and expected set)."""
+    """parse_formula(text) is the reference's node, or raises its ParseError
+    (message, offset and expected set)."""
     try:
         want = ref_parse_formula(text)
     except ParseError as ref_err:
-        for err in parse_both_ways(text, valid=False):
-            assert isinstance(err, ParseError)
-            assert (str(err), err.offset, err.expected) == \
-                (str(ref_err), ref_err.offset, ref_err.expected)
+        err = parse_checked(text, valid=False)
+        assert isinstance(err, ParseError)
+        assert (str(err), err.offset, err.expected) == \
+            (str(ref_err), ref_err.offset, ref_err.expected)
         return None
-    assert all(got is want for got in parse_both_ways(text, valid=True))
+    assert parse_checked(text, valid=True) is want
     return want
 
 
@@ -631,6 +625,7 @@ def test_parser_raises_the_reference_error_on_mutated_text(text):
     "()", "( + )", "x", "-", "x0 x1 (x2 ->)", "((x0)", "(x0))", ")(", "(+)", "x0 (+",
     "x0 (+ x1)", "x0 (+)(+) x1", "((+) x1)", "(x0)(+)(x1))", "!" * 40, "x0 ->" * 30,
     "(" * 50 + "x0" + ")" * 49, "x0 @ (x1", " x0 x1", "x0 -> x1 -",
+    "x0) * (x1", "(x0)) -> ((x1)", "x0" + " " * 300 + ") * (x1", ") (x0)",
 ])
 def test_parser_matches_the_reference_on_malformed_text(text):
     assert assert_parses_as_reference(text) is None
