@@ -10,6 +10,7 @@ for tabular statistics. Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -419,7 +420,9 @@ def _cmd_duality(args) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and shared by every run."""
     top = argparse.ArgumentParser(
         prog="mvdyn",
         description="Exact many-valued logic, piecewise-linear geometry, and "
@@ -598,10 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # by name, so the shared parser runs the command the module holds now
+        return globals()[args.func.__name__](args)
     except BrokenPipeError:
         return 0
     except (ValueError, ArithmeticError, AssertionError, OSError,

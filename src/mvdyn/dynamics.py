@@ -368,12 +368,18 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
             raise ValueError(f"{name} must be at least 0")
     if q_map.arity != r_map.arity:
         raise ValueError("maps must share an arity")
+    n = q_map.arity
     axes = []   # the numerators k of the grid points k/g, per axis of both boxes
-    for lo, hi in list(a_box) + list(b_box):
-        if not Fraction(lo) < Fraction(hi):
-            raise ValueError("boxes must be nondegenerate")
-        axes.append(range(math.ceil(Fraction(lo) * g), math.floor(Fraction(hi) * g) + 1))
-    sources, targets = axes[:len(a_box)], axes[len(a_box):]
+    for name, box in (("source", a_box), ("target", b_box)):
+        box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+        text = " x ".join(f"[{lo}, {hi}]" for lo, hi in box) or "()"
+        if len(box) != n:
+            raise ValueError(f"{name} box {text} needs one axis per variable of the maps "
+                             f"(dimension {n})")
+        if not all(0 <= lo < hi <= 1 for lo, hi in box):
+            raise ValueError(f"{name} box {text} must be nondegenerate inside [0,1]")
+        axes += [range(math.ceil(lo * g), math.floor(hi * g) + 1) for lo, hi in box]
+    sources, targets = axes[:n], axes[n:]
     cap_points([len(axis) for axis in sources], "grid points of the source box")
     starts = q_iter = _box_points(sources)
     q_step, r_step = _lattice_step(q_map, g), _lattice_step(r_map, g)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional, Sequence, Union
@@ -217,46 +218,42 @@ def check_proof(proof: Proof, axioms: Optional[AxiomSet] = None,
 
 @dataclass(frozen=True)
 class ConsequenceVerdict:
-    status: str                       # "yes", "no", or "unknown"
+    status: str                       # "yes" or "no"
     certificate: Optional[dict] = None
     countermodel: Optional[tuple] = None
 
 
-def _min_over_unit_set(cw, rw):
-    """(min of rw over {cw = 1}, witness point), or (None, None) if empty."""
-    refined, tags = _pwl._refine_tagged(cw.complex, rw.complex)
-    best = None
-    witness = None
-    for jcell in range(len(refined.cells)):
-        i1, i2 = tags[jcell]
-        cp, rp = cw.maps[i1], rw.maps[i2]
-        pts = refined.cell_points(jcell)
-        vals = [_pwl._row_value(cp, p) for p in pts]
-        if all(v == 1 for v in vals):
-            cand = pts
-        elif any(v == 1 for v in vals):
-            if refined.dim == 1:
-                cand = [p for p, v in zip(pts, vals) if v == 1]
-            else:
-                # the affine piece attains its maximum 1 on a face of the cell
-                cand = _pwl._clip_cell(refined, jcell, (cp.a[0][0], cp.a[0][1], cp.b[0] - 1))
+def _unit_set_min_and_power(cw, rw):
+    """(min of rw over {cw = 1} or None if empty, its first witness, the least
+    k with cw^k <= rw given rw = 1 on {cw = 1}), from the common refinement's
+    vertices.
+
+    On a cell, cw <= 1 is affine, so it is 1 on the face its vertices of
+    value 1 span. Elsewhere cw^k = max(0, 1 - k (1 - cw)) <= rw asks for
+    k >= (1 - rw) / (1 - cw); on a cell both sides vanish on that face, so by
+    the mediant inequality the ratio peaks at a vertex where cw < 1.
+    """
+    low = witness = None
+    ratio = 0
+    for p, c, r in _pwl._refined_values(cw, rw):
+        if c == 1:
+            if low is None or r < low:
+                low, witness = r, p
         else:
-            continue
-        for p in cand:
-            v = _pwl._row_value(rp, p)
-            if best is None or v < best:
-                best, witness = v, p
-    return best, witness
+            ratio = max(ratio, (1 - r) / (1 - c))
+    return low, witness, max(1, math.ceil(ratio))
 
 
-def mp_consequence(delta: Sequence[Formula], r: Formula, sem: TNormSemantics,
-                   star_power_bound: int = 64) -> ConsequenceVerdict:
+def mp_consequence(delta: Sequence[Formula], r: Formula,
+                   sem: TNormSemantics) -> ConsequenceVerdict:
     """Does some product of hypotheses lie below r, as functions?
 
     On a finite chain this is decided by checking that every valuation making
     all of delta equal to 1 also makes r equal to 1. Over the Lukasiewicz
-    interval (at most two variables) a direct search for a bounded product
-    witness runs after the same valuation check, which is complete for "no".
+    interval (at most two variables) the same check runs on the vertices of
+    the common refinement of the product c of delta and of r, which also give
+    the least power of c below r: the local deduction theorem makes that
+    check complete for both answers.
     """
     delta = list(delta)
     arity = max([arity_of(r)] + [arity_of(d) for d in delta])
@@ -278,18 +275,11 @@ def mp_consequence(delta: Sequence[Formula], r: Formula, sem: TNormSemantics,
         raise ValueError("the exact backend handles at most two variables")
     dim = max(arity, 1)
     conj = reduce(Star, delta) if delta else ONE
-    cw = _pwl.pwl_from_formula(conj, dim)
-    rw = _pwl.pwl_from_formula(r, dim)
-    low, witness = _min_over_unit_set(cw, rw)
+    low, witness, power = _unit_set_min_and_power(_pwl.pwl_from_formula(conj, dim),
+                                                  _pwl.pwl_from_formula(r, dim))
     if low is not None and low < 1:
         return ConsequenceVerdict("no", countermodel=witness)
-    power = cw
-    for k in range(1, star_power_bound + 1):
-        if _pwl.pwl_le(power, rw):
-            return ConsequenceVerdict(
-                "yes", certificate={"method": "product-search", "power": k})
-        power = _pwl.pwl_combine("star", power, cw)
-    return ConsequenceVerdict("unknown")
+    return ConsequenceVerdict("yes", certificate={"method": "product-search", "power": power})
 
 
 # -- JSON lines exchange -----------------------------------------------------------------

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from operator import add, gt, mul, ne, sub
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .formula import (
@@ -169,7 +169,7 @@ class CellComplex:
             for j, planes in bounds:
                 if all(c0 * x + c1 * y + c2 * w >= 0 for c0, c1, c2 in planes):
                     return j
-        raise ValueError(f"point {p} not covered by the complex")
+        raise ValueError(f"point ({', '.join(map(str, p))}) not covered by the complex")
 
     @cached_property
     def _triples(self) -> list:
@@ -323,13 +323,6 @@ def _build_complex_2d(tagged_polys):
     return complex_, tags
 
 
-def _clip_cell(complex_: CellComplex, j: int, coeffs) -> list:
-    """Cell j of a 2-D complex clipped by the half-plane of rational coeffs
-    (c0, c1, c2), where c0 x + c1 y + c2 >= 0, as points of Fractions."""
-    poly = _clip([complex_._triples[i] for i in complex_.cells[j]], _scaled(coeffs)[0])
-    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in poly]
-
-
 def _build_complex_1d(tagged_intervals):
     """The complex of tagged intervals that tile [0,1] in left-to-right order,
     and the tags aligned with its cells."""
@@ -422,7 +415,7 @@ def _cube_point(p, n: Optional[int] = None) -> Point:
         raise ValueError(f"expected a point of dimension {n}")
     for v in p:
         if not (0 <= v <= 1):
-            raise ValueError(f"point {p} outside the unit cube")
+            raise ValueError(f"point ({', '.join(map(str, p))}) outside the unit cube")
     return p
 
 
@@ -763,27 +756,26 @@ def pwl_min_value(f: PWLMap):
     return best, witness
 
 
-def _holds_on_refinement(f: PWLMap, g: PWLMap, fails) -> bool:
-    """False iff fails(f(p), g(p)) at some vertex p of a common refinement's
-    cells; both are affine there, so this decides pointwise relations."""
+def _refined_values(f: PWLMap, g: PWLMap):
+    """(p, f(p), g(p)) for each vertex p of each cell of a common refinement
+    of two one-row maps, cell by cell. Both are affine on such a cell, so
+    these vertices decide pointwise relations between f and g and hold their
+    extremes on each cell."""
+    _one_row(f, g)
     refined, tags = _refine_tagged(f.complex, g.complex)
     for j, (i1, i2) in enumerate(tags):
         fm, gm = f.maps[i1], g.maps[i2]
         for p in refined.cell_points(j):
-            if fails(_row_value(fm, p), _row_value(gm, p)):
-                return False
-    return True
+            yield p, _row_value(fm, p), _row_value(gm, p)
 
 
 def pwl_le(f: PWLMap, g: PWLMap) -> bool:
     """Pointwise f <= g, decided exactly on a common refinement."""
-    _one_row(f, g)
-    return _holds_on_refinement(f, g, gt)
+    return all(u <= v for _, u, v in _refined_values(f, g))
 
 
 def pwl_equal(f: PWLMap, g: PWLMap) -> bool:
-    _one_row(f, g)
-    return _holds_on_refinement(f, g, ne)
+    return all(u == v for _, u, v in _refined_values(f, g))
 
 
 def pwl_integral(f: PWLMap, box=None) -> Fraction:

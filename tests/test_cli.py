@@ -1,12 +1,13 @@
 """End-to-end exercises of the command-line interface, run in process."""
 
+import argparse
 import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from mvdyn.cli import run
+from mvdyn.cli import build_parser, run
 from mvdyn.formula import parse_formula, evaluate, LUKASIEWICZ
 from mvdyn.pwl import pwl_from_formula, pwl_from_json, pwl_equal
 
@@ -479,10 +480,19 @@ def test_bad_rational_is_named(capsys, argv, text):
      "mvdyn.formula.rationals_up_to"),
     (["subst", "reach", "--source", "2/997", "--target", "5/997"], "2490 unit literals",
      "mvdyn.pwl.Var"),
+    (["boxhit", "--q", "tent", "--r", "tent", "--source", "3/2:2", "--target", "0:1/10"],
+     "source box [3/2, 2]", "mvdyn.pwl.PWLMap.lattice_step"),
+    (["boxhit", "--q", "tent", "--r", "tent", "--source", "3/2:2", "--target", "3/2:2"],
+     "source box [3/2, 2]", "mvdyn.pwl.PWLMap.lattice_step"),
+    (["boxhit", "--q", "rotation", "--r", "rotation", "--source", "0:1", "--target", "0:1/10"],
+     "source box [0, 1] needs one axis", "mvdyn.pwl.PWLMap.lattice_step"),
+    (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1,0:1", "--target", "0:1"],
+     "source box [0, 1] x [0, 1] needs one axis", "mvdyn.pwl.PWLMap.lattice_step"),
 ], ids=["avg", "boxhit", "odometer-perm", "orbit-max", "boxhit-hmax", "boxhit-kmax",
         "taut-chain", "taut-grid", "boxhit-grid", "taut-grid-bound", "identity-grid-bound",
         "algebra-chain", "filters-chain", "stats-grid", "taut-grid-bound-below-one",
-        "subst-reach-units"])
+        "subst-reach-units", "boxhit-source-off-cube", "boxhit-both-off-cube",
+        "boxhit-too-few-axes", "boxhit-too-many-axes"])
 def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv, text, work):
     def refused(*args, **kwargs):
         raise AssertionError("work began on an out-of-range count")
@@ -544,6 +554,34 @@ def test_memory_error_exits_one(capsys, monkeypatch):
     code, out, err = capture(capsys, ["taut", "--logic", "bool", "x0"])
     _one_error_line(code, out, err)
     assert "MemoryError" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["orbit", "--subst", "tent", "--start", "3/2"], "error: point (3/2) outside the unit cube"),
+    (["diff", "--map", "rotation", "--point", "1/2,5/4", "--dir", "1,0"],
+     "error: point (1/2, 5/4) outside the unit cube"),
+], ids=["orbit", "diff"])
+def test_point_outside_the_cube_is_named_in_rationals(capsys, argv, text):
+    code, out, err = capture(capsys, argv)
+    _one_error_line(code, out, err)
+    assert err.strip() == text
+
+
+def test_two_runs_build_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert capture_json(capsys, ["eval", "--point", "1/2", "x0"]) == {"value": "1/2"}
+    assert built[0] == "mvdyn"
+    first = len(built)
+    assert capture_json(capsys, ["eval", "--point", "1/4", "x0"]) == {"value": "1/4"}
+    assert len(built) == first
 
 
 def test_usage_errors_exit_two(capsys):

@@ -3,6 +3,7 @@ one-sided differentials, box hitting, and orbit statistics."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -480,6 +481,23 @@ def test_box_hitting_rejects_degenerate_box(tent_map):
         box_hitting_search(tent_map, tent_map,
                            [(F(1, 2), F(1, 2))], [(F(0), F(1))],
                            h_max=1, k_max=1)
+
+
+@pytest.mark.parametrize("maps, source, target, text", [
+    ("tent", [(F(3, 2), F(2))], [(F(0), F(1, 10))], "source box [3/2, 2] must be nondegenerate"),
+    ("tent", [(F(0), F(1))], [(F(1, 2), F(3, 2))], "target box [1/2, 3/2] must be nondegenerate"),
+    ("tent", [(F(-1, 2), F(1, 2))], [(F(0), F(1))], "source box [-1/2, 1/2] must be nondegenerate"),
+    ("tent", [(F(0), F(1))] * 2, [(F(0), F(1))], "source box [0, 1] x [0, 1] needs one axis"),
+    ("tent", [(F(0), F(1))], [], "target box () needs one axis"),
+    ("rotation", [(F(0), F(1))], [(F(0), F(1, 10))] * 2,
+     "source box [0, 1] needs one axis per variable of the maps (dimension 2)"),
+], ids=["source-above", "target-above", "source-below", "source-2d", "target-0d", "rotation-1d"])
+def test_box_hitting_refuses_a_box_off_the_cube_before_any_step(tent_map, rotation, monkeypatch,
+                                                                 maps, source, target, text):
+    s = tent_map if maps == "tent" else rotation[0]
+    monkeypatch.setattr("mvdyn.dynamics._lattice_step", None)
+    with pytest.raises(ValueError, match=re.escape(text)):
+        box_hitting_search(s, s, source, target, h_max=1, k_max=1)
 
 
 def test_empirical_statistics_tent(tent_map):

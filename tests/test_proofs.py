@@ -4,13 +4,18 @@ the semantic consequence backends."""
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mvdyn.formula import (
     Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, parse_formula,
-    print_formula, Substitution, chain_semantics, tautology_check,
+    print_formula, Substitution, arity_of, chain_semantics, tautology_check,
     LUKASIEWICZ, GODEL, PRODUCT, BOOLE, TNormSemantics,
+)
+from mvdyn.pwl import (
+    pwl_combine, pwl_from_formula, pwl_le, _clip, _refine_tagged, _row_value, _scaled,
 )
 from mvdyn.proofs import (
     Axiom, Hypothesis, ModusPonens, Substituted, ProofLine, Proof,
@@ -286,9 +291,7 @@ def test_mp_consequence_power_certificate():
     six = X0
     for _ in range(5):
         six = Star(six, X0)
-    low = mp_consequence([X0], six, LUKASIEWICZ, star_power_bound=4)
-    assert low.status == "unknown"
-    high = mp_consequence([X0], six, LUKASIEWICZ, star_power_bound=8)
+    high = mp_consequence([X0], six, LUKASIEWICZ)
     assert high.status == "yes"
     assert high.certificate == {"method": "product-search", "power": 6}
 
@@ -346,3 +349,115 @@ def test_mp_consequence_matches_brute_force_on_chain():
                    if all(evaluate(d, sem, (a, b)) == 1 for d in delta))
         got = mp_consequence(delta, r, sem)
         assert (got.status == "yes") == want, (delta, r)
+
+
+# -- Lukasiewicz consequence against the clip-and-search reference ----------------------
+
+def ref_min_over_unit_set(cw, rw):
+    """(min of rw over {cw = 1}, first witness), or (None, None) if empty: each
+    2-D cell where cw is 1 somewhere is clipped to the face where it is 1."""
+    refined, tags = _refine_tagged(cw.complex, rw.complex)
+    best = witness = None
+    for j, (i1, i2) in enumerate(tags):
+        cp, rp = cw.maps[i1], rw.maps[i2]
+        pts = refined.cell_points(j)
+        vals = [_row_value(cp, p) for p in pts]
+        if all(v == 1 for v in vals):
+            cand = pts
+        elif any(v == 1 for v in vals):
+            if refined.dim == 1:
+                cand = [p for p, v in zip(pts, vals) if v == 1]
+            else:
+                face = _scaled((cp.a[0][0], cp.a[0][1], cp.b[0] - 1))[0]
+                poly = _clip([refined._triples[i] for i in refined.cells[j]], face)
+                cand = [(Fraction(x, w), Fraction(y, w)) for x, y, w in poly]
+        else:
+            continue
+        for p in cand:
+            v = _row_value(rp, p)
+            if best is None or v < best:
+                best, witness = v, p
+    return best, witness
+
+
+def product(delta):
+    return reduce(Star, delta) if delta else ONE
+
+
+def dimension(delta, r):
+    return max([arity_of(r), 1] + [arity_of(d) for d in delta])
+
+
+def ref_mp_consequence(delta, r, star_power_bound=64):
+    """(status, countermodel, power): the minimum above, then the least power
+    of the product of delta below r, searched up to the bound ("unknown" past it)."""
+    dim = dimension(delta, r)
+    cw = pwl_from_formula(product(delta), dim)
+    rw = pwl_from_formula(r, dim)
+    low, witness = ref_min_over_unit_set(cw, rw)
+    if low is not None and low < 1:
+        return "no", witness, None
+    power = cw
+    for k in range(1, star_power_bound + 1):
+        if pwl_le(power, rw):
+            return "yes", None, k
+        power = pwl_combine("star", power, cw)
+    return "unknown", None, None
+
+
+def star_power(f, k):
+    return reduce(Star, [f] * k)
+
+
+SEVENTY = star_power(X0, 70)
+
+
+def consequence_cases(leaves):
+    """(delta, r) over the leaves: r drawn freely or above a power of the
+    product of delta, or delta = [f^j] and r = f^m, whose least power
+    ceil(m / j) is not m / j when j does not divide m."""
+    formulas = st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(sub.map(Neg), st.builds(
+            lambda op, a, b: op(a, b), st.sampled_from([Star, Impl, And, Or, OPlus]), sub, sub)),
+        max_leaves=6)
+
+    def with_target(delta):
+        c = product(delta)
+        above = st.builds(lambda k, g: star_power(c, k) if g is None else Or(star_power(c, k), g),
+                          st.integers(1, 5), st.none() | formulas)
+        return st.tuples(st.just(delta), st.one_of(formulas, above))
+    powers = st.builds(lambda f, j, m: ([star_power(f, j)], star_power(f, m)),
+                       formulas, st.integers(1, 3), st.integers(1, 6))
+    return st.one_of(st.lists(formulas, max_size=2).flatmap(with_target), powers)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(consequence_cases([X0, X0, ZERO, ONE]),
+                 consequence_cases([X0, X1, X0, X1, ZERO, ONE])))
+@example(([X0], SEVENTY))
+@example(([Star(X0, X0)], star_power(X0, 3)))
+@example(([Or(X0, X1)], Star(X0, X1)))
+@example(([X0, X1], star_power(Star(X0, X1), 12)))
+def test_mp_consequence_decides_as_the_reference(case):
+    delta, r = case
+    got = mp_consequence(delta, r, LUKASIEWICZ)
+    status, countermodel, power = ref_mp_consequence(delta, r)
+    if status == "unknown":
+        # past the search bound: the power is the least one below r
+        assert got.status == "yes"
+        k = got.certificate["power"]
+        dim, c = dimension(delta, r), product(delta)
+        rw = pwl_from_formula(r, dim)
+        assert pwl_le(pwl_from_formula(star_power(c, k), dim), rw)
+        assert k == 1 or not pwl_le(pwl_from_formula(star_power(c, k - 1), dim), rw)
+        return
+    assert (got.status, got.countermodel) == (status, countermodel)
+    if status == "yes":
+        assert got.certificate == {"method": "product-search", "power": power}
+
+
+def test_mp_consequence_decides_a_power_past_any_search_bound():
+    v = mp_consequence([X0], SEVENTY, LUKASIEWICZ)
+    assert v.status == "yes"
+    assert v.certificate == {"method": "product-search", "power": 70}

@@ -24,7 +24,7 @@ from mvdyn.pwl import (
 from mvdyn.dynamics import (
     induced_map, rotation_homeomorphism, tent_substitution, validate_homeomorphism,
 )
-from mvdyn.proofs import _min_over_unit_set
+from mvdyn.proofs import _unit_set_min_and_power
 
 F = Fraction
 
@@ -425,12 +425,12 @@ def test_integer_kernel_refines_integrates_and_minimizes_as_the_reference():
             box = [tuple(sorted(F(k, 8) for k in rng.sample(range(9), 2))) for _ in range(2)]
             assert pwl_integral(f, box) == ref_integral(f, box), box
     for cw, rw in zip(maps[::2], maps[1::2]):
-        assert _min_over_unit_set(cw, rw) == ref_min_over_unit_set(cw, rw)
+        assert _unit_set_min_and_power(cw, rw)[:2] == ref_min_over_unit_set(cw, rw)
     # a conjunction that is 1 on a face only, and a flat hypothesis
     for c, r in ((Or(X0, X1), Star(X0, X1)), (And(Neg(X0), X1), X0),
                  (OPlus(X0, X1), Neg(Star(X0, X1))), (ONE, Neg(X1))):
         cw, rw = pwl_from_formula(c, 2), pwl_from_formula(r, 2)
-        assert _min_over_unit_set(cw, rw) == ref_min_over_unit_set(cw, rw)
+        assert _unit_set_min_and_power(cw, rw)[:2] == ref_min_over_unit_set(cw, rw)
 
 
 def test_integer_kernel_assembles_hanging_vertices_as_the_reference():
