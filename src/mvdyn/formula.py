@@ -569,7 +569,6 @@ def interpret(f: Formula, alg, vals: Sequence):
     return fold(f.core(), step)
 
 
-MAX_TABLE_VARS = 20
 MAX_CHAIN_VALUATIONS = 2_000_000
 
 
@@ -590,11 +589,13 @@ def chain_axis(sem: TNormSemantics, n: int) -> list[Fraction]:
 
 
 def _variable_mask(i: int, n: int) -> int:
-    # one period: 2**i zeros then 2**i ones, tiled across all 2**n positions
-    period = 1 << (i + 1)
-    block = ((1 << (1 << i)) - 1) << (1 << i)
-    reps = (1 << n) // period
-    return block * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
+    # one period: 2**i zeros then 2**i ones, doubled until it covers all 2**n
+    # positions
+    mask, width = ((1 << (1 << i)) - 1) << (1 << i), 1 << (i + 1)
+    while width < 1 << n:
+        mask |= mask << width
+        width <<= 1
+    return mask
 
 
 def boolean_table(f: Formula, n: int) -> int:
@@ -603,8 +604,11 @@ def boolean_table(f: Formula, n: int) -> int:
     Bit p is the value of f at the valuation whose x_i is bit i of p (least
     significant bit first). A variable beyond x_{n-1} raises ValueError.
     Walks f itself, not its core: on {0,1}, ! is complement, & and * are AND,
-    | and (+) are OR.
+    | and (+) are OR. The 2**n valuations are held to the one cap first.
     """
+    if n < 0:
+        raise ValueError(f"variable count must be at least 0, not {n}")
+    cap_points([2], "valuations of a finite chain", n)
     if f.arity > n:
         raise ValueError(f"formula uses x{f.arity - 1}, beyond n={n}")
     full = (1 << (1 << n)) - 1
@@ -713,7 +717,7 @@ def rationals_up_to(bound: int) -> list[Fraction]:
     return sorted(vals)
 
 
-def _boolean_verdict(f: Formula, n: int, carrier: list[Fraction]) -> Verdict:
+def _boolean_verdict(f: Formula, n: int) -> Verdict:
     """Truth-table verdict on the two-element chain from one packed table."""
     falsified = ~boolean_table(f, n) & ((1 << (1 << n)) - 1)
     if not falsified:
@@ -725,9 +729,9 @@ def _boolean_verdict(f: Formula, n: int, carrier: list[Fraction]) -> Verdict:
         low = falsified & ~_variable_mask(i, n)
         if low:
             falsified = low
-            point.append(carrier[0])
+            point.append(ZERO_F)
         else:
-            point.append(carrier[1])
+            point.append(ONE_F)
     return Verdict("countermodel", tuple(point))
 
 
@@ -752,8 +756,8 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
     if method == "truth-table":
         if sem.kind != "chain":
             raise ValueError("truth-table method needs a finite chain semantics")
-        if sem.m == 1 and n <= MAX_TABLE_VARS:
-            return _boolean_verdict(f, n, sem.carrier())
+        if sem.m == 1:
+            return _boolean_verdict(f, n)
         axis = chain_axis(sem, n)
         exhausted = "tautology"
     elif method == "exact-pwl":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .formula import (
-    MAX_TABLE_VARS, Formula, Var, Neg, And, Or, Impl, Substitution, apply_substitution,
+    MAX_CHAIN_VALUATIONS, Formula, Var, Neg, And, Or, Impl, Substitution, apply_substitution,
     arity_of, boolean_table, compose_substitutions,
 )
 from .proofs import (
@@ -23,9 +23,11 @@ MAX_DERIVE_VARS = 12
 
 
 def _check_table_vars(n: int) -> None:
-    """Refuse a variable count whose packed tables (2**n bits) are too long."""
-    if not 0 <= n <= MAX_TABLE_VARS:
-        raise ValueError(f"variable count must be within 0..{MAX_TABLE_VARS}")
+    """Refuse, before any table is built, a variable count whose 2**n
+    valuations pass the one cap, MAX_CHAIN_VALUATIONS."""
+    top = MAX_CHAIN_VALUATIONS.bit_length() - 1
+    if not 0 <= n <= top:
+        raise ValueError(f"variable count must be within 0..{top}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ F1 = Fraction(1)
 
 
 def _frac_point(p) -> Point:
-    return tuple(Fraction(v) for v in p)
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in p)
 
 
 # -- exact planar primitives ---------------------------------------------------
@@ -128,9 +128,9 @@ def _on_open_segment(a, b, v) -> bool:
 
 
 def _fan(poly):
-    """Triangulate a canonical convex polygon by fanning from its first vertex."""
-    v0 = poly[0]
-    return [(v0, a, b) for a, b in zip(poly[1:-1], poly[2:]) if _det(v0, a, b)]
+    """Triangulate a canonical convex polygon (ccw, so every triangle is ccw)
+    by fanning from its first vertex; [] for []."""
+    return [(poly[0], a, b) for a, b in zip(poly[1:-1], poly[2:])]
 
 
 # -- cell complexes ------------------------------------------------------------
@@ -264,38 +264,31 @@ def _build_complex_2d(tagged_polys):
     """Assemble a face-to-face triangulation from tagged convex polygons of
     integer triples.
 
-    The polygons must tile the square with disjoint interiors and carry every
-    arrangement vertex of the tiling on their boundaries as polygon vertices.
-    Returns (CellComplex, tags aligned with cells); its vertices are listed in
+    The polygons must tile the square with disjoint interiors, and where
+    edges of two of them overlap, one must contain the other. Returns
+    (CellComplex, tags aligned with cells); its vertices are listed in
     lexicographic order.
     """
-    polys = [(cp, tag) for poly, tag in tagged_polys if (cp := _canon(poly))]
-    tris = [(t, tag) for poly, tag in polys for t in _fan(poly)]
+    tris = [(t, tag) for poly, tag in tagged_polys for t in _fan(_canon(poly))]
+    heads: dict[tuple, list] = {}
+    for t, _ in tris:
+        for a, b in zip(t, t[1:] + t[:1]):
+            heads.setdefault(a, []).append(b)
 
-    # conformity: vertices of other cells may sit inside a triangle's edges.
-    # Rounding to floats keeps order, so an edge's float box holds every such
-    # vertex; the test on each vertex in it is exact.
-    near = {p: (p[0] / p[2], p[1] / p[2]) for poly, _ in polys for p in poly}
-    vert_set = sorted((x, y, p) for p, (x, y) in near.items())
+    # conformity: an edge a->b without its reverse lies on a side of the
+    # square, inside a longer edge, or along a chain of edges from b back to
+    # a on its other side; the chain's inner vertices hang on a->b
     out = []
     for tri, tag in tris:
         cycle = []
         for a, b in zip(tri, tri[1:] + tri[:1]):
             cycle.append(a)
-            (ax, ay), (bx, by) = near[a], near[b]
-            x_lo, x_hi = (ax, bx) if ax <= bx else (bx, ax)
-            y_lo, y_hi = (ay, by) if ay <= by else (by, ay)
-            hang = []
-            for k in range(bisect.bisect_left(vert_set, (x_lo,)), len(vert_set)):
-                x, y, v = vert_set[k]
-                if x > x_hi:
-                    break
-                if y_lo <= y <= y_hi and _on_open_segment(a, b, v):
-                    hang.append(v)
-            if hang:
-                # in order from a: along the edge, lexicographic order is monotone
-                hang.sort(key=cmp_to_key(_lex), reverse=_lex(b, a) < 0)
-                cycle.extend(hang)
+            if a in heads[b]:
+                continue
+            chain = [b]
+            while step := [w for w in heads[chain[-1]] if _on_open_segment(a, chain[-1], w)]:
+                chain += step
+            cycle.extend(reversed(chain[1:]))
         if len(cycle) == 3:
             out.append((tri, tag))
         else:
@@ -304,23 +297,16 @@ def _build_complex_2d(tagged_polys):
             w = math.lcm(*(p[2] for p in cycle))
             c = _reduced(sum(p[0] * (w // p[2]) for p in cycle),
                          sum(p[1] * (w // p[2]) for p in cycle), w * len(cycle))
-            for p, q in zip(cycle, cycle[1:] + cycle[:1]):
-                if _det(c, p, q):
-                    out.append(((c, p, q), tag))
+            out.extend(((c, p, q), tag) for p, q in zip(cycle, cycle[1:] + cycle[:1]))
 
     all_pts = sorted({p for t, _ in out for p in t}, key=cmp_to_key(_lex))
     index = {p: i for i, p in enumerate(all_pts)}
-    cells, tags = [], []
-    order = sorted(range(len(out)), key=lambda i: tuple(sorted(index[p] for p in out[i][0])))
-    for i in order:
-        t, tag = out[i]
-        if _det(*t) < 0:
-            t = (t[0], t[2], t[1])
-        cells.append(tuple(index[p] for p in t))
-        tags.append(tag)
-    complex_ = CellComplex(2, [(Fraction(x, w), Fraction(y, w)) for x, y, w in all_pts], cells)
+    cells = sorted(((tuple(index[p] for p in t), tag) for t, tag in out),
+                   key=lambda c: sorted(c[0]))
+    complex_ = CellComplex(2, [(Fraction(x, w), Fraction(y, w)) for x, y, w in all_pts],
+                           [c for c, _ in cells])
     complex_._triples = all_pts
-    return complex_, tags
+    return complex_, [tag for _, tag in cells]
 
 
 def _build_complex_1d(tagged_intervals):
@@ -580,12 +566,8 @@ def _combine(op: str, f: PWLMap, g: PWLMap) -> PWLMap:
                 tagged.append(((lo, root), (fp, gp, h, first_pos)))
                 tagged.append(((root, hi), (fp, gp, h, not first_pos)))
             else:
-                pos = _clip(geom, hp)
-                neg = _clip(geom, tuple(-c for c in hp))
-                if _canon(pos):
-                    tagged.append((pos, (fp, gp, h, True)))
-                if _canon(neg):
-                    tagged.append((neg, (fp, gp, h, False)))
+                tagged.append((_clip(geom, hp), (fp, gp, h, True)))
+                tagged.append((_clip(geom, tuple(-c for c in hp)), (fp, gp, h, False)))
 
     build = _build_complex_1d if f.dim == 1 else _build_complex_2d
     out_complex, out_tags = build(tagged)
@@ -673,13 +655,11 @@ def _pullback(w: CellComplex, pieces: Sequence, v: CellComplex):
                                     c0 * b0 + c1 * b1 + c2 * s))
                 if not poly:
                     break
-            poly = _canon(poly)
-            if not poly:
-                continue
             if seen is not None:
-                if tuple(poly) in seen:
+                key = tuple(_canon(poly))
+                if key in seen:
                     continue
-                seen.add(tuple(poly))
+                seen.add(key)
             tagged.append((poly, (j, i)))
     return _build_complex_2d(tagged)
 

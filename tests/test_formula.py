@@ -826,7 +826,7 @@ def test_chain_valuation_cap_is_checked_before_the_carrier(monkeypatch):
     with pytest.raises(ValueError, match=r"2\*\*21 valuations"):
         tautology_check(Var(20), BOOLE, method="truth-table")
     monkeypatch.setattr(TNormSemantics, "carrier", real_carrier)
-    # the packed Boolean path has no cap below MAX_TABLE_VARS variables
+    # the packed Boolean path is under the same cap, which 2**20 valuations meet
     assert tautology_check(Or(Var(19), Neg(Var(19))), BOOLE).is_tautology
     monkeypatch.setattr("mvdyn.formula.MAX_CHAIN_VALUATIONS", 9)
     assert tautology_check(Impl(X1, Or(X0, X1)), chain_semantics(2)).is_tautology

@@ -68,6 +68,17 @@ def test_truth_table_guards():
         TruthTable(-1, 0)
 
 
+def test_truth_table_refuses_too_many_variables_before_any_mask(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a variable mask was built")
+
+    monkeypatch.setattr("mvdyn.formula._variable_mask", refused)
+    with pytest.raises(ValueError, match=r"2\*\*21 valuations"):
+        truth_table(Var(0), 21)
+    with pytest.raises(ValueError, match="at least 0"):
+        truth_table(ZERO, -1)
+
+
 def test_sugar_collapses_to_boolean_connectives():
     assert truth_table(And(X0, X1), 2).bits == truth_table(Star(X0, X1), 2).bits
     assert truth_table(OPlus(X0, X1), 2).bits == truth_table(Or(X0, X1), 2).bits

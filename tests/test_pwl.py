@@ -464,7 +464,11 @@ def test_integer_kernel_assembles_hanging_vertices_as_the_reference():
 @pytest.mark.parametrize("s, r, steps", [
     (induced_map(tent_pair()).pwl, Star(X0, X1), 3),
     (rotation_homeomorphism()[1], parse_formula("x0 * x1 (+) !x0 & x1"), 3),
-], ids=["tent-pair", "rotation"])
+    # singular pieces: onto the diagonal; cells of determinant 0 and -1
+    (induced_map(Substitution([parse_formula("x0 & x1")] * 2)).pwl, Star(X0, X1), 2),
+    (induced_map(Substitution([parse_formula("!x0 & x1"), X0])).pwl,
+     parse_formula("x0 * x1 (+) !x0 & x1"), 2),
+], ids=["tent-pair", "rotation", "diagonal", "singular-cells"])
 def test_integer_kernel_composes_as_the_reference(s, r, steps):
     w = pwl_from_formula(r, 2)
     for _ in range(steps):
