@@ -150,11 +150,16 @@ def finite_chain(m: int, base: str = "lukasiewicz") -> FiniteAlgebra:
     return FiniteAlgebra(names, star, impl, 0, m)
 
 
+def _cap_size(size: int) -> None:
+    if size > DEFAULT_SIZE_CAP:
+        raise ValueError(f"an algebra of {size} elements exceeds the size cap of "
+                         f"{DEFAULT_SIZE_CAP}")
+
+
 def product_algebra(*factors: FiniteAlgebra) -> FiniteAlgebra:
     """Componentwise product, its elements the tuples of factor elements in
     itertools.product order, named "(x,y,...)"."""
-    if math.prod(a.size for a in factors) > DEFAULT_SIZE_CAP:
-        raise ValueError("size cap exceeded")
+    _cap_size(math.prod(a.size for a in factors))
     tuples = list(itertools.product(*(range(a.size) for a in factors)))
     index = {t: i for i, t in enumerate(tuples)}
     names = ["(" + ",".join(a.names[i] for a, i in zip(factors, t)) + ")" for t in tuples]
@@ -233,8 +238,7 @@ def _filter_sort_key(f: frozenset):
 
 def enumerate_filters(a: FiniteAlgebra):
     """(all filters, prime filters, maximal filters), canonically sorted."""
-    if a.size > DEFAULT_SIZE_CAP:
-        raise ValueError("size cap exceeded")
+    _cap_size(a.size)
     # a finite filter is the up-set of its least element, an idempotent
     filters = sorted((_up_set(a, e) for e in a.elements() if a.star(e, e) == e),
                      key=_filter_sort_key)

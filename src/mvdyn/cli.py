@@ -87,14 +87,19 @@ def _substitution(spec: str) -> Substitution:
     return _proofs._sigma_from_json({lhs.strip(): rhs for lhs, rhs in pairs})
 
 
+def _read(path: str) -> str:
+    """The text of a file, or of stdin for "-"."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _algebra(spec: str) -> _alg.FiniteAlgebra:
     """bool | luk:M | godel:M | @file.json | "-" for JSON on stdin."""
     key = spec.strip()
-    if key == "-":
-        return _alg.algebra_from_json(json.load(sys.stdin))
-    if key.startswith("@"):
-        with open(key[1:], "r", encoding="utf-8") as fh:
-            return _alg.algebra_from_json(json.load(fh))
+    if key == "-" or key.startswith("@"):
+        return _alg.algebra_from_json(json.loads(_read(key.removeprefix("@"))))
     low = key.lower()
     if low in ("bool", "boole"):
         return _alg.finite_chain(1)
@@ -133,29 +138,26 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_taut(args) -> int:
-    v = tautology_check(parse_formula(args.formula), _semantics(args.logic),
-                        method=args.method, grid_bound=args.grid_bound)
-    payload = {"status": v.status}
+def _decide(args, holds: str, differs: str, check, *texts) -> int:
+    """taut and identity: check's verdict on the formulas, named holds when it
+    is a tautology, and any countermodel, named differs in text."""
+    v = check(*map(parse_formula, texts), _semantics(args.logic), method=args.method,
+              grid_bound=args.grid_bound)
+    payload = {"status": holds.lower() if v.is_tautology else v.status}
     if v.point is not None:
         payload["point"] = list(v.point)
-    text = {"tautology": "Tautology", "unknown": "Unknown"}.get(
-        v.status, f"Countermodel at ({', '.join(str(x) for x in v.point or ())})")
+    text = {"tautology": holds, "unknown": "Unknown"}.get(
+        v.status, f"{differs} at ({', '.join(str(x) for x in v.point or ())})")
     _emit(args, payload, text)
     return 0
+
+
+def _cmd_taut(args) -> int:
+    return _decide(args, "Tautology", "Countermodel", tautology_check, args.formula)
 
 
 def _cmd_identity(args) -> int:
-    v = identity_check(parse_formula(args.left), parse_formula(args.right),
-                       _semantics(args.logic), method=args.method,
-                       grid_bound=args.grid_bound)
-    payload = {"status": "identity" if v.is_tautology else v.status}
-    if v.point is not None:
-        payload["point"] = list(v.point)
-    text = {"tautology": "Identity", "unknown": "Unknown"}.get(
-        v.status, f"Differs at ({', '.join(str(x) for x in v.point or ())})")
-    _emit(args, payload, text)
-    return 0
+    return _decide(args, "Identity", "Differs", identity_check, args.left, args.right)
 
 
 def _cmd_pwl_compile(args) -> int:
@@ -176,12 +178,7 @@ def _cmd_pwl_integrate(args) -> int:
 
 
 def _cmd_pwl_synthesize(args) -> int:
-    if args.file == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    w = _pwl.pwl_from_json(obj)
+    w = _pwl.pwl_from_json(json.loads(_read(args.file)))
     if w.dim != 1:
         raise ValueError("synthesis to a formula is exposed for dimension 1")
     f = _pwl.pwl_to_formula_1d(w)
@@ -334,11 +331,7 @@ def _cmd_odometer_derive(args) -> int:
 
 
 def _cmd_prove_check(args) -> int:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    text = _read(args.file)
     hyps = tuple(parse_formula(h) for h in args.hyp or [])
     try:
         proof = _proofs.proof_from_jsonl(text, hypotheses=hyps)
@@ -443,22 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("taut", help="decide or refute 'formula is always 1'")
-    logic_flag(p)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "truth-table", "exact-pwl", "grid"))
-    p.add_argument("--grid-bound", type=int, default=6)
-    p.add_argument("formula")
-    p.set_defaults(func=_cmd_taut)
-
-    p = sub.add_parser("identity", help="decide whether two formulas agree everywhere")
-    logic_flag(p)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "truth-table", "exact-pwl", "grid"))
-    p.add_argument("--grid-bound", type=int, default=6)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_identity)
+    for name, text, operands, func in (
+            ("taut", "decide or refute 'formula is always 1'", ["formula"], _cmd_taut),
+            ("identity", "decide whether two formulas agree everywhere", ["left", "right"],
+             _cmd_identity)):
+        p = sub.add_parser(name, help=text)
+        logic_flag(p)
+        p.add_argument("--method", default="auto",
+                       choices=("auto", "truth-table", "exact-pwl", "grid"))
+        p.add_argument("--grid-bound", type=int, default=6)
+        for operand in operands:
+            p.add_argument(operand)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("pwl", help="piecewise-linear geometry of formulas")
     psub = p.add_subparsers(dest="pwl_command", required=True)

@@ -8,7 +8,6 @@ appears only in empirical_statistics and is labeled as such.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -23,7 +22,7 @@ from .formula import (
 )
 from . import pwl as _pwl
 from .pwl import (
-    AffineMap, CellBudgetError, CellComplex, PWLMap, _cube_point,
+    CellBudgetError, CellComplex, PWLMap, _cube_point,
     affine_from_simplex_pair, clamp_affine_formula, pwl_from_formula,
 )
 
@@ -48,22 +47,12 @@ class InducedMap(Substitution):
 
 
 def _geometric_form(images):
-    """The map x -> (g(x) for g in images) of the cube, with one compiled row
-    per image (at most two) on the common refinement of their complexes; None
-    when a compilation or that refinement would exceed the cell budget."""
+    """The map x -> (g(x) for g in images) of the cube, one compiled row per
+    image (pwl.pwl_map_from_formulas); None when it would exceed the cell budget."""
     try:
-        funcs = [pwl_from_formula(g, len(images), cell_budget=CELL_BUDGET) for g in images]
+        return _pwl.pwl_map_from_formulas(images, CELL_BUDGET)
     except CellBudgetError:
         return None
-    if len(funcs) == 1:
-        return funcs[0]
-    f, g = funcs
-    if len(f.complex.cells) * len(g.complex.cells) > 50 * CELL_BUDGET:
-        return None
-    complex_, tags = _pwl._refine_tagged(f.complex, g.complex)
-    return PWLMap(complex_, tuple(
-        AffineMap(f.maps[i1].a + g.maps[i2].a, f.maps[i1].b + g.maps[i2].b)
-        for i1, i2 in tags))
 
 
 def induced_map(sigma: Substitution) -> InducedMap:
@@ -274,21 +263,15 @@ def validate_homeomorphism(s: PWLMap) -> dict:
     """Determinant and exact image-tiling report for a piecewise-affine
     self-map of the cube (as many rows as coordinates).
 
-    The image complex keeps the vertex indices of s, each cell reversed where
-    its determinant is negative; s is invertible exactly when it validates.
+    s is invertible exactly when its image complex (PWLMap.image_complex)
+    validates.
     """
     if s.rows != s.dim:
         raise ValueError(f"a self-map of the {s.dim}-cube needs {s.dim} rows, not {s.rows}")
     s.validate()
     dets = {m.det() for m in s.maps}
     common = dets.pop() if len(dets) == 1 else None
-    w = s.complex
-    vertices, cells = list(w.vertices), []
-    for cell, m in zip(w.cells, s.maps):
-        for i in cell:
-            vertices[i] = m._apply(w.vertices[i])
-        cells.append(cell[::-1] if m.det() < 0 else cell)
-    image = CellComplex(s.dim, vertices, cells)
+    image = s.image_complex()
     try:
         image.validate()
         invertible = True
@@ -300,7 +283,7 @@ def validate_homeomorphism(s: PWLMap) -> dict:
         "common_det": int(common) if common is not None and common.denominator == 1 else None,
         "determinants_equal": common is not None,
         "unimodular": unimodular,
-        "image_measure": sum(image.measure(j) for j in range(len(cells))),
+        "image_measure": sum(image.measure(j) for j in range(len(image.cells))),
         "measure_preserving": invertible and unimodular,
     }
 
@@ -315,25 +298,11 @@ def tsujii_differential(s: PWLMap, p, v) -> tuple:
         raise ValueError("direction dimension mismatch")
     if all(x == 0 for x in v):
         return tuple(F0 for _ in range(s.dim))
-    bounds = s.complex._bounds
-    if s.dim == 1:
-        # a step right enters the cell ending after p, a step left the cell
-        # ending at or after p, unless p is the end of the cube it leaves by
-        if (p[0] < 1) if v[0] > 0 else (p[0] > 0):
-            k = (bisect.bisect_right if v[0] > 0 else bisect.bisect_left)(
-                bounds, p[0], key=lambda b: b[1])
-            return (s.maps[bounds[k][0]].a[0][0] * v[0],)
-    else:
-        # the ray enters a cell where each half-plane is positive at p, or
-        # zero at p and not decreasing along v
-        for j, planes in bounds:
-            for c0, c1, c2 in planes:
-                e = c0 * p[0] + c1 * p[1] + c2
-                if e < 0 or e == 0 and c0 * v[0] + c1 * v[1] < 0:
-                    break
-            else:
-                return tuple(sum(r * x for r, x in zip(row, v)) for row in s.maps[j].a)
-    raise ValueError("the ray leaves the unit cube immediately")
+    try:
+        j = s.complex._locate(p, v)
+    except ValueError:
+        raise ValueError("the ray leaves the unit cube immediately") from None
+    return tuple(sum(r * x for r, x in zip(row, v)) for row in s.maps[j].a)
 
 
 # -- box-hitting search ---------------------------------------------------------------------

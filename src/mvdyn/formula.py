@@ -598,6 +598,14 @@ def _variable_mask(i: int, n: int) -> int:
     return mask
 
 
+def cap_boolean_table(n: int) -> None:
+    """Refuse, before a two-valued table of n variables is built, a negative n
+    or 2**n valuations past the one cap."""
+    if n < 0:
+        raise ValueError(f"variable count must be at least 0, not {n}")
+    cap_points([2], "valuations of a finite chain", n)
+
+
 def boolean_table(f: Formula, n: int) -> int:
     """Two-valued table of f over x0..x_{n-1}, packed into one integer.
 
@@ -606,9 +614,7 @@ def boolean_table(f: Formula, n: int) -> int:
     Walks f itself, not its core: on {0,1}, ! is complement, & and * are AND,
     | and (+) are OR. The 2**n valuations are held to the one cap first.
     """
-    if n < 0:
-        raise ValueError(f"variable count must be at least 0, not {n}")
-    cap_points([2], "valuations of a finite chain", n)
+    cap_boolean_table(n)
     if f.arity > n:
         raise ValueError(f"formula uses x{f.arity - 1}, beyond n={n}")
     full = (1 << (1 << n)) - 1

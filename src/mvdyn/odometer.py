@@ -12,22 +12,14 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .formula import (
-    MAX_CHAIN_VALUATIONS, Formula, Var, Neg, And, Or, Impl, Substitution, apply_substitution,
-    arity_of, boolean_table, compose_substitutions,
+    Formula, Var, Neg, And, Or, Impl, Substitution, apply_substitution,
+    arity_of, boolean_table, cap_boolean_table, compose_substitutions,
 )
 from .proofs import (
     Proof, ProofLine, Axiom, Hypothesis, ModusPonens, Substituted,
 )
 
 MAX_DERIVE_VARS = 12
-
-
-def _check_table_vars(n: int) -> None:
-    """Refuse, before any table is built, a variable count whose 2**n
-    valuations pass the one cap, MAX_CHAIN_VALUATIONS."""
-    top = MAX_CHAIN_VALUATIONS.bit_length() - 1
-    if not 0 <= n <= top:
-        raise ValueError(f"variable count must be within 0..{top}")
 
 
 @dataclass(frozen=True)
@@ -38,7 +30,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self):
-        _check_table_vars(self.n)
+        cap_boolean_table(self.n)
         if not (0 <= self.bits < (1 << (1 << self.n))):
             raise ValueError("bit vector length is not 2**n")
 
@@ -116,7 +108,7 @@ class BoolPermutation:
 
 def induced_permutation(sigma: Substitution, n: int) -> BoolPermutation:
     """The valuation map p -> (value of each image at p), for Boolean sigma."""
-    _check_table_vars(n)
+    cap_boolean_table(n)
     if sigma.arity != n:
         raise ValueError("substitution arity differs from n")
     tables = [truth_table(sigma.images[i], n).bits for i in range(n)]
@@ -131,7 +123,7 @@ def induced_permutation(sigma: Substitution, n: int) -> BoolPermutation:
 
 def odometer_induced_permutation(n: int) -> BoolPermutation:
     """Induced valuation map of the odometer; provably addition of one."""
-    _check_table_vars(n)
+    cap_boolean_table(n)
     perm = induced_permutation(odometer_substitution(n), n)
     size = 1 << n
     for p in range(size):

@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cache, cached_property, cmp_to_key, reduce
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
@@ -156,18 +156,27 @@ class CellComplex:
         """Index of the first cell containing p."""
         return self._locate(_cube_point(p))
 
-    def _locate(self, p: Point) -> int:
+    def _locate(self, p: Point, v: Optional[Point] = None) -> int:
         """Index of a cell containing p (in 1-D the leftmost), for a point of
-        Fractions already checked to lie in the cube."""
+        Fractions already checked to lie in the cube; given a nonzero
+        direction v, of the first cell whose interior the ray p + h v enters."""
         bounds = self._bounds
         if self.dim == 1:
-            k = bisect.bisect_left(bounds, p[0], key=lambda b: b[1])
-            if k < len(bounds):
+            # a step right enters the cell ending after p; a point, or a step
+            # left, the cell ending at or after p, which a step left from 0 leaves
+            right = v is not None and v[0] > 0
+            k = (bisect.bisect_right if right else bisect.bisect_left)(
+                bounds, p[0], key=lambda b: b[1])
+            if k < len(bounds) and (v is None or right or p[0] > 0):
                 return bounds[k][0]
         else:
+            # the ray enters a cell where each half-plane is positive at p, or
+            # zero at p and not decreasing along v (a point has v = 0)
             x, y, w = _scaled((*p, 1))[0]
+            dx, dy = (0, 0) if v is None else _scaled(v)[0]
             for j, planes in bounds:
-                if all(c0 * x + c1 * y + c2 * w >= 0 for c0, c1, c2 in planes):
+                if all((e := c0 * x + c1 * y + c2 * w) > 0 or e == 0 and c0 * dx + c1 * dy >= 0
+                       for c0, c1, c2 in planes):
                     return j
         raise ValueError(f"point ({', '.join(map(str, p))}) not covered by the complex")
 
@@ -179,9 +188,9 @@ class CellComplex:
 
     @cached_property
     def _bounds(self) -> list:
-        """Each cell's bounds, which every cell test reads (point location,
-        PWLMap.lattice_step, the 1-D refinement, the pullback, 1-D validation,
-        one-sided differentials): in dimension 1, (cell, right end) in left-to-right
+        """Each cell's bounds, which every cell test reads (point and ray
+        location, PWLMap.lattice_step, the 1-D refinement, the pullback, 1-D
+        validation): in dimension 1, (cell, right end) in left-to-right
         order; in dimension 2, (cell, three integer half-planes (c0, c1, c2)),
         each the cross product of one ccw edge's end triples over its gcd, so the
         cell is where all c0 x + c1 y + c2 >= 0."""
@@ -471,6 +480,17 @@ class PWLMap:
         return PWLMap(self.complex, tuple(AffineMap((m.a[i],), (m.b[i],))
                                           for m in self.maps))
 
+    def image_complex(self) -> CellComplex:
+        """The images of this self-map's cells on the vertex indices of its
+        complex, each cell reversed where its piece's determinant is negative.
+        A valid self-map is invertible exactly when this complex validates."""
+        w, vertices = self.complex, list(self.complex.vertices)
+        for cell, m in zip(w.cells, self.maps):
+            for i in cell:
+                vertices[i] = m._apply(w.vertices[i])
+        return CellComplex(self.dim, vertices, [cell[::-1] if m.det() < 0 else cell
+                                                for cell, m in zip(w.cells, self.maps)])
+
     def validate(self) -> None:
         self.complex.validate()
         if len(self.maps) != len(self.complex.cells):
@@ -678,6 +698,16 @@ class CellBudgetError(ValueError):
     """Raised when an exact compilation grows past its cell budget."""
 
 
+def _charge(work: list, cell_budget: Optional[int], f: PWLMap, g: PWLMap) -> None:
+    """Charge the refinement of f and g, the product of their cell counts, to
+    the work of a compilation under a cell budget (None: none), which may
+    spend at most 50 per cell of the budget."""
+    if cell_budget is not None:
+        work[0] += len(f.complex.cells) * len(g.complex.cells)
+        if work[0] > 50 * cell_budget:
+            raise CellBudgetError(f"refinement work exceeds the {cell_budget}-cell budget")
+
+
 def pwl_from_formula(f: Formula, dim: Optional[int] = None,
                      cell_budget: Optional[int] = None) -> PWLMap:
     """Exact Lukasiewicz function of a formula with variables among x0..x_{dim-1}.
@@ -707,11 +737,7 @@ def pwl_from_formula(f: Formula, dim: Optional[int] = None,
         elif op == "neg":
             out = pwl_combine("neg", a)
         else:
-            if cell_budget is not None:
-                work[0] += len(a.complex.cells) * len(b.complex.cells)
-                if work[0] > 50 * cell_budget:
-                    raise CellBudgetError(
-                        f"refinement work exceeds the {cell_budget}-cell budget")
+            _charge(work, cell_budget, a, b)
             key = {"star": "star", "impl": "impl", "and": "min", "or": "max",
                    "oplus": "oplus"}[op]
             out = _combine(key, a, b)
@@ -723,17 +749,27 @@ def pwl_from_formula(f: Formula, dim: Optional[int] = None,
     return fold(f, step)
 
 
+def pwl_map_from_formulas(formulas: Sequence[Formula],
+                          cell_budget: Optional[int] = None) -> PWLMap:
+    """The map x -> (g(x) for g in formulas) of the cube, for one or two
+    formulas in as many variables: one compiled row per formula, stacked on
+    the common refinement of their complexes, which is charged to the cell
+    budget as pwl_from_formula charges each of its refinements."""
+    f, *rest = [pwl_from_formula(g, len(formulas), cell_budget) for g in formulas]
+    for g in rest:
+        _charge([0], cell_budget, f, g)
+        complex_, tags = _refine_tagged(f.complex, g.complex)
+        f = PWLMap(complex_, tuple(AffineMap(f.maps[i].a + g.maps[j].a,
+                                             f.maps[i].b + g.maps[j].b) for i, j in tags))
+    return f
+
+
 def pwl_min_value(f: PWLMap):
     """(minimum value, witness vertex); exact, attained at a complex vertex."""
     _one_row(f)
-    best = None
-    witness = None
-    for cell, m in zip(f.complex.cells, f.maps):
-        for i in cell:
-            v = _row_value(m, f.complex.vertices[i])
-            if best is None or v < best:
-                best, witness = v, f.complex.vertices[i]
-    return best, witness
+    w = f.complex
+    return min(((_row_value(m, w.vertices[i]), w.vertices[i])
+                for cell, m in zip(w.cells, f.maps) for i in cell), key=lambda t: t[0])
 
 
 def _refined_values(f: PWLMap, g: PWLMap):
@@ -865,33 +901,18 @@ def _synthesize_formula(f: PWLMap) -> Formula:
     """
     maps = f.maps
     rows = [(m.a[0], m.b[0]) for m in maps]
-    clamp_cache: dict[tuple, Formula] = {}
-
-    def clamped(row: tuple) -> Formula:
-        got = clamp_cache.get(row)
-        if got is None:
-            got = clamp_cache[row] = clamp_affine_formula(*row)
-        return got
-
-    seen_terms = set()
-    terms: list[Formula] = []
+    clamped = cache(lambda row: clamp_affine_formula(*row))
+    seen_terms, terms = set(), []
     for j in range(len(maps)):
         pts = f.complex.cell_points(j)
         own = [_row_value(maps[j], p) for p in pts]
         dominating = [rows[i] for i, m in enumerate(maps)
                       if all(_row_value(m, p) >= v for p, v in zip(pts, own))]
         key = frozenset(dominating)
-        if key in seen_terms:
-            continue
-        seen_terms.add(key)
-        term = None
-        for row in dominating:
-            term = clamped(row) if term is None else And(term, clamped(row))
-        terms.append(term)
-    out = None
-    for t in terms:
-        out = t if out is None else Or(out, t)
-    return out if out is not None else ZERO
+        if key not in seen_terms:
+            seen_terms.add(key)
+            terms.append(reduce(And, map(clamped, dominating)))
+    return reduce(Or, terms) if terms else ZERO
 
 
 def pwl_to_formula_1d(f: PWLMap) -> Formula:
@@ -904,40 +925,27 @@ def pwl_to_formula_1d(f: PWLMap) -> Formula:
 # -- affine maps between simplices ----------------------------------------------
 
 def affine_from_simplex_pair(source: Sequence, target: Sequence) -> AffineMap:
-    """The unique affine map sending source simplex vertices to target's, in order."""
+    """The unique affine map sending source simplex vertices to target's, in
+    order: row i and constant b_i solve (v, 1) . (row, b_i) = w_i for each
+    pair of vertices (v, w), all rows in one Gauss-Jordan elimination."""
     src = [_frac_point(p) for p in source]
     tgt = [_frac_point(p) for p in target]
     d = len(src[0])
     if len(src) != d + 1 or len(tgt) != d + 1:
         raise ValueError("need d+1 vertices for a d-simplex")
-    if d == 1:
-        dx = src[1][0] - src[0][0]
-        if dx == 0:
-            raise ValueError("degenerate source simplex")
-        a = (tgt[1][0] - tgt[0][0]) / dx
-        b = tgt[0][0] - a * src[0][0]
-        return AffineMap(((a,),), (b,))
-    if d != 2:
+    if d not in (1, 2):
         raise ValueError("only dimensions 1 and 2 are supported")
-    m00 = src[1][0] - src[0][0]
-    m01 = src[2][0] - src[0][0]
-    m10 = src[1][1] - src[0][1]
-    m11 = src[2][1] - src[0][1]
-    det = m00 * m11 - m01 * m10
-    if det == 0:
-        raise ValueError("degenerate source simplex")
-    t00 = tgt[1][0] - tgt[0][0]
-    t01 = tgt[2][0] - tgt[0][0]
-    t10 = tgt[1][1] - tgt[0][1]
-    t11 = tgt[2][1] - tgt[0][1]
-    # A = T M^{-1}
-    a00 = (t00 * m11 - t01 * m10) / det
-    a01 = (t01 * m00 - t00 * m01) / det
-    a10 = (t10 * m11 - t11 * m10) / det
-    a11 = (t11 * m00 - t10 * m01) / det
-    b0 = tgt[0][0] - (a00 * src[0][0] + a01 * src[0][1])
-    b1 = tgt[0][1] - (a10 * src[0][0] + a11 * src[0][1])
-    return AffineMap(((a00, a01), (a10, a11)), (b0, b1))
+    rows = [[*v, F1, *w] for v, w in zip(src, tgt)]
+    for c in range(d + 1):
+        k = next((k for k in range(c, d + 1) if rows[k][c]), None)
+        if k is None:
+            raise ValueError("degenerate source simplex")
+        pivot = [x / rows[k][c] for x in rows[k]]
+        rows[k] = rows[c]
+        rows = [pivot if r == c else [x - row[c] * y for x, y in zip(row, pivot)]
+                for r, row in enumerate(rows)]
+    cols = list(zip(*(row[d + 1:] for row in rows)))
+    return AffineMap(tuple(col[:d] for col in cols), tuple(col[d] for col in cols))
 
 
 # -- JSON exchange ----------------------------------------------------------------

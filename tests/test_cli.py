@@ -378,6 +378,16 @@ def test_duality_command(capsys):
     assert payload["filters"] == payload["opens"] == 2
 
 
+def test_an_algebra_over_the_size_cap_is_named_by_its_size(capsys):
+    code, out, err = capture(capsys, ["filters", "--algebra", "luk:100"])
+    assert (code, out) == (1, "")
+    assert err == "error: an algebra of 101 elements exceeds the size cap of 64\n"
+    code, out, err = capture(capsys, ["algebra", "product", "--left", "luk:8",
+                                      "--right", "luk:8"])
+    assert (code, out) == (1, "")
+    assert err == "error: an algebra of 81 elements exceeds the size cap of 64\n"
+
+
 # -- error handling ----------------------------------------------------------------------------
 
 def test_domain_errors_exit_one(capsys):
@@ -456,7 +466,8 @@ def test_bad_rational_is_named(capsys, argv, text):
      "mvdyn.dynamics.pwl_from_formula"),
     (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
       "--grid", "0"], "grid_denominator >= 1", "mvdyn.dynamics._box_points"),
-    (["odometer", "perm", "--n", "21"], "0..20", "mvdyn.odometer.odometer_substitution"),
+    (["odometer", "perm", "--n", "21"], "the 2**21 valuations of a finite chain exceed",
+     "mvdyn.odometer.odometer_substitution"),
     (["orbit", "--subst", "tent", "--start", "1/5", "--max", "-5"], "max_steps",
      "mvdyn.dynamics._lattice_step"),
     (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",

@@ -1,12 +1,14 @@
 """Induced maps, exact orbits, reachability, the rotation homeomorphism,
 one-sided differentials, box hitting, and orbit statistics."""
 
+import bisect
 import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvdyn.formula import (
     Var, Neg, Star, Impl, And, OPlus, Substitution, evaluate, LUKASIEWICZ,
@@ -433,6 +435,91 @@ def test_tsujii_raises_only_where_the_ray_leaves_the_cube(rotation, tent_map):
                 img_p = smap.value(p)
                 img_q = smap.value(tuple(x + h * c for x, c in zip(p, v)))
                 assert tuple((b - a) / h for a, b in zip(img_p, img_q)) == dv, (p, v)
+
+
+def ref_tsujii_differential(s, p, v):
+    """The reference: tsujii_differential as it located the ray itself, by
+    its own bisect over the right cell ends in 1-D and by the half-planes
+    evaluated in Fractions in 2-D."""
+    p = tuple(F(x) for x in p)
+    v = tuple(F(x) for x in v)
+    if all(x == 0 for x in v):
+        return tuple(F(0) for _ in range(s.dim))
+    bounds = s.complex._bounds
+    if s.dim == 1:
+        if (p[0] < 1) if v[0] > 0 else (p[0] > 0):
+            k = (bisect.bisect_right if v[0] > 0 else bisect.bisect_left)(
+                bounds, p[0], key=lambda b: b[1])
+            return (s.maps[bounds[k][0]].a[0][0] * v[0],)
+    else:
+        for j, planes in bounds:
+            for c0, c1, c2 in planes:
+                e = c0 * p[0] + c1 * p[1] + c2
+                if e < 0 or e == 0 and c0 * v[0] + c1 * v[1] < 0:
+                    break
+            else:
+                return tuple(sum(r * x for r, x in zip(row, v)) for row in s.maps[j].a)
+    raise ValueError("the ray leaves the unit cube immediately")
+
+
+# criterion 12's directions, and both directions of the line
+RAY_DIRECTIONS = {2: [tuple(map(F, v)) for v in itertools.product(range(-3, 4), repeat=2)
+                      if any(v)],
+                  1: [(F(-1),), (F(1),), (F(-7, 2),), (F(2),)]}
+
+
+def ray_probes(w):
+    """The vertices, edge midpoints and cell centroids of a complex."""
+    points = set(w.vertices)
+    for j in range(len(w.cells)):
+        cell = w.cell_points(j)
+        points.update(tuple((a + b) / 2 for a, b in zip(p, q))
+                      for p, q in zip(cell, cell[1:] + cell[:1]))
+        points.add(tuple(sum(xs) / len(cell) for xs in zip(*cell)))
+    return sorted(points)
+
+
+def assert_rays_located_as_the_reference(smap):
+    """tsujii_differential equals the reference, value or message, on every
+    probe in every direction; returns how many rays left the cube."""
+    left = 0
+    for p in ray_probes(smap.complex):
+        for v in RAY_DIRECTIONS[smap.dim]:
+            outcomes = []
+            for differential in (tsujii_differential, ref_tsujii_differential):
+                try:
+                    outcomes.append(differential(smap, p, v))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (p, v, outcomes)
+            left += isinstance(outcomes[0], str)
+    return left
+
+
+def tent_pair():
+    x = Var(1)
+    return Substitution([tent_substitution().images[0], And(OPlus(x, x), OPlus(Neg(x), Neg(x)))])
+
+
+def test_rays_are_located_as_the_reference_on_the_named_maps(rotation, tent_map):
+    for smap in (rotation[1], tent_map.pwl, induced_map(tent_pair()).pwl):
+        # every probe on the boundary has a direction that leaves the cube
+        assert assert_rays_located_as_the_reference(smap) > 0
+    for p, v in (((F(0),), (F(-1),)), ((F(1),), (F(1),)), ((F(1),), (F(7, 2),))):
+        with pytest.raises(ValueError, match="^the ray leaves the unit cube immediately$"):
+            tsujii_differential(tent_map.pwl, p, v)
+    for p, v in (((F(0), F(1, 2)), (F(-1), F(0))), ((F(1), F(1)), (F(0), F(1)))):
+        with pytest.raises(ValueError, match="^the ray leaves the unit cube immediately$"):
+            tsujii_differential(rotation[1], p, v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.booleans())
+def test_rays_are_located_as_the_reference_on_compiled_maps(seed, n, one_row):
+    sigma = rand_substitution(random.Random(seed), n)
+    smap = pwl_from_formula(sigma.images[0], n) if one_row else induced_map(sigma).pwl
+    if smap is not None:
+        assert_rays_located_as_the_reference(smap)
 
 
 # -- box hitting and statistics ----------------------------------------------------------------

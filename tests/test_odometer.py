@@ -134,8 +134,21 @@ def test_induced_permutation_refuses_too_many_variables_before_any_table(monkeyp
         raise AssertionError("a table was built")
 
     monkeypatch.setattr("mvdyn.odometer.boolean_table", refused)
-    with pytest.raises(ValueError, match="0..20"):
+    with pytest.raises(ValueError, match=r"the 2\*\*21 valuations of a finite chain"):
         induced_permutation(Substitution.identity(21), 21)
+
+
+@pytest.mark.parametrize("n, message", [
+    (21, "the 2**21 valuations of a finite chain exceed the cap of 2000000"),
+    (-1, "variable count must be at least 0, not -1"),
+])
+def test_every_two_valued_table_refuses_a_count_with_one_message(n, message):
+    for build in (lambda: truth_table(ZERO, n), lambda: TruthTable(n, 0),
+                  lambda: induced_permutation(Substitution([]), n),
+                  lambda: odometer_induced_permutation(n)):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
 
 
 def test_bool_permutation_guard():

@@ -3,9 +3,12 @@ synthesis, and affine maps."""
 
 import bisect
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mvdyn.pwl as pwl_module
 
@@ -932,6 +935,58 @@ def test_compose_needs_a_self_map():
 
 # -- cell budget -------------------------------------------------------------------------------
 
+def ref_geometric_form(images, budget):
+    """The reference: each image compiled under the budget, then the two rows
+    stacked on their common refinement unless its work passes 50 x budget."""
+    try:
+        funcs = [pwl_from_formula(g, len(images), cell_budget=budget) for g in images]
+    except CellBudgetError:
+        return None
+    if len(funcs) == 1:
+        return funcs[0]
+    f, g = funcs
+    if len(f.complex.cells) * len(g.complex.cells) > 50 * budget:
+        return None
+    complex_, tags = _refine_tagged(f.complex, g.complex)
+    return PWLMap(complex_, tuple(
+        AffineMap(f.maps[i1].a + g.maps[i2].a, f.maps[i1].b + g.maps[i2].b)
+        for i1, i2 in tags))
+
+
+@pytest.mark.parametrize("budget", [600, 12, 4])
+def test_stacked_rows_and_their_budget_agree_with_the_reference(budget):
+    rng = random.Random(budget)
+    outcomes = []
+    for _ in range(60):
+        n = rng.choice([1, 2])
+        images = [rand_formula(rng, n, 6, leaf_p=0.1) for _ in range(n)]
+        want = ref_geometric_form(images, budget)
+        try:
+            got = pwl_module.pwl_map_from_formulas(images, budget)
+        except CellBudgetError:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.complex.vertices, got.complex.cells, got.maps) == (
+                want.complex.vertices, want.complex.cells, want.maps)
+        outcomes.append(got is None)
+    assert budget == 600 or 0 < sum(outcomes) < len(outcomes)
+
+
+def test_stacking_is_charged_to_the_cell_budget(monkeypatch):
+    # rows of 54 cells each, stacked with 54 * 54 = 2916 cells of work
+    tent3 = apply_substitution(Substitution([TENT]), apply_substitution(
+        Substitution([TENT]), TENT))
+    images = [tent3, apply_substitution(Substitution([X1, X0]), tent3)]
+    rows = {g: pwl_from_formula(g, 2) for g in images}
+    assert [len(f.complex.cells) for f in rows.values()] == [54, 54]
+    monkeypatch.setattr("mvdyn.pwl.pwl_from_formula", lambda g, dim, budget: rows[g])
+    with pytest.raises(CellBudgetError, match="work exceeds the 58-cell budget"):
+        pwl_module.pwl_map_from_formulas(images, 58)
+    stacked = pwl_module.pwl_map_from_formulas(images, 59)
+    assert all(pwl_equal(stacked.row(i), rows[g]) for i, g in enumerate(images))
+
+
 def test_cell_budget_raises():
     f = X0
     for _ in range(6):
@@ -974,6 +1029,94 @@ def test_affine_degenerate_raises():
         affine_from_simplex_pair(
             [(F(0), F(0)), (F(1), F(1)), (F(1, 2), F(1, 2))],
             [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+
+
+def ref_affine_from_simplex_pair(source, target):
+    """The reference: the separate closed forms of the 1-D and 2-D solve."""
+    src = [tuple(F(x) for x in p) for p in source]
+    tgt = [tuple(F(x) for x in p) for p in target]
+    d = len(src[0])
+    if len(src) != d + 1 or len(tgt) != d + 1:
+        raise ValueError("need d+1 vertices for a d-simplex")
+    if d == 1:
+        dx = src[1][0] - src[0][0]
+        if dx == 0:
+            raise ValueError("degenerate source simplex")
+        a = (tgt[1][0] - tgt[0][0]) / dx
+        return AffineMap(((a,),), (tgt[0][0] - a * src[0][0],))
+    if d != 2:
+        raise ValueError("only dimensions 1 and 2 are supported")
+    m00, m01 = src[1][0] - src[0][0], src[2][0] - src[0][0]
+    m10, m11 = src[1][1] - src[0][1], src[2][1] - src[0][1]
+    det = m00 * m11 - m01 * m10
+    if det == 0:
+        raise ValueError("degenerate source simplex")
+    t00, t01 = tgt[1][0] - tgt[0][0], tgt[2][0] - tgt[0][0]
+    t10, t11 = tgt[1][1] - tgt[0][1], tgt[2][1] - tgt[0][1]
+    # A = T M^{-1}
+    a00, a01 = (t00 * m11 - t01 * m10) / det, (t01 * m00 - t00 * m01) / det
+    a10, a11 = (t10 * m11 - t11 * m10) / det, (t11 * m00 - t10 * m01) / det
+    return AffineMap(((a00, a01), (a10, a11)),
+                     (tgt[0][0] - (a00 * src[0][0] + a01 * src[0][1]),
+                      tgt[0][1] - (a10 * src[0][0] + a11 * src[0][1])))
+
+
+def solve_outcome(solve, source, target):
+    try:
+        return solve(source, target)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def simplex_pairs(draw):
+    """A d-simplex and a target for it, d = 1 or 2, with rational vertices;
+    the source is made degenerate (a repeated vertex, or three on a line)
+    one time in four."""
+    d = draw(st.sampled_from([1, 2]))
+    coordinate = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+    point = st.tuples(*[coordinate] * d)
+    source = draw(st.lists(point, min_size=d + 1, max_size=d + 1))
+    target = draw(st.lists(point, min_size=d + 1, max_size=d + 1))
+    if draw(st.integers(0, 3)) == 0:
+        t = draw(coordinate)
+        source[-1] = tuple(a + t * (b - a) for a, b in zip(source[0], source[1 % d]))
+    return source, target
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(simplex_pairs())
+def test_affine_solve_agrees_with_the_closed_forms(pair):
+    source, target = pair
+    got = solve_outcome(affine_from_simplex_pair, source, target)
+    assert got == solve_outcome(ref_affine_from_simplex_pair, source, target)
+    if isinstance(got, AffineMap):
+        assert [got.apply(p) for p in source] == [tuple(map(F, q)) for q in target]
+
+
+def test_affine_solve_refuses_as_the_closed_forms():
+    line, square = [(F(0),), (F(1),)], [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+    cube = [(F(0),) * 3] + [tuple(F(int(i == k)) for i in range(3)) for k in range(3)]
+    for source, target in ((line, line[:1]), (line[:1], line), (square, square[:2]),
+                           (line + line, line + line), (cube, cube), ([()], [()]),
+                           ([(F(1, 3),)] * 2, line), (square[:1] * 3, square)):
+        want = solve_outcome(ref_affine_from_simplex_pair, source, target)
+        assert isinstance(want, str)
+        assert solve_outcome(affine_from_simplex_pair, source, target) == want
+
+
+def test_only_pwl_reads_the_cell_format():
+    """No module but pwl.py reads a complex's cell tests (_bounds, _triples),
+    a cell's vertices, the tags of _refine_tagged or AffineMap._apply, so a
+    new cell format touches pwl alone; counting cells is allowed."""
+    reads = re.compile(r"\b(_bounds|_triples|_refine_tagged|cell_points)\b|\._apply\b|\.cells\b")
+    found = []
+    for path in sorted(Path(pwl_module.__file__).parent.glob("*.py")):
+        if path.name != "pwl.py":
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+                if reads.search(re.sub(r"len\([\w.]*\.cells\)", "", line)):
+                    found.append(f"{path.name}:{number}: {line.strip()}")
+    assert found == []
 
 
 # -- serialization ------------------------------------------------------------------------------
