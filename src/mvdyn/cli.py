@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .formula import (
-    GODEL, PRODUCT, LUKASIEWICZ, Substitution, apply_substitution,
+    BOOLE, GODEL, PRODUCT, LUKASIEWICZ, Substitution, apply_substitution,
     chain_semantics, compose_substitutions, evaluate, identity_check,
     parse_formula, print_formula, tautology_check,
 )
@@ -31,20 +31,24 @@ from . import dynamics as _dyn
 
 def _semantics(name: str):
     key = name.lower()
-    if key in ("luk", "lukasiewicz"):
-        return LUKASIEWICZ
-    if key in ("godel", "goedel"):
-        return GODEL
-    if key == "product":
-        return PRODUCT
-    if key in ("bool", "boole"):
-        return chain_semantics(1)
     if key.startswith("chain:"):
-        parts = key.split(":")
-        m = int(parts[1])
-        base = parts[2] if len(parts) > 2 else "lukasiewicz"
-        return chain_semantics(m, base)
-    raise ValueError(f"unknown logic {name!r}")
+        return chain_semantics(*_count_spec(name, "chain:M[:base]"))
+    sem = {"luk": LUKASIEWICZ, "lukasiewicz": LUKASIEWICZ, "godel": GODEL, "goedel": GODEL,
+           "product": PRODUCT, "bool": BOOLE, "boole": BOOLE}.get(key)
+    if sem is None:
+        raise ValueError(f"unknown logic {name!r}")
+    return sem
+
+
+def _count_spec(spec: str, form: str) -> tuple:
+    """(N[, base]) of a spec name:N[:base] in lower case; refuses any other."""
+    n, *rest = spec.lower().split(":")[1:]
+    try:
+        if len(rest) < form.count(":"):
+            return (int(n), *rest)
+    except ValueError:
+        pass
+    raise ValueError(f"spec {spec!r} is not of the form {form}")
 
 
 def _rational(text: str) -> Fraction:
@@ -80,9 +84,9 @@ def _substitution(spec: str) -> Substitution:
     if key == "rotation":
         return _dyn.rotation_homeomorphism()[0]
     if key.startswith("identity:"):
-        return Substitution.identity(int(key.split(":")[1]))
+        return Substitution.identity(*_count_spec(spec.strip(), "identity:N"))
     if key.startswith("odometer:"):
-        return _odo.odometer_substitution(int(key.split(":")[1]))
+        return _odo.odometer_substitution(*_count_spec(spec.strip(), "odometer:N"))
     pairs = (part.split("=", 1) for part in spec.split(";"))
     return _proofs._sigma_from_json({lhs.strip(): rhs for lhs, rhs in pairs})
 
@@ -104,9 +108,9 @@ def _algebra(spec: str) -> _alg.FiniteAlgebra:
     if low in ("bool", "boole"):
         return _alg.finite_chain(1)
     if low.startswith("luk:"):
-        return _alg.finite_chain(int(low.split(":")[1]))
+        return _alg.finite_chain(*_count_spec(key, "luk:M"))
     if low.startswith("godel:"):
-        return _alg.finite_chain(int(low.split(":")[1]), "godel")
+        return _alg.finite_chain(*_count_spec(key, "godel:M"), "godel")
     raise ValueError(f"unknown algebra spec {spec!r}")
 
 

@@ -315,6 +315,19 @@ class BoxHit:
     image: tuple
 
 
+def _checked_box(name: str, box, n: int) -> list:
+    """box as (lo, hi) Fractions, refused with a message naming it unless it
+    has n axes, each nondegenerate inside [0, 1]."""
+    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+    text = " x ".join(f"[{lo}, {hi}]" for lo, hi in box) or "()"
+    if len(box) != n:
+        raise ValueError(f"{name} box {text} needs one axis per variable of the maps "
+                         f"(dimension {n})")
+    if not all(0 <= lo < hi <= 1 for lo, hi in box):
+        raise ValueError(f"{name} box {text} must be nondegenerate inside [0,1]")
+    return box
+
+
 def _box_points(numerators) -> list:
     """The numerator tuples of a box's grid points, one range per axis."""
     return list(itertools.product(*numerators))
@@ -338,16 +351,9 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
     if q_map.arity != r_map.arity:
         raise ValueError("maps must share an arity")
     n = q_map.arity
-    axes = []   # the numerators k of the grid points k/g, per axis of both boxes
-    for name, box in (("source", a_box), ("target", b_box)):
-        box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
-        text = " x ".join(f"[{lo}, {hi}]" for lo, hi in box) or "()"
-        if len(box) != n:
-            raise ValueError(f"{name} box {text} needs one axis per variable of the maps "
-                             f"(dimension {n})")
-        if not all(0 <= lo < hi <= 1 for lo, hi in box):
-            raise ValueError(f"{name} box {text} must be nondegenerate inside [0,1]")
-        axes += [range(math.ceil(lo * g), math.floor(hi * g) + 1) for lo, hi in box]
+    axes = [range(math.ceil(lo * g), math.floor(hi * g) + 1)  # the k of grid points k/g
+            for name, box in (("source", a_box), ("target", b_box))
+            for lo, hi in _checked_box(name, box, n)]
     sources, targets = axes[:n], axes[n:]
     cap_points([len(axis) for axis in sources], "grid points of the source box")
     starts = q_iter = _box_points(sources)
@@ -439,14 +445,8 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict
     dim = max(arity_of(r), *(arity_of(g) for g in sigma.images), 1)
     if dim > 2:
         raise ValueError("exact averaging handles at most two variables")
-    box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in mu_box)
-    if len(box) != dim:
-        raise ValueError("box dimension mismatch")
-    volume = F1
-    for lo, hi in box:
-        if not (0 <= lo < hi <= 1):
-            raise ValueError("box must be nondegenerate inside the cube")
-        volume *= hi - lo
+    box = _checked_box("averaging", mu_box, dim)
+    volume = math.prod(hi - lo for lo, hi in box)
     if k >= 1 and r.arity > sigma.arity:
         raise ValueError(f"substitution of arity {sigma.arity} misses x{r.arity - 1}")
     w = pwl_from_formula(r, dim)

@@ -16,6 +16,7 @@ import operator
 import re
 import weakref
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 ZERO_F = Fraction(0)
@@ -581,13 +582,6 @@ def cap_points(sizes: Sequence[int], what: str, repeat: int = 1) -> None:
         raise ValueError(f"the {count} {what} exceed the cap of {MAX_CHAIN_VALUATIONS}")
 
 
-def chain_axis(sem: TNormSemantics, n: int) -> list[Fraction]:
-    """The values of a finite chain, checked first to give at most
-    MAX_CHAIN_VALUATIONS valuations of n variables."""
-    cap_points([sem.m + 1], "valuations of a finite chain", n)
-    return sem.carrier()
-
-
 def _variable_mask(i: int, n: int) -> int:
     # one period: 2**i zeros then 2**i ones, doubled until it covers all 2**n
     # positions
@@ -723,22 +717,39 @@ def rationals_up_to(bound: int) -> list[Fraction]:
     return sorted(vals)
 
 
-def _boolean_verdict(f: Formula, n: int) -> Verdict:
-    """Truth-table verdict on the two-element chain from one packed table."""
-    falsified = ~boolean_table(f, n) & ((1 << (1 << n)) - 1)
-    if not falsified:
-        return Verdict("tautology")
-    # itertools.product order varies x0 slowest: fix x0, x1, ... in turn to the
-    # smaller value whenever some falsifying valuation remains with it.
-    point = []
-    for i in range(n):
-        low = falsified & ~_variable_mask(i, n)
-        if low:
-            falsified = low
-            point.append(ZERO_F)
-        else:
-            point.append(ONE_F)
-    return Verdict("countermodel", tuple(point))
+def _countermodel(delta: Sequence[Formula], f: Formula, sem: TNormSemantics, n: int,
+                  axis: Optional[list] = None) -> tuple[Optional[tuple], Optional[int]]:
+    """Search axis**n, in itertools.product order, for a point where every
+    formula of delta is 1 and f is not: (the first such point, None), or if
+    there is none (None, the number of points where all of delta is 1).
+    Every formula uses only x0..x_{n-1}. The axis defaults to the carrier of
+    the finite chain sem, where two elements make each formula one packed
+    table; an axis given is a grid's. The one cap refuses either first."""
+    if axis is not None:
+        cap_points([len(axis)], "points of the grid", n)
+    else:
+        cap_points([sem.m + 1], "valuations of a finite chain", n)
+        if sem.m == 1:
+            held = reduce(operator.and_, [boolean_table(d, n) for d in delta], (1 << (1 << n)) - 1)
+            bad = held & ~boolean_table(f, n)
+            if not bad:
+                return None, held.bit_count()
+            # itertools.product order varies x0 slowest: fix x0, x1, ... in
+            # turn to 0 whenever some point of bad remains with it
+            point = []
+            for i in range(n):
+                low = bad & ~_variable_mask(i, n)
+                point.append(ZERO_F if low else ONE_F)
+                bad = low or bad
+            return tuple(point), None
+        axis = sem.carrier()
+    held = 0
+    for point in itertools.product(axis, repeat=n):
+        if all(interpret(d, sem, point) == 1 for d in delta):
+            if interpret(f, sem, point) != 1:
+                return point, None
+            held += 1
+    return None, held
 
 
 def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
@@ -762,10 +773,7 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
     if method == "truth-table":
         if sem.kind != "chain":
             raise ValueError("truth-table method needs a finite chain semantics")
-        if sem.m == 1:
-            return _boolean_verdict(f, n)
-        axis = chain_axis(sem, n)
-        exhausted = "tautology"
+        axis, exhausted = None, "tautology"
     elif method == "exact-pwl":
         if sem.kind != "lukasiewicz":
             raise ValueError("exact-pwl method is Lukasiewicz-only")
@@ -783,16 +791,12 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
             raise ValueError(f"grid_bound must be at least 1, not {grid_bound}")
         cap_points([grid_bound * (grid_bound + 3) // 2], "candidate values p/q of the grid")
         axis = [v for v in rationals_up_to(grid_bound) if sem.contains(v)]
-        cap_points([len(axis)], "points of the grid", n)
         exhausted = "unknown"
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    # every point lies on sem's carrier and covers f's variables
-    for point in itertools.product(axis, repeat=n):
-        if interpret(f, sem, point) != 1:
-            return Verdict("countermodel", point)
-    return Verdict(exhausted)
+    point, _ = _countermodel((), f, sem, n, axis)
+    return Verdict(exhausted) if point is None else Verdict("countermodel", point)
 
 
 def identity_check(r: Formula, s: Formula, sem: TNormSemantics, method: str = "auto",

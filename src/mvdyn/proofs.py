@@ -8,7 +8,6 @@ line may use any mix of the defined connectives.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -17,9 +16,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import pwl as _pwl
 from .formula import (
-    Formula, Var, Star, ONE, Substitution, apply_substitution,
-    arity_of, chain_axis, interpret, json_field, parse_formula, print_formula,
-    tautology_check, variable_index,
+    Formula, Var, Star, ONE, Substitution, apply_substitution, _countermodel,
+    arity_of, json_field, parse_formula, print_formula, tautology_check, variable_index,
     TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
 
@@ -248,27 +246,20 @@ def mp_consequence(delta: Sequence[Formula], r: Formula,
                    sem: TNormSemantics) -> ConsequenceVerdict:
     """Does some product of hypotheses lie below r, as functions?
 
-    On a finite chain this is decided by checking that every valuation making
-    all of delta equal to 1 also makes r equal to 1. Over the Lukasiewicz
-    interval (at most two variables) the same check runs on the vertices of
-    the common refinement of the product c of delta and of r, which also give
-    the least power of c below r: the local deduction theorem makes that
-    check complete for both answers.
+    On a finite chain, the one finite-model search looks for a valuation that
+    makes all of delta 1 and r not. Over the Lukasiewicz interval (at most two
+    variables) the same check runs on the vertices of the common refinement
+    of the product c of delta and of r, which also give the least power of c
+    below r: the local deduction theorem makes that check complete for both.
     """
     delta = list(delta)
     arity = max([arity_of(r)] + [arity_of(d) for d in delta])
     if sem.kind == "chain":
-        carrier = chain_axis(sem, arity)
-        satisfying = 0
-        # every point lies on the carrier and covers every formula's variables
-        for p in itertools.product(carrier, repeat=arity):
-            if all(interpret(d, sem, p) == 1 for d in delta):
-                satisfying += 1
-                if interpret(r, sem, p) != 1:
-                    return ConsequenceVerdict("no", countermodel=p)
-        return ConsequenceVerdict(
-            "yes", certificate={"method": "finite-valuations",
-                                "satisfying_assignments": satisfying})
+        point, satisfying = _countermodel(delta, r, sem, arity)
+        if point is not None:
+            return ConsequenceVerdict("no", countermodel=point)
+        return ConsequenceVerdict("yes", certificate={"method": "finite-valuations",
+                                                      "satisfying_assignments": satisfying})
     if sem.kind != "lukasiewicz":
         raise ValueError("no decidable backend for this semantics")
     if arity > 2:

@@ -461,6 +461,28 @@ def test_bad_rational_is_named(capsys, argv, text):
     assert text in err
 
 
+@pytest.mark.parametrize("argv, spec, form", [
+    (["eval", "--logic", "chain:2:godel:junk", "--point", "0", "x0"], "chain:2:godel:junk",
+     "chain:M[:base]"),
+    (["taut", "--logic", "chain:x", "x0"], "chain:x", "chain:M[:base]"),
+    (["subst", "apply", "--subst", "identity:1:junk", "x0"], "identity:1:junk", "identity:N"),
+    (["orbit", "--subst", "odometer:2:7", "--start", "0,0"], "odometer:2:7", "odometer:N"),
+    (["filters", "--algebra", "luk:2:junk"], "luk:2:junk", "luk:M"),
+    (["spec", "--algebra", "Godel:1/2"], "Godel:1/2", "godel:M"),
+], ids=["logic-extra-field", "logic-not-integer", "identity-extra-field",
+        "odometer-extra-field", "algebra-extra-field", "algebra-not-integer"])
+def test_malformed_count_spec_is_named(capsys, argv, spec, form):
+    code, out, err = capture(capsys, argv)
+    _one_error_line(code, out, err)
+    assert err == f"error: spec {spec!r} is not of the form {form}\n"
+
+
+def test_avg_refuses_a_box_off_the_cube_by_name(capsys):
+    code, out, err = capture(capsys, ["avg", "--subst", "tent", "--box", "0:2", "x0"])
+    _one_error_line(code, out, err)
+    assert "[0, 2]" in err
+
+
 @pytest.mark.parametrize("argv, text, work", [
     (["avg", "--subst", "tent", "--k", "-1", "--box", "0:1", "x0"], "k >= 0",
      "mvdyn.dynamics.pwl_from_formula"),

@@ -1,6 +1,7 @@
 """Hilbert-style proof checking, axiom families, the substitution rule, and
 the semantic consequence backends."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mvdyn.formula import (
     Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, parse_formula,
-    print_formula, Substitution, arity_of, chain_semantics, tautology_check,
-    LUKASIEWICZ, GODEL, PRODUCT, BOOLE, TNormSemantics,
+    print_formula, Substitution, arity_of, boolean_table, chain_semantics, interpret,
+    rationals_up_to, tautology_check, LUKASIEWICZ, GODEL, PRODUCT, BOOLE, TNormSemantics,
 )
 from mvdyn.pwl import (
     pwl_combine, pwl_from_formula, pwl_le, _clip, _refine_tagged, _row_value, _scaled,
@@ -319,14 +320,29 @@ def test_mp_consequence_guards():
 
 
 def test_mp_consequence_chain_cap_is_checked_before_the_carrier(monkeypatch):
-    def refused(self):
-        raise AssertionError("the carrier was built past the cap")
+    def refused(*args):
+        raise AssertionError("the carrier or a variable mask was built past the cap")
 
     monkeypatch.setattr(TNormSemantics, "carrier", refused)
+    monkeypatch.setattr("mvdyn.formula._variable_mask", refused)
     with pytest.raises(ValueError, match=r"100000001\*\*1 valuations"):
         mp_consequence([X0], X0, chain_semantics(100_000_000))
     with pytest.raises(ValueError, match=r"2\*\*21 valuations"):
         mp_consequence([Var(20)], X0, BOOLE)
+
+
+def test_mp_consequence_on_boole_reads_packed_tables(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a valuation was built point by point")
+
+    monkeypatch.setattr("mvdyn.formula.interpret", refused)
+    monkeypatch.setattr(TNormSemantics, "carrier", refused)
+    for sem in (BOOLE, chain_semantics(1, "godel")):
+        v = mp_consequence([X0, Impl(X0, X1)], X1, sem)
+        assert v.certificate == {"method": "finite-valuations", "satisfying_assignments": 1}
+        v = mp_consequence([Or(X0, X1)], X0, sem)
+        assert (v.status, v.countermodel) == ("no", (Fraction(0), Fraction(1)))
+        assert tautology_check(Or(X2, Neg(X2)), sem).is_tautology
 
 
 def test_mp_consequence_matches_brute_force_on_chain():
@@ -349,6 +365,94 @@ def test_mp_consequence_matches_brute_force_on_chain():
                    if all(evaluate(d, sem, (a, b)) == 1 for d in delta))
         got = mp_consequence(delta, r, sem)
         assert (got.status == "yes") == want, (delta, r)
+
+
+# -- the one finite-model search against the loops it replaced --------------------------
+
+def ref_boolean_verdict(f, n):
+    """The packed verdict on the two-element chain: (status, first countermodel)."""
+    falsified = ~boolean_table(f, n) & ((1 << (1 << n)) - 1)
+    if not falsified:
+        return "tautology", None
+    # itertools.product order varies x0 slowest: fix x0, x1, ... in turn to the
+    # smaller value whenever some falsifying valuation remains with it
+    point = []
+    for i in range(n):
+        low = falsified & ~sum(1 << p for p in range(1 << n) if p >> i & 1)
+        if low:
+            falsified = low
+            point.append(Fraction(0))
+        else:
+            point.append(Fraction(1))
+    return "countermodel", tuple(point)
+
+
+def ref_point_verdict(f, sem, axis, exhausted):
+    """The point loop of tautology_check: (status, first countermodel)."""
+    for point in itertools.product(axis, repeat=arity_of(f)):
+        if interpret(f, sem, point) != 1:
+            return "countermodel", point
+    return exhausted, None
+
+
+def ref_chain_consequence(delta, r, sem):
+    """The finite-chain loop of mp_consequence: (status, countermodel, certificate)."""
+    arity = max([arity_of(r)] + [arity_of(d) for d in delta])
+    satisfying = 0
+    for p in itertools.product(sem.carrier(), repeat=arity):
+        if all(interpret(d, sem, p) == 1 for d in delta):
+            satisfying += 1
+            if interpret(r, sem, p) != 1:
+                return "no", p, None
+    return "yes", None, {"method": "finite-valuations", "satisfying_assignments": satisfying}
+
+
+def formulas_over(leaves):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(sub.map(Neg), st.builds(
+            lambda op, a, b: op(a, b), st.sampled_from([Star, Impl, And, Or, OPlus]), sub, sub)),
+        max_leaves=8)
+
+
+@st.composite
+def finite_model_cases(draw):
+    """(chain, f, delta, grid semantics, grid bound): a chain of m = 1..4 steps on
+    either base, formulas over x0..x_{n-1} for n = 0..4, and 0 to 3 hypotheses."""
+    chain = chain_semantics(draw(st.integers(1, 4)), draw(st.sampled_from(["lukasiewicz",
+                                                                           "godel"])))
+    formulas = formulas_over([Var(i) for i in range(draw(st.integers(0, 4)))] + [ZERO, ONE])
+    return (chain, draw(formulas), draw(st.lists(formulas, max_size=3)),
+            draw(st.sampled_from([chain, GODEL, PRODUCT, LUKASIEWICZ])), draw(st.integers(1, 3)))
+
+
+def is_point(p):
+    return type(p) is tuple and all(type(v) is Fraction for v in p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(finite_model_cases())
+@example((BOOLE, Or(Var(3), Neg(Var(3))), [X0, Neg(X1), Impl(X2, X0)], PRODUCT, 2))
+@example((chain_semantics(4, "godel"), Impl(Var(3), X0), [Or(X1, X2)], BOOLE, 3))
+@example((chain_semantics(2), ZERO, [], GODEL, 1))
+@example((BOOLE, And(Impl(X0, X1), Impl(X1, X0)), [Or(X0, X1)], BOOLE, 1))
+def test_the_one_search_decides_as_the_loops_it_replaced(case):
+    chain, f, delta, grid, bound = case
+    want = ref_point_verdict(f, chain, chain.carrier(), "tautology")
+    if chain.m == 1:
+        assert ref_boolean_verdict(f, arity_of(f)) == want
+    for method in ("auto", "truth-table"):
+        got = tautology_check(f, chain, method=method)
+        assert (got.status, got.point) == want
+        assert got.point is None or is_point(got.point)
+    got = tautology_check(f, grid, method="grid", grid_bound=bound)
+    axis = [v for v in rationals_up_to(bound) if grid.contains(v)]
+    assert (got.status, got.point) == ref_point_verdict(f, grid, axis, "unknown")
+    assert got.point is None or is_point(got.point)
+    got = mp_consequence(delta, f, chain)
+    assert (got.status, got.countermodel, got.certificate) == ref_chain_consequence(delta, f,
+                                                                                      chain)
+    assert got.countermodel is None or is_point(got.countermodel)
 
 
 # -- Lukasiewicz consequence against the clip-and-search reference ----------------------
