@@ -31,7 +31,7 @@ from .odometer import (
     derive_from_nontautology,
 )
 from .dynamics import (
-    InducedMap, Orbit, BoxHit, induced_map, map_eval, denominator,
+    InducedMap, Orbit, BoxHit, induced_map, geometric_form, map_eval, denominator,
     orbit, full_rational_orbit, reachability_substitution,
     rotation_homeomorphism, validate_homeomorphism, tsujii_differential,
     box_hitting_search, empirical_statistics, average_truth_value,
@@ -62,7 +62,7 @@ __all__ = [
     "TruthTable", "BoolPermutation", "truth_table", "symmetric_difference",
     "odometer_substitution", "induced_permutation",
     "odometer_induced_permutation", "derive_from_nontautology",
-    "InducedMap", "Orbit", "BoxHit", "induced_map", "map_eval",
+    "InducedMap", "Orbit", "BoxHit", "induced_map", "geometric_form", "map_eval",
     "denominator", "orbit", "full_rational_orbit", "reachability_substitution",
     "rotation_homeomorphism", "validate_homeomorphism", "tsujii_differential",
     "box_hitting_search", "empirical_statistics", "average_truth_value",

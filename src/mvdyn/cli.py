@@ -183,8 +183,6 @@ def _cmd_pwl_integrate(args) -> int:
 
 def _cmd_pwl_synthesize(args) -> int:
     w = _pwl.pwl_from_json(json.loads(_read(args.file)))
-    if w.dim != 1:
-        raise ValueError("synthesis to a formula is exposed for dimension 1")
     f = _pwl.pwl_to_formula_1d(w)
     _emit(args, {"formula": print_formula(f)}, print_formula(f))
     return 0
@@ -234,23 +232,15 @@ def _homeo_payload(smap: _pwl.PWLMap, with_report: bool):
     return payload
 
 
-def _geometric_form(spec: str) -> _pwl.PWLMap:
-    """The geometric form of the substitution spec, or ValueError if it has none."""
-    s = _dyn.induced_map(_substitution(spec))
-    if s.pwl is None:
-        raise ValueError("no geometric form within budget (or arity > 2)")
-    return s.pwl
-
-
 def _cmd_homeo_build(args) -> int:
-    smap = _geometric_form(args.subst)
+    smap = _dyn.geometric_form(_substitution(args.subst))
     payload = _homeo_payload(smap, args.validate)
     _emit(args, payload, f"{len(smap.complex.cells)} affine cells")
     return 0
 
 
 def _cmd_homeo_validate(args) -> int:
-    rep = _dyn.validate_homeomorphism(_geometric_form(args.subst))
+    rep = _dyn.validate_homeomorphism(_dyn.geometric_form(_substitution(args.subst)))
     _emit(args, rep, _report_line(rep))
     return 0
 
@@ -273,7 +263,7 @@ def _cmd_homeo_rotation(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    smap = _geometric_form(args.map)
+    smap = _dyn.geometric_form(_substitution(args.map))
     dv = _dyn.tsujii_differential(smap, _point(args.point), _point(args.dir))
     _emit(args, {"differential": list(dv)}, ", ".join(str(x) for x in dv))
     return 0

@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 
 from .formula import (
     Formula, Var, Neg, And, OPlus, Substitution,
-    cap_points, evaluate, LUKASIEWICZ, arity_of, fold,
+    cap_points, interpret, LUKASIEWICZ, arity_of, fold,
 )
 from . import pwl as _pwl
 from .pwl import (
-    CellBudgetError, CellComplex, PWLMap, _cube_point,
+    CellBudgetError, CellComplex, PWLMap, _checked_box, _cube_point,
     affine_from_simplex_pair, clamp_affine_formula, pwl_from_formula,
 )
 
@@ -46,29 +46,39 @@ class InducedMap(Substitution):
         self.pwl = pwl
 
 
-def _geometric_form(images):
+def _geometric_form(images) -> PWLMap:
     """The map x -> (g(x) for g in images) of the cube, one compiled row per
-    image (pwl.pwl_map_from_formulas); None when it would exceed the cell budget."""
-    try:
-        return _pwl.pwl_map_from_formulas(images, CELL_BUDGET)
-    except CellBudgetError:
-        return None
+    image under CELL_BUDGET (pwl.pwl_map_from_formulas)."""
+    return _pwl.pwl_map_from_formulas(images, CELL_BUDGET)
+
+
+def geometric_form(sigma: Substitution) -> PWLMap:
+    """sigma's map of the cube as a PWLMap: the one an InducedMap carries, else
+    its images compiled under CELL_BUDGET. Without one it raises pwl's
+    refusal: too many variables for the exact geometry, or CellBudgetError."""
+    form = getattr(sigma, "pwl", None)
+    return _geometric_form(sigma.images) if form is None else form
 
 
 def induced_map(sigma: Substitution) -> InducedMap:
     """sigma with its geometric form: an InducedMap as it is, else the form
-    compiled for one or two variables unless it exceeds the cell budget."""
+    compiled when the exact geometry takes sigma's variables and the cell
+    budget suffices; otherwise pwl is None and orbits walk the formulas."""
     if isinstance(sigma, InducedMap):
         return sigma
     n = sigma.arity
     if n == 0:
         raise ValueError("substitution must cover at least x0")
-    return InducedMap(n, sigma.images, _geometric_form(sigma.images) if n <= 2 else None)
+    try:
+        form = geometric_form(sigma) if n <= _pwl.MAX_DIM else None
+    except CellBudgetError:
+        form = None
+    return InducedMap(n, sigma.images, form)
 
 
 def map_eval(s: InducedMap, p) -> tuple:
     p = _cube_point(p, s.arity)
-    return tuple(evaluate(g, LUKASIEWICZ, p) for g in s.images)
+    return tuple(interpret(g, LUKASIEWICZ, p) for g in s.images)
 
 
 def tent_substitution() -> Substitution:
@@ -315,19 +325,6 @@ class BoxHit:
     image: tuple
 
 
-def _checked_box(name: str, box, n: int) -> list:
-    """box as (lo, hi) Fractions, refused with a message naming it unless it
-    has n axes, each nondegenerate inside [0, 1]."""
-    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
-    text = " x ".join(f"[{lo}, {hi}]" for lo, hi in box) or "()"
-    if len(box) != n:
-        raise ValueError(f"{name} box {text} needs one axis per variable of the maps "
-                         f"(dimension {n})")
-    if not all(0 <= lo < hi <= 1 for lo, hi in box):
-        raise ValueError(f"{name} box {text} must be nondegenerate inside [0,1]")
-    return box
-
-
 def _box_points(numerators) -> list:
     """The numerator tuples of a box's grid points, one range per axis."""
     return list(itertools.product(*numerators))
@@ -443,8 +440,6 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict
     if k < 0:
         raise ValueError("need k >= 0")
     dim = max(arity_of(r), *(arity_of(g) for g in sigma.images), 1)
-    if dim > 2:
-        raise ValueError("exact averaging handles at most two variables")
     box = _checked_box("averaging", mu_box, dim)
     volume = math.prod(hi - lo for lo, hi in box)
     if k >= 1 and r.arity > sigma.arity:
@@ -453,9 +448,7 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict
     lebesgue = _pwl.pwl_integral(w)
     # every iterate of a constant r is r; otherwise sigma covers x0..x_{dim-1}
     if k >= 1 and r.arity:
-        s = induced_map(sigma if sigma.arity == dim else Substitution(sigma.images[:dim])).pwl
-        if s is None:
-            raise ValueError(f"the substitution's map exceeds {CELL_BUDGET} cells")
+        s = geometric_form(sigma if sigma.arity == dim else Substitution(sigma.images[:dim]))
     sequence = []
     for j in range(k + 1):
         if len(w.complex.cells) > PIECE_CAP:

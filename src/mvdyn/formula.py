@@ -651,6 +651,8 @@ class Substitution:
 
     @classmethod
     def identity(cls, n: int) -> "Substitution":
+        if n < 0:
+            raise ValueError(f"variable count must be at least 0, not {n}")
         return cls([Var(i) for i in range(n)])
 
     def __call__(self, f: Formula) -> Formula:
@@ -757,7 +759,7 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
     """Decide (or refute, or give up on) "f evaluates to 1 everywhere".
 
     Methods: "truth-table" (finite chains, exhaustive and decisive),
-    "exact-pwl" (Lukasiewicz, at most 2 variables, decisive),
+    "exact-pwl" (Lukasiewicz, up to pwl.MAX_DIM variables, decisive),
     "grid" (any semantics; countermodel search over all points with
     coordinate denominators <= grid_bound, returns unknown if none found).
     """
@@ -765,8 +767,9 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
     if method == "auto":
         if sem.kind == "chain":
             method = "truth-table"
-        elif sem.kind == "lukasiewicz" and n <= 2:
-            method = "exact-pwl"
+        elif sem.kind == "lukasiewicz":
+            from . import pwl
+            method = "exact-pwl" if n <= pwl.MAX_DIM else "grid"
         else:
             method = "grid"
 
@@ -777,8 +780,6 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
     elif method == "exact-pwl":
         if sem.kind != "lukasiewicz":
             raise ValueError("exact-pwl method is Lukasiewicz-only")
-        if n > 2:
-            raise ValueError("exact-pwl method handles at most 2 variables")
         from . import pwl
 
         func = pwl.pwl_from_formula(f, dim=max(n, 1))

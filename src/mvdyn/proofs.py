@@ -155,7 +155,7 @@ def _oracle_accepts(oracle, f: Formula) -> bool:
     if oracle == "boole":
         return tautology_check(f, BOOLE).is_tautology
     if oracle == "lukasiewicz":
-        if arity_of(f) > 2:
+        if arity_of(f) > _pwl.MAX_DIM:
             return False
         return tautology_check(f, LUKASIEWICZ, method="exact-pwl").is_tautology
     raise ValueError(f"unknown axiom oracle {oracle!r}")
@@ -247,10 +247,11 @@ def mp_consequence(delta: Sequence[Formula], r: Formula,
     """Does some product of hypotheses lie below r, as functions?
 
     On a finite chain, the one finite-model search looks for a valuation that
-    makes all of delta 1 and r not. Over the Lukasiewicz interval (at most two
-    variables) the same check runs on the vertices of the common refinement
-    of the product c of delta and of r, which also give the least power of c
-    below r: the local deduction theorem makes that check complete for both.
+    makes all of delta 1 and r not. Over the Lukasiewicz interval (up to
+    pwl.MAX_DIM variables) the same check runs on the vertices of the common
+    refinement of the product c of delta and of r, which also give the least
+    power of c below r: the local deduction theorem makes that check complete
+    for both.
     """
     delta = list(delta)
     arity = max([arity_of(r)] + [arity_of(d) for d in delta])
@@ -262,8 +263,6 @@ def mp_consequence(delta: Sequence[Formula], r: Formula,
                                                       "satisfying_assignments": satisfying})
     if sem.kind != "lukasiewicz":
         raise ValueError("no decidable backend for this semantics")
-    if arity > 2:
-        raise ValueError("the exact backend handles at most two variables")
     dim = max(arity, 1)
     conj = reduce(Star, delta) if delta else ONE
     low, witness, power = _unit_set_min_and_power(_pwl.pwl_from_formula(conj, dim),

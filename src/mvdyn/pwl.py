@@ -1,4 +1,4 @@
-"""Exact piecewise-linear calculus over rational cell complexes in dimension <= 2.
+"""Exact piecewise-linear calculus over rational cell complexes in 1..MAX_DIM variables.
 
 One type, PWLMap, represents continuous maps [0,1]^d -> [0,1]^r that are
 affine on each cell of a rational simplicial complex covering the unit
@@ -27,6 +27,14 @@ Point = tuple  # tuple of Fractions, length = dim
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+MAX_DIM = 2   # most variables of the exact geometry: its cells are intervals or triangles
+
+
+def _check_dim(n: int) -> None:
+    """Refuse a cube of n variables outside the exact geometry's 1..MAX_DIM."""
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"{n} variables are outside the exact geometry, "
+                         f"which handles 1 to {MAX_DIM}")
 
 
 def _frac_point(p) -> Point:
@@ -136,15 +144,14 @@ def _fan(poly):
 # -- cell complexes ------------------------------------------------------------
 
 class CellComplex:
-    """Rational simplicial complex covering [0,1]^dim, dim in {1, 2}.
+    """Rational simplicial complex covering [0,1]^dim, dim in 1..MAX_DIM.
 
     cells hold vertex indices: pairs (lo, hi) for dim 1 (in left-to-right
     order), ccw triples for dim 2.
     """
 
     def __init__(self, dim: int, vertices: Sequence[Point], cells: Sequence[tuple]):
-        if dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
+        _check_dim(dim)
         self.dim = dim
         self.vertices = [_frac_point(v) for v in vertices]
         self.cells = [tuple(c) for c in cells]
@@ -412,6 +419,19 @@ def _cube_point(p, n: Optional[int] = None) -> Point:
         if not (0 <= v <= 1):
             raise ValueError(f"point ({', '.join(map(str, p))}) outside the unit cube")
     return p
+
+
+def _checked_box(name: str, box, n: int) -> list:
+    """box as (lo, hi) Fractions, refused with a message naming it unless it
+    has n axes, each nondegenerate inside [0, 1]."""
+    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+    text = " x ".join(f"[{lo}, {hi}]" for lo, hi in box) or "()"
+    if len(box) != n:
+        raise ValueError(f"{name} box {text} needs one axis per variable of the maps "
+                         f"(dimension {n})")
+    if not all(0 <= lo < hi <= 1 for lo, hi in box):
+        raise ValueError(f"{name} box {text} must be nondegenerate inside [0,1]^{n}")
+    return box
 
 
 @dataclass(frozen=True)
@@ -719,8 +739,7 @@ def pwl_from_formula(f: Formula, dim: Optional[int] = None,
     n = arity_of(f)
     if dim is None:
         dim = max(n, 1)
-    if dim not in (1, 2):
-        raise ValueError("dim must be 1 or 2")
+    _check_dim(dim)
     if n > dim:
         raise ValueError(f"formula uses x{n - 1}, beyond dim {dim}")
 
@@ -751,10 +770,11 @@ def pwl_from_formula(f: Formula, dim: Optional[int] = None,
 
 def pwl_map_from_formulas(formulas: Sequence[Formula],
                           cell_budget: Optional[int] = None) -> PWLMap:
-    """The map x -> (g(x) for g in formulas) of the cube, for one or two
+    """The map x -> (g(x) for g in formulas) of the cube, for 1..MAX_DIM
     formulas in as many variables: one compiled row per formula, stacked on
     the common refinement of their complexes, which is charged to the cell
     budget as pwl_from_formula charges each of its refinements."""
+    _check_dim(len(formulas))
     f, *rest = [pwl_from_formula(g, len(formulas), cell_budget) for g in formulas]
     for g in rest:
         _charge([0], cell_budget, f, g)
@@ -798,16 +818,13 @@ def pwl_integral(f: PWLMap, box=None) -> Fraction:
     """Exact integral of f over a rational box (defaults to the whole cube)."""
     _one_row(f)
     if box is None:
-        box = tuple(((F0, F1)) for _ in range(f.dim))
-    box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
-    if len(box) != f.dim:
-        raise ValueError("box dimension mismatch")
-    for lo, hi in box:
-        if not (0 <= lo <= hi <= 1):
-            raise ValueError("box must be inside the unit cube with lo <= hi")
-    if any(lo == hi for lo, hi in box):
+        box = [(F0, F1)] * f.dim
+    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+    if (len(box) == f.dim and all(0 <= lo <= hi <= 1 for lo, hi in box)
+            and any(lo == hi for lo, hi in box)):
         warnings.warn("integration box has zero measure")
         return F0
+    box = _checked_box("integration", box, f.dim)
 
     if f.dim == 1:
         total = F0
@@ -933,8 +950,7 @@ def affine_from_simplex_pair(source: Sequence, target: Sequence) -> AffineMap:
     d = len(src[0])
     if len(src) != d + 1 or len(tgt) != d + 1:
         raise ValueError("need d+1 vertices for a d-simplex")
-    if d not in (1, 2):
-        raise ValueError("only dimensions 1 and 2 are supported")
+    _check_dim(d)
     rows = [[*v, F1, *w] for v, w in zip(src, tgt)]
     for c in range(d + 1):
         k = next((k for k in range(c, d + 1) if rows[k][c]), None)

@@ -7,9 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+from mvdyn import pwl as _pwl
 from mvdyn.cli import build_parser, run
-from mvdyn.formula import parse_formula, evaluate, LUKASIEWICZ
-from mvdyn.pwl import pwl_from_formula, pwl_from_json, pwl_equal
+from mvdyn.dynamics import average_truth_value, induced_map
+from mvdyn.formula import (
+    Substitution, Var, evaluate, parse_formula, tautology_check, LUKASIEWICZ,
+)
+from mvdyn.proofs import Axiom, Proof, ProofLine, check_proof, mp_consequence
+from mvdyn.pwl import (
+    CellComplex, affine_from_simplex_pair, pwl_from_formula, pwl_from_json, pwl_equal,
+    pwl_to_json,
+)
 
 F = Fraction
 
@@ -447,6 +455,15 @@ def test_pwl_synthesize_piece_of_wrong_dimension_exits_one(capsys, tmp_path):
     _one_error_line(*_synthesize(capsys, tmp_path, pieces=[{"a": [1, 5], "b": 0}]))
 
 
+def test_pwl_synthesize_refuses_two_variables_in_pwls_words(capsys, tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(pwl_to_json(pwl_from_formula(parse_formula("x0"), 2))),
+                    encoding="utf-8")
+    code, out, err = capture(capsys, ["pwl", "synthesize", str(path)])
+    _one_error_line(code, out, err)
+    assert err == "error: synthesis is exposed for dimension 1 only\n"
+
+
 @pytest.mark.parametrize("argv, text", [
     (["eval", "--point", "1/0", "x0"], "'1/0'"),
     (["orbit", "--subst", "tent", "--start", "1/0"], "'1/0'"),
@@ -454,7 +471,12 @@ def test_pwl_synthesize_piece_of_wrong_dimension_exits_one(capsys, tmp_path):
     (["diff", "--map", "tent", "--point", "1/2", "--dir", "0/0"], "'0/0'"),
     (["pwl", "integrate", "--box", "0:1:2", "x0"], "not a box axis: '0:1:2'"),
     (["pwl", "integrate", "--box", "1/2", "x0"], "not a box axis: '1/2'"),
-], ids=["eval", "orbit", "subst-reach", "diff", "box-three-bounds", "box-one-bound"])
+    (["pwl", "integrate", "--box", "0:2", "x0"],
+     "integration box [0, 2] must be nondegenerate inside [0,1]^1"),
+    (["pwl", "integrate", "--box", "0:1,0:1", "x0"],
+     "integration box [0, 1] x [0, 1] needs one axis per variable of the maps (dimension 1)"),
+], ids=["eval", "orbit", "subst-reach", "diff", "box-three-bounds", "box-one-bound",
+        "integrate-box-off-cube", "integrate-box-too-many-axes"])
 def test_bad_rational_is_named(capsys, argv, text):
     code, out, err = capture(capsys, argv)
     _one_error_line(code, out, err)
@@ -521,11 +543,13 @@ def test_avg_refuses_a_box_off_the_cube_by_name(capsys):
      "source box [0, 1] needs one axis", "mvdyn.pwl.PWLMap.lattice_step"),
     (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1,0:1", "--target", "0:1"],
      "source box [0, 1] x [0, 1] needs one axis", "mvdyn.pwl.PWLMap.lattice_step"),
+    (["subst", "apply", "--subst", "identity:-2", "1"],
+     "variable count must be at least 0, not -2", "mvdyn.cli.apply_substitution"),
 ], ids=["avg", "boxhit", "odometer-perm", "orbit-max", "boxhit-hmax", "boxhit-kmax",
         "taut-chain", "taut-grid", "boxhit-grid", "taut-grid-bound", "identity-grid-bound",
         "algebra-chain", "filters-chain", "stats-grid", "taut-grid-bound-below-one",
         "subst-reach-units", "boxhit-source-off-cube", "boxhit-both-off-cube",
-        "boxhit-too-few-axes", "boxhit-too-many-axes"])
+        "boxhit-too-few-axes", "boxhit-too-many-axes", "identity-negative"])
 def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv, text, work):
     def refused(*args, **kwargs):
         raise AssertionError("work began on an out-of-range count")
@@ -548,8 +572,9 @@ def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv
     (["taut", "--logic", "product", "--grid-bound", "1", "x0"],
      "mvdyn.formula.rationals_up_to"),
     (["subst", "reach", "--source", "1/3", "--target", "2/3"], "mvdyn.pwl.Var"),
+    (["subst", "apply", "--subst", "identity:2", "1"], "mvdyn.cli.apply_substitution"),
 ], ids=["boxhit", "orbit", "taut-grid", "chain", "stats", "taut-grid-bound-one",
-        "subst-reach-units"])
+        "subst-reach-units", "identity"])
 def test_the_refused_work_is_reached_in_range(capsys, monkeypatch, argv, work):
     # the refusal cases above patch work that an in-range count does reach
     def reached(*args, **kwargs):
@@ -625,3 +650,55 @@ def test_usage_errors_exit_two(capsys):
         run(["eval", "x0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# -- the exact geometry's variable ceiling ------------------------------------------------------
+
+def _ceiling(n):
+    """pwl's one refusal of a cube of n variables, at its ceiling as it stands."""
+    return f"{n} variables are outside the exact geometry, which handles 1 to {_pwl.MAX_DIM}"
+
+
+def _refusal(capsys, case):
+    """The message of a refusal: the one error line of a CLI argv, or the
+    ValueError of a library call."""
+    if isinstance(case, list):
+        code, out, err = capture(capsys, case)
+        _one_error_line(code, out, err)
+        return err.removeprefix("error: ").rstrip("\n")
+    with pytest.raises(ValueError) as exc:
+        case()
+    return str(exc.value)
+
+
+CUBE = [(F(0),) * 3] + [tuple(F(int(i == k)) for i in range(3)) for k in range(3)]
+
+
+@pytest.mark.parametrize("case", [
+    ["taut", "--logic", "luk", "--method", "exact-pwl", "x0 | x1 | x2"],
+    lambda: mp_consequence([parse_formula("x0 * x1")], parse_formula("x2 -> x0"),
+                           LUKASIEWICZ),
+    ["avg", "--subst", "odometer:3", "--box", "0:1,0:1,0:1", "x0"],
+    ["homeo", "validate", "--subst", "odometer:3"],
+    ["pwl", "compile", "--dim", "3", "x0"],
+    lambda: CellComplex(3, CUBE, [(0, 1, 2, 3)]),
+    lambda: affine_from_simplex_pair(CUBE, CUBE),
+], ids=["taut-exact-pwl", "mp-consequence", "avg", "homeo-validate", "pwl-compile",
+        "cell-complex", "affine-solve"])
+def test_three_variables_are_refused_in_pwls_one_message(capsys, case):
+    assert _refusal(capsys, case) == _ceiling(3)
+
+
+def test_every_caller_follows_pwls_variable_ceiling(capsys, monkeypatch):
+    # at a ceiling of one variable, the callers that take another path take
+    # it, and the callers that only refuse pass pwl's refusal on
+    monkeypatch.setattr(_pwl, "MAX_DIM", 1)
+    line = parse_formula("(x0 * x1) -> x0")
+    assert tautology_check(line, LUKASIEWICZ).status == "unknown"
+    assert not check_proof(Proof((), (ProofLine(line, Axiom()),)), None, oracle="lukasiewicz")
+    swap = Substitution([Var(1), Var(0)])
+    assert induced_map(swap).pwl is None
+    for case in (lambda: mp_consequence([line], line, LUKASIEWICZ),
+                 lambda: average_truth_value(Var(0), 1, swap, [(F(0), F(1))] * 2),
+                 ["homeo", "validate", "--subst", "x0=x1;x1=x0"]):
+        assert _refusal(capsys, case) == _ceiling(2)

@@ -632,7 +632,7 @@ def test_average_truth_value_needs_sigma_only_after_step_zero():
 
 def test_average_truth_value_refuses_a_map_over_the_cell_budget(monkeypatch):
     monkeypatch.setattr("mvdyn.dynamics.CELL_BUDGET", 1)
-    with pytest.raises(ValueError, match="map exceeds 1 cells"):
+    with pytest.raises(ValueError, match="compilation exceeded 1 cells"):
         average_truth_value(Var(0), 1, tent_substitution(), [(F(0), F(1))])
     avg = average_truth_value(Var(0), 0, tent_substitution(), [(F(0), F(1))])
     assert avg == {"sequence": [F(1, 2)], "lebesgue_average": F(1, 2)}

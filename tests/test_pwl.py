@@ -1045,7 +1045,7 @@ def ref_affine_from_simplex_pair(source, target):
         a = (tgt[1][0] - tgt[0][0]) / dx
         return AffineMap(((a,),), (tgt[0][0] - a * src[0][0],))
     if d != 2:
-        raise ValueError("only dimensions 1 and 2 are supported")
+        raise ValueError(f"{d} variables are outside the exact geometry, which handles 1 to 2")
     m00, m01 = src[1][0] - src[0][0], src[2][0] - src[0][0]
     m10, m11 = src[1][1] - src[0][1], src[2][1] - src[0][1]
     det = m00 * m11 - m01 * m10
