@@ -52,12 +52,25 @@ def _geometric_form(images) -> PWLMap:
     return _pwl.pwl_map_from_formulas(images, CELL_BUDGET)
 
 
+def _check_covers(sigma: Substitution, n: int) -> None:
+    """Refuse sigma unless it maps x0..x_{n-1}. The empty substitution, which
+    maps no variable, has one message wherever a map of the cube needs it."""
+    if sigma.arity == 0 < n:
+        raise ValueError("substitution must cover at least x0")
+    if n > sigma.arity:
+        raise ValueError(f"substitution of arity {sigma.arity} misses x{n - 1}")
+
+
 def geometric_form(sigma: Substitution) -> PWLMap:
     """sigma's map of the cube as a PWLMap: the one an InducedMap carries, else
-    its images compiled under CELL_BUDGET. Without one it raises pwl's
-    refusal: too many variables for the exact geometry, or CellBudgetError."""
+    its images compiled under CELL_BUDGET. Without one it refuses the empty
+    substitution, or raises pwl's refusal: too many variables for the exact
+    geometry, or CellBudgetError."""
     form = getattr(sigma, "pwl", None)
-    return _geometric_form(sigma.images) if form is None else form
+    if form is None:
+        _check_covers(sigma, 1)
+        form = _geometric_form(sigma.images)
+    return form
 
 
 def induced_map(sigma: Substitution) -> InducedMap:
@@ -66,9 +79,8 @@ def induced_map(sigma: Substitution) -> InducedMap:
     budget suffices; otherwise pwl is None and orbits walk the formulas."""
     if isinstance(sigma, InducedMap):
         return sigma
+    _check_covers(sigma, 1)
     n = sigma.arity
-    if n == 0:
-        raise ValueError("substitution must cover at least x0")
     try:
         form = geometric_form(sigma) if n <= _pwl.MAX_DIM else None
     except CellBudgetError:
@@ -442,8 +454,8 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict
     dim = max(arity_of(r), *(arity_of(g) for g in sigma.images), 1)
     box = _checked_box("averaging", mu_box, dim)
     volume = math.prod(hi - lo for lo, hi in box)
-    if k >= 1 and r.arity > sigma.arity:
-        raise ValueError(f"substitution of arity {sigma.arity} misses x{r.arity - 1}")
+    if k >= 1:
+        _check_covers(sigma, r.arity)
     w = pwl_from_formula(r, dim)
     lebesgue = _pwl.pwl_integral(w)
     # every iterate of a constant r is r; otherwise sigma covers x0..x_{dim-1}

@@ -130,15 +130,21 @@ def _drop(ref: _Ref, nodes=_NODES) -> None:
 
 # -- traversal ----------------------------------------------------------------
 
-def fold(f: Formula, step: Callable, known: Optional[Callable] = None):
+def fold(f: Formula, step: Callable, known: Optional[Callable] = None, *,
+         memo: Optional[dict] = None):
     """The value at f of step(node, *values of node.args), called once per
     distinct node of f, children first and left to right.
 
     known(node), if given, returns a value kept from an earlier call, or None;
     for a node it knows, the fold takes that value and does not descend into it.
+    memo, if given, maps id(node) to its value and is shared across calls with
+    the same step: a node already in it is not visited again, and every node
+    visited is added. The caller keeps every node keyed in it alive while it
+    holds the memo, so that no id is reused.
     Nodes wait on a list, each above its parent, not on the call stack: any depth folds.
     """
-    memo: dict[int, object] = {}
+    if memo is None:
+        memo = {}
     stack = [f]
     while stack:
         node = stack[-1]
@@ -383,18 +389,21 @@ def _parse_positioned(text: str) -> Formula:
     raise ParseError(message, len(text[:pos].encode("utf-8")), expected)
 
 
-def parse_formula(text: str) -> Formula:
+def parse_formula(text: str, *, memo: Optional[dict] = None) -> Formula:
     """The formula that text writes, read in one pass over its parentheses.
 
     Each group ( ... ), and the whole text, is keyed by its text segments and
     the nodes of the groups in it, and each distinct group body is parsed once
-    per call. Nodes are hash-consed, so a DAG printed as a tree costs its
-    distinct groups, not its tokens. On any error the whole text is parsed
-    again as one token list, which raises the ParseError.
+    per memo: per call, or across the calls that share the dict memo. Nodes
+    are hash-consed, so a DAG printed as a tree costs its distinct groups, not
+    its tokens. On any error the whole text is parsed again as one token
+    list, which raises the ParseError.
     """
     pieces = iter(_PARENS.split(text) + [")", ""])  # the top level closes like a group
-    memo: dict[tuple, Formula] = {}   # group key -> node
-    nodes: dict[int, Formula] = {}    # id -> node, for every node in memo
+    # group key (a tuple) -> node, and id(node) (an int) -> node for each such
+    # node; holding the nodes keeps the ids in the keys unique while it lives
+    if memo is None:
+        memo = {}
     stack = [[]]                      # the items of the groups around this one
     items = [next(pieces)]            # text segments, and node ids between them
     try:
@@ -410,10 +419,10 @@ def parse_formula(text: str) -> Formula:
             if node is None:
                 tokens = _TOKEN.findall(items[0])
                 for j in range(1, len(items), 2):
-                    tokens.append(nodes[items[j]])
+                    tokens.append(memo[items[j]])
                     tokens += _TOKEN.findall(items[j + 1])
                 node = memo[key] = _parse_tokens(tokens)
-                nodes[id(node)] = node
+                memo[id(node)] = node
             items = stack.pop()
             items += (id(node), segment)
         if not stack:
@@ -452,8 +461,9 @@ def _print_step(node: Formula, left=None, right=None) -> str:
     return f"{left} {_BINARY[op][1]} {right}"
 
 
-def print_formula(f: Formula) -> str:
-    return fold(f, _print_step)
+def print_formula(f: Formula, *, memo: Optional[dict] = None) -> str:
+    """The text of f, which parse_formula reads back as f; memo as in fold."""
+    return fold(f, _print_step, memo=memo)
 
 
 # -- semantics ----------------------------------------------------------------
@@ -600,13 +610,14 @@ def cap_boolean_table(n: int) -> None:
     cap_points([2], "valuations of a finite chain", n)
 
 
-def boolean_table(f: Formula, n: int) -> int:
+def boolean_table(f: Formula, n: int, *, memo: Optional[dict] = None) -> int:
     """Two-valued table of f over x0..x_{n-1}, packed into one integer.
 
     Bit p is the value of f at the valuation whose x_i is bit i of p (least
     significant bit first). A variable beyond x_{n-1} raises ValueError.
     Walks f itself, not its core: on {0,1}, ! is complement, & and * are AND,
     | and (+) are OR. The 2**n valuations are held to the one cap first.
+    memo is as in fold, shared only by calls with the same n.
     """
     cap_boolean_table(n)
     if f.arity > n:
@@ -630,7 +641,7 @@ def boolean_table(f: Formula, n: int) -> int:
             return a | b
         return (~a | b) & full  # impl
 
-    return fold(f, step)
+    return fold(f, step, memo=memo)
 
 
 # -- substitutions ------------------------------------------------------------
@@ -669,8 +680,10 @@ class Substitution:
         return f"Substitution({body!r})"
 
 
-def apply_substitution(sigma: Substitution, f: Formula) -> Formula:
-    """sigma applied to f; shares structure so iterated application stays small."""
+def apply_substitution(sigma: Substitution, f: Formula, *,
+                       memo: Optional[dict] = None) -> Formula:
+    """sigma applied to f; shares structure so iterated application stays small.
+    memo is as in fold, shared only by calls whose sigmas have the same images."""
 
     def step(node: Formula, *args: Formula) -> Formula:
         if node.op == "var":
@@ -679,7 +692,7 @@ def apply_substitution(sigma: Substitution, f: Formula) -> Formula:
             return sigma.images[node.index]
         return Formula(node.op, args)
 
-    return fold(f, step)
+    return fold(f, step, memo=memo)
 
 
 def compose_substitutions(sigma: Substitution, tau: Substitution) -> Substitution:

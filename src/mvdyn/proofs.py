@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence, Union
 from . import pwl as _pwl
 from .formula import (
     Formula, Var, Star, ONE, Substitution, apply_substitution, _countermodel,
-    arity_of, json_field, parse_formula, print_formula, tautology_check, variable_index,
+    arity_of, boolean_table, json_field, parse_formula, print_formula, tautology_check,
+    variable_index,
     TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
 
@@ -149,11 +150,14 @@ def is_instance_of(schema: Formula, f: Formula) -> bool:
     return match(schema.core(), f.core())
 
 
-def _oracle_accepts(oracle, f: Formula) -> bool:
+def _oracle_accepts(oracle, f: Formula, tables: dict) -> bool:
+    """Whether the oracle takes f as an axiom. The boole oracle's tables of n
+    variables share the memo tables[n]."""
     if callable(oracle):
         return bool(oracle(f))
     if oracle == "boole":
-        return tautology_check(f, BOOLE).is_tautology
+        n = f.arity
+        return boolean_table(f, n, memo=tables.setdefault(n, {})) == (1 << (1 << n)) - 1
     if oracle == "lukasiewicz":
         if arity_of(f) > _pwl.MAX_DIM:
             return False
@@ -165,8 +169,15 @@ def check_proof(proof: Proof, axioms: Optional[AxiomSet] = None,
                 oracle: Union[None, str, Callable[[Formula], bool]] = None,
                 strict: bool = False) -> ProofVerdict:
     """Validate every line; strict mode requires axiom lines to be schemas
-    verbatim (substitution then only enters through the substitution rule)."""
+    verbatim (substitution then only enters through the substitution rule).
+
+    The boole oracle's truth tables share one memo per variable count, and
+    substitution lines one memo per tuple of images (by identity), so each
+    distinct node of the proof is tabled, and substituted by each sigma, once.
+    The proof keeps every key node alive; the memos die with the call."""
     lines = proof.lines
+    tables: dict[int, dict] = {}
+    substituted: dict[tuple, dict] = {}
     for idx, line in enumerate(lines):
         j = line.justification
         if isinstance(j, Hypothesis):
@@ -183,7 +194,7 @@ def check_proof(proof: Proof, axioms: Optional[AxiomSet] = None,
                 else:
                     ok = any(is_instance_of(s, line.formula) for s in axioms.schemas)
             if not ok and oracle is not None:
-                ok = _oracle_accepts(oracle, line.formula)
+                ok = _oracle_accepts(oracle, line.formula, tables)
             if not ok:
                 return ProofVerdict(False, idx, "not an accepted axiom")
         elif isinstance(j, ModusPonens):
@@ -200,8 +211,9 @@ def check_proof(proof: Proof, axioms: Optional[AxiomSet] = None,
             if not (0 <= j.line < idx):
                 return ProofVerdict(False, idx,
                                     "substitution references a later or missing line")
+            memo = substituted.setdefault(tuple(map(id, j.sigma.images)), {})
             try:
-                image = apply_substitution(j.sigma, lines[j.line].formula)
+                image = apply_substitution(j.sigma, lines[j.line].formula, memo=memo)
             except ValueError as exc:
                 return ProofVerdict(False, idx, str(exc))
             if image != line.formula:
@@ -274,13 +286,13 @@ def mp_consequence(delta: Sequence[Formula], r: Formula,
 
 # -- JSON lines exchange -----------------------------------------------------------------
 
-def _sigma_to_json(sigma: Substitution) -> dict:
-    return {f"x{i}": print_formula(g) for i, g in enumerate(sigma.images)}
+def _sigma_to_json(sigma: Substitution, memo: Optional[dict] = None) -> dict:
+    return {f"x{i}": print_formula(g, memo=memo) for i, g in enumerate(sigma.images)}
 
 
-def _sigma_from_json(obj: dict) -> Substitution:
-    """The substitution x_i -> parse_formula(obj["x<i>"]); every other x_i
-    below the arity maps to itself."""
+def _sigma_from_json(obj: dict, memo: Optional[dict] = None) -> Substitution:
+    """The substitution x_i -> parse_formula(obj["x<i>"], memo=memo); every
+    other x_i below the arity maps to itself."""
     if not isinstance(obj, dict):
         raise ValueError("a substitution is a JSON object")
     entries = {}
@@ -288,14 +300,17 @@ def _sigma_from_json(obj: dict) -> Substitution:
         i = variable_index(key)
         if i is None:
             raise ValueError(f"substitution target {key!r} is not a variable")
-        entries[i] = parse_formula(text)
+        entries[i] = parse_formula(text, memo=memo)
     arity = max([i + 1 for i in entries] + [g.arity for g in entries.values()], default=0)
     images = [entries.get(i, Var(i)) for i in range(arity)]
     return Substitution(images)
 
 
 def proof_to_jsonl(proof: Proof) -> str:
-    """One JSON object per line; indices are 1-based on the wire."""
+    """One JSON object per line; indices are 1-based on the wire. Every
+    formula, sigmas' too, is printed through one memo, so each distinct node
+    of the proof is printed once."""
+    memo: dict = {}
     out = []
     for line in proof.lines:
         j = line.justification
@@ -306,8 +321,8 @@ def proof_to_jsonl(proof: Proof) -> str:
         elif isinstance(j, ModusPonens):
             just = {"mp": [j.premise + 1, j.implication + 1]}
         else:
-            just = {"subst": {"line": j.line + 1, "sigma": _sigma_to_json(j.sigma)}}
-        out.append(json.dumps({"formula": print_formula(line.formula), "just": just},
+            just = {"subst": {"line": j.line + 1, "sigma": _sigma_to_json(j.sigma, memo)}}
+        out.append(json.dumps({"formula": print_formula(line.formula, memo=memo), "just": just},
                               sort_keys=True))
     return "\n".join(out) + ("\n" if out else "")
 
@@ -323,8 +338,8 @@ def _json_object(obj) -> dict:
     return obj
 
 
-def _line_from_json(obj) -> ProofLine:
-    formula = json_field(obj, "formula", parse_formula)
+def _line_from_json(obj, memo: dict) -> ProofLine:
+    formula = json_field(obj, "formula", lambda text: parse_formula(text, memo=memo))
     j = json_field(obj, "just", lambda j: j)
     if j == "axiom":
         return ProofLine(formula, Axiom())
@@ -335,20 +350,26 @@ def _line_from_json(obj) -> ProofLine:
     if isinstance(j, dict) and "subst" in j:
         s = json_field(j, "subst", _json_object)
         return ProofLine(formula, Substituted(json_field(s, "line", int) - 1,
-                                              json_field(s, "sigma", _sigma_from_json)))
+                                              json_field(s, "sigma",
+                                                         lambda o: _sigma_from_json(o, memo))))
     raise ValueError(f"unknown justification {j!r}")
 
 
 def proof_from_jsonl(text: str, hypotheses: Sequence[Formula] = ()) -> Proof:
     """The proof that proof_to_jsonl wrote. A malformed line raises ValueError
-    that names its proof line number (blank lines do not count) and its field."""
+    that names its proof line number (blank lines do not count) and its field;
+    a text with no proof line raises one too. Every formula, sigmas' too, is
+    parsed through one group memo, so each distinct group is parsed once."""
+    memo: dict = {}
     lines = []
     for raw in text.splitlines():
         raw = raw.strip()
         if not raw:
             continue
         try:
-            lines.append(_line_from_json(json.loads(raw)))
+            lines.append(_line_from_json(json.loads(raw), memo))
         except ValueError as exc:
             raise ValueError(f"line {len(lines) + 1}: {exc}") from None
+    if not lines:
+        raise ValueError("no proof lines")
     return Proof(tuple(hypotheses), tuple(lines))

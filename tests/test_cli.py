@@ -340,6 +340,16 @@ def test_prove_check_malformed_line_names_its_line_and_field(capsys, monkeypatch
     assert err.startswith(f"malformed proof: line 2: {message}")
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_prove_check_refuses_a_proof_without_lines(capsys, monkeypatch, text):
+    # an empty proof proves nothing: it is malformed, not valid
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = capture(capsys, ["prove", "check", "-", "--hyp", "x0",
+                                      "--no-axioms", "--oracle", "boole"])
+    assert code == 2 and out == ""
+    assert err == "malformed proof: no proof lines\n"
+
+
 def test_prove_check_strict_mode(capsys, tmp_path):
     path = tmp_path / "axiom.jsonl"
     path.write_text('{"formula": "0 -> (x2 * x2)", "just": "axiom"}\n',
@@ -426,6 +436,22 @@ def test_pwl_synthesize_missing_field_exits_one(capsys, tmp_path):
 def _one_error_line(code, out, err):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--subst", "identity:0", "--start", "0"],
+    ["homeo", "validate", "--subst", "identity:0"],
+    ["avg", "--subst", "identity:0", "--box", "0:1", "x0"],
+])
+def test_the_empty_substitution_is_refused_in_one_message(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    _one_error_line(code, out, err)
+    assert err == "error: substitution must cover at least x0\n"
+
+
+def test_the_empty_substitution_applies_to_a_closed_formula(capsys):
+    payload = capture_json(capsys, ["subst", "apply", "--subst", "identity:0", "1 -> 0 * 1"])
+    assert payload == {"formula": "1 -> 0 * 1"}
 
 
 def _synthesize(capsys, tmp_path, **changes):

@@ -1,6 +1,7 @@
 """Hilbert-style proof checking, axiom families, the substitution rule, and
 the semantic consequence backends."""
 
+import gc
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mvdyn.formula as formula_module
 from mvdyn.formula import (
     Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, parse_formula,
     print_formula, Substitution, arity_of, boolean_table, chain_semantics, interpret,
@@ -23,6 +25,7 @@ from mvdyn.proofs import (
     builtin_axioms, is_instance_of, check_proof, mp_consequence,
     proof_to_jsonl, proof_from_jsonl,
 )
+from mvdyn.odometer import derive_from_nontautology
 
 X0, X1, X2 = Var(0), Var(1), Var(2)
 
@@ -263,6 +266,188 @@ def test_jsonl_blank_lines_ignored():
     padded = "\n" + text.replace("\n", "\n\n") + "\n\n"
     again = proof_from_jsonl(padded, hypotheses=mp_proof().hypotheses)
     assert len(again) == 5
+
+
+def test_jsonl_refuses_a_text_without_proof_lines():
+    for text in ("", "\n \n"):
+        with pytest.raises(ValueError, match="^no proof lines$"):
+            proof_from_jsonl(text)
+
+
+# -- one memo per proof: the per-line path as the reference -------------------------------
+
+def ref_proof_to_jsonl(proof):
+    """proof_to_jsonl with each formula printed by a fold of its own."""
+    rows = []
+    for line in proof.lines:
+        j = line.justification
+        if isinstance(j, Axiom):
+            just = "axiom"
+        elif isinstance(j, Hypothesis):
+            just = {"hyp": j.index + 1}
+        elif isinstance(j, ModusPonens):
+            just = {"mp": [j.premise + 1, j.implication + 1]}
+        else:
+            sigma = {f"x{i}": print_formula(g) for i, g in enumerate(j.sigma.images)}
+            just = {"subst": {"line": j.line + 1, "sigma": sigma}}
+        rows.append(json.dumps({"formula": print_formula(line.formula), "just": just},
+                               sort_keys=True) + "\n")
+    return "".join(rows)
+
+
+def ref_check_proof(proof):
+    """check_proof(proof, None, oracle="boole") as (valid, line, reason), with
+    each table and each substitution walked by a fold of its own."""
+    lines = proof.lines
+    for idx, line in enumerate(lines):
+        j = line.justification
+        if isinstance(j, Hypothesis):
+            if not 0 <= j.index < len(proof.hypotheses):
+                return False, idx, f"no hypothesis {j.index + 1}"
+            if line.formula != proof.hypotheses[j.index]:
+                return False, idx, f"line differs from hypothesis {j.index + 1}"
+        elif isinstance(j, Axiom):
+            if not tautology_check(line.formula, BOOLE).is_tautology:
+                return False, idx, "not an accepted axiom"
+        elif isinstance(j, ModusPonens):
+            k, m = j.premise, j.implication
+            if not (0 <= k < idx and 0 <= m < idx):
+                return False, idx, "MP references a later or missing line"
+            imp = lines[m].formula.core()
+            if imp.op != "impl" or imp.args[0] != lines[k].formula \
+                    or imp.args[1] != line.formula:
+                return (False, idx,
+                        f"line {m + 1} is not an implication from line {k + 1} to this line")
+        else:
+            if not 0 <= j.line < idx:
+                return False, idx, "substitution references a later or missing line"
+            try:
+                image = j.sigma(lines[j.line].formula)
+            except ValueError as exc:
+                return False, idx, str(exc)
+            if image != line.formula:
+                return False, idx, f"not the given substitution instance of line {j.line + 1}"
+    return True, None, None
+
+
+def derivation(hyp, n):
+    return derive_from_nontautology(parse_formula(hyp), Neg(X0), n)
+
+
+def with_line(proof, idx, formula=None, justification=None):
+    lines = list(proof.lines)
+    old = lines[idx]
+    lines[idx] = ProofLine(old.formula if formula is None else formula,
+                           old.justification if justification is None else justification)
+    return Proof(proof.hypotheses, tuple(lines))
+
+
+def with_sigmas(proof, make_sigma):
+    """proof with the sigma of its k-th substitution line replaced by make_sigma(sigma, k)."""
+    lines, k = [], 0
+    for line in proof.lines:
+        j = line.justification
+        if isinstance(j, Substituted):
+            line = ProofLine(line.formula, Substituted(j.line, make_sigma(j.sigma, k)))
+            k += 1
+        lines.append(line)
+    return Proof(proof.hypotheses, tuple(lines))
+
+
+def sugared(sigma):
+    """sigma with each image !g written g -> 0: the same substitution up to sugar."""
+    return Substitution([Impl(g.args[0], ZERO) if g.op == "neg" else g for g in sigma.images])
+
+
+def mutants(proof):
+    """(name, proof, whether it is valid) for the mutations the memos must not hide."""
+    lines = proof.lines
+    axioms = [i for i, line in enumerate(lines) if isinstance(line.justification, Axiom)]
+    subst = [i for i, line in enumerate(lines) if isinstance(line.justification, Substituted)]
+    # a late axiom conj -> (part -> pair), rewritten part -> conj over the same nodes
+    late = axioms[-2]
+    conj, (part, _) = lines[late].formula.args[0], lines[late].formula.args[1].args
+    mp = late + 1
+    j = lines[mp].justification
+    last = subst[-1]
+    yield "part -> conj as an axiom", with_line(proof, late, Impl(part, conj)), False
+    yield "MP from the wrong premise", with_line(
+        proof, mp, justification=ModusPonens(j.premise - 1, j.implication)), False
+    yield "MP premises swapped", with_line(
+        proof, mp, justification=ModusPonens(j.implication, j.premise)), False
+    fresh = with_sigmas(proof, lambda sigma, k: Substitution(sigma.images))
+    yield "every sigma a distinct object", fresh, True
+    yield "a distinct sigma on a wrong line", \
+        with_line(fresh, last, lines[last - 2].formula), False
+    mixed = with_sigmas(proof, lambda sigma, k: sugared(sigma) if k % 2 else sigma)
+    yield "every other sigma written with ->", mixed, True
+    yield "a sugared sigma on a wrong line", with_line(mixed, last, lines[last - 1].formula), False
+
+
+@pytest.mark.parametrize("hyp, n", [("x0", 3), ("x0 * x1", 3), ("x0 | !x1", 2)])
+def test_the_proof_memos_agree_with_the_per_line_path(hyp, n):
+    proof = derivation(hyp, n)
+    text = proof_to_jsonl(proof)
+    assert text == ref_proof_to_jsonl(proof)
+    again = proof_from_jsonl(text, hypotheses=proof.hypotheses)
+    for row, line, back in zip(text.splitlines(), proof.lines, again.lines):
+        obj = json.loads(row)
+        assert back.formula is parse_formula(obj["formula"])
+        assert back.justification == line.justification
+        if isinstance(back.justification, Substituted):
+            for key, image in obj["just"]["subst"]["sigma"].items():
+                assert back.justification.sigma.images[int(key[1:])] is parse_formula(image)
+    assert check_proof(again, None, oracle="boole").valid
+    for name, mutant, valid in mutants(proof):
+        expected = ref_check_proof(mutant)
+        assert expected[0] is valid, name
+        verdict = check_proof(mutant, None, oracle="boole")
+        assert (verdict.valid, verdict.line, verdict.reason) == expected, name
+        text = proof_to_jsonl(mutant)
+        assert text == ref_proof_to_jsonl(mutant), name
+        back = proof_from_jsonl(text, hypotheses=mutant.hypotheses)
+        assert all(a.formula is b.formula for a, b in zip(back.lines, mutant.lines)), name
+
+
+def test_the_proof_memos_agree_on_a_hand_written_proof():
+    proof = mp_proof()
+    assert proof_to_jsonl(proof) == ref_proof_to_jsonl(proof)
+    for idx, line in enumerate(proof.lines):
+        for formula in (ZERO, Neg(X0), Impl(X0, ZERO), X1):
+            mutant = with_line(proof, idx, formula)
+            verdict = check_proof(mutant, None, oracle="boole")
+            assert (verdict.valid, verdict.line, verdict.reason) == ref_check_proof(mutant)
+
+
+def fold_steps_per_line(monkeypatch, hyp, n):
+    """Steps of every fold during check_proof(..., oracle="boole") of the
+    derivation of !x0 from hyp over n variables, per proof line."""
+    steps = 0
+    fold = formula_module.fold
+
+    def counting_fold(f, step, known=None, **kwargs):
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+        return fold(f, counted, known, **kwargs)
+
+    proof = derivation(hyp, n)
+    with monkeypatch.context() as m:
+        m.setattr(formula_module, "fold", counting_fold)
+        assert check_proof(proof, None, oracle="boole").valid
+    return steps / len(proof.lines)
+
+
+@pytest.mark.parametrize("hyp", ["x0", "x0 * x1"])
+def test_the_boole_check_walks_each_node_once_per_proof(monkeypatch, hyp):
+    # each line tables and substitutes only the nodes no earlier line had,
+    # and the memos die with the call: no node outlives the proof
+    gc.collect()
+    start = len(formula_module._NODES)
+    low, high = (fold_steps_per_line(monkeypatch, hyp, n) for n in (4, 10))
+    assert high <= 2 * low
+    assert len(formula_module._NODES) == start
 
 
 # -- semantic consequence --------------------------------------------------------------
