@@ -308,9 +308,9 @@ def _cmd_avg(args) -> int:
 
 def _cmd_odometer_perm(args) -> int:
     perm = _odo.odometer_induced_permutation(args.n)
-    payload = {"n": args.n, "order": 2 ** args.n,
-               "cycle_lengths": list(perm.cycle_lengths()),
-               "single_cycle": perm.cycle_lengths() == (2 ** args.n,)}
+    cycles = perm.cycle_lengths()
+    payload = {"n": args.n, "order": 2 ** args.n, "cycle_lengths": list(cycles),
+               "single_cycle": cycles == (2 ** args.n,)}
     if args.n <= 6:
         payload["mapping"] = list(perm.mapping)
     _emit(args, payload, f"single {2 ** args.n}-cycle")

@@ -696,10 +696,12 @@ def apply_substitution(sigma: Substitution, f: Formula, *,
 
 
 def compose_substitutions(sigma: Substitution, tau: Substitution) -> Substitution:
-    """x_i -> sigma(tau(x_i)); as point maps this is S_tau after S_sigma."""
+    """x_i -> sigma(tau(x_i)); as point maps this is S_tau after S_sigma.
+    tau's images share one memo, so a node they share is substituted once."""
     if sigma.arity != tau.arity:
         raise ValueError("substitution arities differ")
-    return Substitution([apply_substitution(sigma, g) for g in tau.images])
+    memo: dict = {}
+    return Substitution([apply_substitution(sigma, g, memo=memo) for g in tau.images])
 
 
 # -- tautology and identity checking ------------------------------------------

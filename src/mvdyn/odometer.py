@@ -13,7 +13,7 @@ from functools import reduce
 
 from .formula import (
     Formula, Var, Neg, And, Or, Impl, Substitution, apply_substitution,
-    arity_of, boolean_table, cap_boolean_table, compose_substitutions,
+    arity_of, boolean_table, cap_boolean_table,
 )
 from .proofs import (
     Proof, ProofLine, Axiom, Hypothesis, ModusPonens, Substituted,
@@ -111,24 +111,21 @@ def induced_permutation(sigma: Substitution, n: int) -> BoolPermutation:
     cap_boolean_table(n)
     if sigma.arity != n:
         raise ValueError("substitution arity differs from n")
-    tables = [truth_table(sigma.images[i], n).bits for i in range(n)]
-    mapping = []
-    for p in range(1 << n):
-        q = 0
-        for i in range(n):
-            q |= ((tables[i] >> p) & 1) << i
-        mapping.append(q)
-    return BoolPermutation(n, tuple(mapping))
+    size = 1 << n
+    # each table read once as a binary string, x_(n-1) first: column j of the
+    # strings is q = sigma(p) in binary for p = size - 1 - j; the zeros column
+    # keeps one column when n is 0
+    columns = zip("0" * size, *(format(truth_table(g, n).bits, f"0{size}b")
+                                for g in reversed(sigma.images)))
+    return BoolPermutation(n, tuple(int("".join(c), 2) for c in columns)[::-1])
 
 
 def odometer_induced_permutation(n: int) -> BoolPermutation:
     """Induced valuation map of the odometer; provably addition of one."""
     cap_boolean_table(n)
     perm = induced_permutation(odometer_substitution(n), n)
-    size = 1 << n
-    for p in range(size):
-        if perm.mapping[p] != (p + 1) % size:
-            raise AssertionError("odometer permutation is not +1 mod 2**n")
+    if perm.mapping != (*range(1, 1 << n), 0):
+        raise AssertionError("odometer permutation is not +1 mod 2**n")
     return perm
 
 
@@ -150,27 +147,21 @@ def derive_from_nontautology(r: Formula, target: Formula, n: int) -> Proof:
 
     sigma = odometer_substitution(n)
     lines = [ProofLine(r, Hypothesis(0))]
-    shifted = [r]
-    shift_line = [0]
-    # tau = sigma^k as one substitution, tau_(k+1)(x_i) = tau_k(sigma(x_i)), so
-    # sigma^k(r) = tau(r) walks r and sigma's images, never sigma^(k-1)(r)
-    tau = Substitution.identity(n)
-    for _ in range(1, 1 << n):
-        tau = compose_substitutions(tau, sigma)
-        nxt = apply_substitution(tau, r)
-        lines.append(ProofLine(nxt, Substituted(len(lines) - 1, sigma)))
-        shifted.append(nxt)
-        shift_line.append(len(lines) - 1)
-
-    conj = shifted[0]
-    conj_line = shift_line[0]
+    # line k is sigma applied to line k - 1, as check_proof walks it; one memo
+    # for all lines walks each node of the orbit once
+    memo: dict = {}
     for k in range(1, 1 << n):
-        part = shifted[k]
+        lines.append(ProofLine(apply_substitution(sigma, lines[k - 1].formula, memo=memo),
+                               Substituted(k - 1, sigma)))
+
+    conj, conj_line = r, 0
+    for k in range(1, 1 << n):
+        part = lines[k].formula
         pair = And(conj, part)
         lines.append(ProofLine(Impl(conj, Impl(part, pair)), Axiom()))
         lines.append(ProofLine(Impl(part, pair),
                                ModusPonens(conj_line, len(lines) - 1)))
-        lines.append(ProofLine(pair, ModusPonens(shift_line[k], len(lines) - 1)))
+        lines.append(ProofLine(pair, ModusPonens(k, len(lines) - 1)))
         conj, conj_line = pair, len(lines) - 1
 
     if not truth_table(conj, n).is_contradiction:

@@ -287,6 +287,8 @@ def mp_consequence(delta: Sequence[Formula], r: Formula,
 # -- JSON lines exchange -----------------------------------------------------------------
 
 def _sigma_to_json(sigma: Substitution, memo: Optional[dict] = None) -> dict:
+    """The images' texts, printed through the caller's memo or one of their own."""
+    memo = {} if memo is None else memo
     return {f"x{i}": print_formula(g, memo=memo) for i, g in enumerate(sigma.images)}
 
 

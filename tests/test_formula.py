@@ -22,7 +22,7 @@ from mvdyn.formula import (
     Substitution, apply_substitution, compose_substitutions,
     tautology_check, identity_check, rationals_up_to, boolean_table,
 )
-from mvdyn.odometer import derive_from_nontautology
+from mvdyn.odometer import derive_from_nontautology, odometer_substitution
 from mvdyn.pwl import pwl_equal, pwl_from_formula
 
 F = Fraction
@@ -907,6 +907,21 @@ def test_composition_matches_sequential_application():
         f = rand_formula(rng, 2, 3)
         assert apply_substitution(comp, f) == \
             apply_substitution(sigma, apply_substitution(tau, f))
+
+
+def test_composition_returns_the_nodes_of_each_image_substituted_alone():
+    # one memo for all of tau's images changes no node: each image is the
+    # same object as sigma applied to it with a memo of its own
+    rng = random.Random(17)
+    pairs = [(odometer_substitution(n), odometer_substitution(n)) for n in range(1, 9)]
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        pairs.append(tuple(Substitution([rand_formula(rng, n, 3) for _ in range(n)])
+                           for _ in range(2)))
+    for sigma, tau in pairs:
+        comp = compose_substitutions(sigma, tau)
+        assert all(got is apply_substitution(sigma, g)
+                   for got, g in zip(comp.images, tau.images, strict=True))
 
 
 def test_substitution_semantics_is_composition():

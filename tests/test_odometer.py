@@ -1,15 +1,19 @@
 """Packed Boolean truth tables, the odometer substitution, and derivations
 of arbitrary targets from a non-tautological hypothesis."""
 
+import gc
 import random
 
 import pytest
 
+import mvdyn.formula as formula_module
 from mvdyn.formula import (
     Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, Substitution,
-    apply_substitution, parse_formula,
+    apply_substitution, compose_substitutions, parse_formula,
 )
-from mvdyn.proofs import Substituted, ModusPonens, Hypothesis, Axiom, check_proof
+from mvdyn.proofs import (
+    Proof, ProofLine, Substituted, ModusPonens, Hypothesis, Axiom, check_proof,
+)
 from mvdyn.odometer import (
     TruthTable, truth_table, symmetric_difference, odometer_substitution,
     BoolPermutation, induced_permutation, odometer_induced_permutation,
@@ -121,10 +125,47 @@ def test_induced_permutation_basics():
     assert induced_permutation(flip, 1).cycle_lengths() == (2,)
 
 
+def ref_induced_permutation(sigma, n):
+    """The per-valuation loop: bit p of every image's table, one shift each."""
+    tables = [truth_table(g, n).bits for g in sigma.images]
+    mapping = []
+    for p in range(1 << n):
+        q = 0
+        for i in range(n):
+            q |= ((tables[i] >> p) & 1) << i
+        mapping.append(q)
+    return BoolPermutation(n, tuple(mapping))
+
+
+def rand_bool_permutation(rng, n):
+    """An odometer, a flip of some variables, a swap of two, or a composition."""
+    kind = rng.choice(["odometer", "flip", "swap", "compose"])
+    if kind == "odometer":
+        return odometer_substitution(n)
+    if kind == "flip":
+        return Substitution([Neg(Var(i)) if rng.random() < 0.5 else Var(i) for i in range(n)])
+    if kind == "swap":
+        images = [Var(i) for i in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        images[i], images[j] = images[j], images[i]
+        return Substitution(images)
+    return compose_substitutions(rand_bool_permutation(rng, n), rand_bool_permutation(rng, n))
+
+
+def test_induced_permutation_matches_the_per_valuation_loop():
+    rng = random.Random(25)
+    assert induced_permutation(Substitution([]), 0) == ref_induced_permutation(Substitution([]), 0)
+    for n in range(1, 9):
+        for _ in range(6):
+            sigma = rand_bool_permutation(rng, n)
+            assert induced_permutation(sigma, n) == ref_induced_permutation(sigma, n)
+
+
 def test_induced_permutation_rejects_collapse():
     squash = Substitution([And(X0, X1), X1])
-    with pytest.raises(ValueError):
-        induced_permutation(squash, 2)
+    for build in (induced_permutation, ref_induced_permutation):
+        with pytest.raises(ValueError, match="not a permutation"):
+            build(squash, 2)
     with pytest.raises(ValueError):
         induced_permutation(Substitution([X0]), 2)
 
@@ -205,6 +246,86 @@ def test_derivation_substitution_lines_track_orbit():
         current = apply_substitution(sigma, current)
         assert proof.lines[k].formula == current
         assert isinstance(proof.lines[k].justification, Substituted)
+
+
+def ref_derive(r, target, n):
+    """The derivation built from tau = sigma^k, composed step by step, so that
+    copy k is tau(r); the caps and the tautology check are the library's."""
+    sigma = odometer_substitution(n)
+    lines = [ProofLine(r, Hypothesis(0))]
+    shifted, shift_line = [r], [0]
+    tau = Substitution.identity(n)
+    for _ in range(1, 1 << n):
+        tau = compose_substitutions(tau, sigma)
+        nxt = apply_substitution(tau, r)
+        lines.append(ProofLine(nxt, Substituted(len(lines) - 1, sigma)))
+        shifted.append(nxt)
+        shift_line.append(len(lines) - 1)
+    conj, conj_line = shifted[0], shift_line[0]
+    for k in range(1, 1 << n):
+        part = shifted[k]
+        pair = And(conj, part)
+        lines.append(ProofLine(Impl(conj, Impl(part, pair)), Axiom()))
+        lines.append(ProofLine(Impl(part, pair), ModusPonens(conj_line, len(lines) - 1)))
+        lines.append(ProofLine(pair, ModusPonens(shift_line[k], len(lines) - 1)))
+        conj, conj_line = pair, len(lines) - 1
+    lines.append(ProofLine(Impl(conj, target), Axiom()))
+    lines.append(ProofLine(target, ModusPonens(conj_line, len(lines) - 1)))
+    return Proof((r,), tuple(lines))
+
+
+def derivation_cases():
+    rng = random.Random(61)
+    for n in range(1, 7):
+        found = 0
+        while found < 3:
+            r = rand_formula(rng, n, 4)
+            if not truth_table(r, n).is_tautology:
+                found += 1
+                yield r, rand_formula(rng, n, 3), n
+    for hyp in ("x0", "x0 * x1"):
+        yield parse_formula(hyp), Neg(X1), 8
+
+
+def test_derivation_matches_the_composed_reference():
+    for r, target, n in derivation_cases():
+        got, want = derive_from_nontautology(r, target, n), ref_derive(r, target, n)
+        assert got.hypotheses == want.hypotheses
+        assert len(got.lines) == len(want.lines)
+        for a, b in zip(got.lines, want.lines):
+            assert a.formula is b.formula
+            assert a.justification == b.justification
+
+
+def derive_fold_steps_per_line(monkeypatch, hyp, n):
+    """Steps of every fold during the derivation of !x0 from hyp over n
+    variables, per proof line."""
+    steps = 0
+    fold = formula_module.fold
+
+    def counting_fold(f, step, known=None, **kwargs):
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+        return fold(f, counted, known, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(formula_module, "fold", counting_fold)
+        proof = derive_from_nontautology(parse_formula(hyp), Neg(X0), n)
+    return steps / len(proof.lines)
+
+
+@pytest.mark.parametrize("hyp", ["x0", "x0 * x1"])
+def test_the_derivation_walks_each_node_once(monkeypatch, hyp):
+    # each copy substitutes only the nodes no earlier copy had, and the memo
+    # dies with the call: no node outlives the proof
+    gc.collect()
+    start = len(formula_module._NODES)
+    low, high = (derive_fold_steps_per_line(monkeypatch, hyp, n) for n in (4, 10))
+    assert high <= 2 * low
+    gc.collect()
+    assert len(formula_module._NODES) == start
 
 
 def test_derivation_guards():
