@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional, Sequence
 
 from .formula import (
@@ -22,7 +22,7 @@ from .formula import (
 )
 from . import pwl as _pwl
 from .pwl import (
-    CellBudgetError, CellComplex, PWLMap, _checked_box, _cube_point,
+    CellComplex, PWLMap, _checked_box, _cube_point,
     affine_from_simplex_pair, clamp_affine_formula, pwl_from_formula,
 )
 
@@ -35,15 +35,23 @@ PIECE_CAP = 20000     # most pieces in one iterate of average_truth_value
 # -- induced maps of substitutions ----------------------------------------------------
 
 class InducedMap(Substitution):
-    """A substitution as a self-map of the cube, with its geometric form pwl when known."""
+    """A substitution as a self-map of the cube, with its geometric form pwl
+    when known, else the refusal that compiling the form met, if kept.
 
-    __slots__ = ("pwl",)
+    A map steps without its form through its lattice program, built on its
+    first such step (_lattice_step) and kept.
+    """
 
-    def __init__(self, arity: int, images: Sequence[Formula], pwl: Optional[PWLMap]):
+    __slots__ = ("pwl", "refusal", "_program")
+
+    def __init__(self, arity: int, images: Sequence[Formula], pwl: Optional[PWLMap],
+                 refusal: Optional[ValueError] = None):
         super().__init__(images)
         if self.arity != arity:
             raise ValueError(f"{self.arity} images for a map of arity {arity}")
         self.pwl = pwl
+        self.refusal = refusal
+        self._program = None
 
 
 def _geometric_form(images) -> PWLMap:
@@ -65,9 +73,13 @@ def geometric_form(sigma: Substitution) -> PWLMap:
     """sigma's map of the cube as a PWLMap: the one an InducedMap carries, else
     its images compiled under CELL_BUDGET. Without one it refuses the empty
     substitution, or raises pwl's refusal: too many variables for the exact
-    geometry, or CellBudgetError."""
+    geometry, or CellBudgetError; an InducedMap raises the refusal it keeps
+    without compiling again."""
     form = getattr(sigma, "pwl", None)
     if form is None:
+        refusal = getattr(sigma, "refusal", None)
+        if refusal is not None:
+            raise type(refusal)(*refusal.args)
         _check_covers(sigma, 1)
         form = _geometric_form(sigma.images)
     return form
@@ -76,21 +88,58 @@ def geometric_form(sigma: Substitution) -> PWLMap:
 def induced_map(sigma: Substitution) -> InducedMap:
     """sigma with its geometric form: an InducedMap as it is, else the form
     compiled when the exact geometry takes sigma's variables and the cell
-    budget suffices; otherwise pwl is None and orbits walk the formulas."""
+    budget suffices; otherwise pwl is None, the map keeps pwl's refusal, and
+    orbits run its lattice program."""
     if isinstance(sigma, InducedMap):
         return sigma
     _check_covers(sigma, 1)
-    n = sigma.arity
     try:
-        form = geometric_form(sigma) if n <= _pwl.MAX_DIM else None
-    except CellBudgetError:
-        form = None
-    return InducedMap(n, sigma.images, form)
+        form, refusal = geometric_form(sigma), None
+    except ValueError as err:   # pwl's: the variable ceiling, or CellBudgetError
+        form, refusal = None, err.with_traceback(None)
+    return InducedMap(sigma.arity, sigma.images, form, refusal)
 
 
 def map_eval(s: InducedMap, p) -> tuple:
+    """The reference image of p: each image formula evaluated in Fractions."""
     p = _cube_point(p, s.arity)
     return tuple(interpret(g, LUKASIEWICZ, p) for g in s.images)
+
+
+def _compile(images: Sequence[Formula], zero: str, one: str):
+    """The images as one straight-line function (d, x) -> their values at x.
+
+    The program has one line per distinct core node of all the images (one
+    fold memo) and reads the Lukasiewicz chain from zero to one: x_i is x[i],
+    star is max(a + b - one, zero) and impl is one if a <= b else one - a + b.
+    Lattice form ("0", "d"): x holds the integer numerators of a point over d.
+    Float form ("0.0", "1.0"): x holds floats and d is unused. The source holds
+    only these names, the ops and integer indices.
+    """
+    lines = []
+
+    def step(node: Formula, a=None, b=None) -> str:
+        op = node.op
+        if op == "var":
+            expr = f"x[{node.index}]"
+        elif op == "zero":
+            expr = zero
+        elif op == "one":
+            expr = one
+        elif op == "star":
+            expr = f"max({a} + {b} - {one}, {zero})"
+        else:
+            expr = f"{one} if {a} <= {b} else {one} - {a} + {b}"
+        lines.append(f"    v{len(lines)} = {expr}")
+        return f"v{len(lines) - 1}"
+
+    cores = [g.core() for g in images]   # alive while the memo keys them
+    memo: dict = {}
+    outputs = [fold(c, step, memo=memo) for c in cores]
+    source = "def _run(d, x):\n" + "\n".join(lines) + f"\n    return ({', '.join(outputs)},)\n"
+    scope: dict = {}
+    exec(source, scope)
+    return scope["_run"]
 
 
 def tent_substitution() -> Substitution:
@@ -121,9 +170,12 @@ class Orbit:
     denominators: tuple
 
 
-def _grid(k, d: int) -> tuple:
-    """The point k/d of the lattice (1/d)Z^n."""
-    return tuple([Fraction(x, d) for x in k])
+def _lattice_points(columns, d: int) -> tuple:
+    """The points k/d of the lattice (1/d)Z^n whose coordinates' numerators
+    are the n >= 1 columns, with one Fraction per distinct numerator."""
+    values = set().union(*columns)
+    fraction = dict(zip(values, map(Fraction, values, itertools.repeat(d))))
+    return tuple(zip(*[map(fraction.__getitem__, c) for c in columns]))
 
 
 def _lattice_step(s: InducedMap, d: int):
@@ -131,43 +183,50 @@ def _lattice_step(s: InducedMap, d: int):
 
     A McNaughton function has integer coefficients, so s sends k/d to a
     point over the same d: the step is the integral geometric form's
-    PWLMap.lattice_step when there is one, else the formulas walked at k/d.
+    PWLMap.lattice_step when there is one, else s's lattice program at d.
     """
     step = s.pwl.lattice_step(d) if s.pwl is not None else None
-    return step or (lambda k: tuple(v.numerator * d // v.denominator
-                                    for v in map_eval(s, _grid(k, d))))
+    if step is None:
+        if s._program is None:
+            s._program = _compile(s.images, "0", "d")
+        step = partial(s._program, d)
+    return step
 
 
 def _iterate(step, start, max_steps: int):
-    """(points, index of the first repeat or None) of start, step(start), ..."""
-    points = [start]
+    """(index, repeat) of the walk start, step(start), ...: index maps each
+    distinct point to its place, so its keys in order are the walk; repeat
+    is the place of the first point met again, or None when the budget ends."""
     index = {start: 0}
     current = start
-    for _ in range(max_steps):
+    for i in range(1, max_steps + 1):
         current = step(current)
-        points.append(current)
-        if current in index:
-            return points, index[current]
-        index[current] = len(points) - 1
-    return points, None
+        first = index.setdefault(current, i)
+        if first != i:
+            return index, first
+    return index, None
 
 
 def orbit(s: InducedMap, p, max_steps: int = 10000) -> Orbit:
     """Iterate exactly until the first repeated point or the step budget.
 
     A start of denominator d stays on the lattice (1/d)Z^n, so the orbit
-    steps integer numerators over d (_lattice_step).
+    steps integer numerators over d (_lattice_step) and builds its points
+    once, at the end.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be at least 0")
+    _check_covers(s, 1)
     start = _cube_point(p, s.arity)
     d = denominator(start)
-    ks, pre = _iterate(_lattice_step(s, d), tuple(int(v * d) for v in start), max_steps)
-    points = tuple([_grid(k, d) for k in ks])
-    dens = tuple(d // math.gcd(d, *k) for k in ks)
+    index, pre = _iterate(_lattice_step(s, d), tuple(int(v * d) for v in start), max_steps)
+    columns = tuple(zip(*index))
+    points = _lattice_points(columns, d)
+    dens = tuple([d // g for g in map(math.gcd, itertools.repeat(d), *columns)])
     if pre is None:
         return Orbit(start, points, "truncated", None, None, dens)
-    return Orbit(start, points, "cycle", pre, len(points) - 1 - pre, dens)
+    return Orbit(start, points + (points[pre],), "cycle", pre, len(points) - pre,
+                 dens + (dens[pre],))
 
 
 def full_rational_orbit(n: int, d: int) -> list:
@@ -175,7 +234,7 @@ def full_rational_orbit(n: int, d: int) -> list:
     if d < 1 or n < 1:
         raise ValueError("need n >= 1 and d >= 1")
     cap_points([d + 1], "points of denominator dividing d", n)
-    return [_grid(k, d) for k in _box_points([range(d + 1)] * n)]
+    return list(_lattice_points(tuple(zip(*_box_points([range(d + 1)] * n))), d))
 
 
 def _extended_gcd_chain(values: Sequence[int]):
@@ -359,6 +418,7 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
             raise ValueError(f"{name} must be at least 0")
     if q_map.arity != r_map.arity:
         raise ValueError("maps must share an arity")
+    _check_covers(q_map, 1)
     n = q_map.arity
     axes = [range(math.ceil(lo * g), math.floor(hi * g) + 1)  # the k of grid points k/g
             for name, box in (("source", a_box), ("target", b_box))
@@ -371,7 +431,7 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
         for start, x in zip(starts, q_iter):
             for k in range(k_max + 1):
                 if all(v in axis for v, axis in zip(x, targets)):
-                    return BoxHit(h, k, _grid(start, g), _grid(x, g))
+                    return BoxHit(h, k, *_lattice_points(tuple(zip(start, x)), g))
                 x = r_step(x)
         if h < h_max:
             q_iter = [q_step(x) for x in q_iter]
@@ -379,33 +439,6 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
 
 
 # -- statistics and averages ------------------------------------------------------------------
-
-def _compile_float(f: Formula):
-    """A float-valued evaluator of the formula's Lukasiewicz semantics."""
-    lines = []
-
-    def step(node: Formula, a=None, b=None) -> str:
-        op = node.op
-        if op == "var":
-            expr = f"p[{node.index}]"
-        elif op == "zero":
-            expr = "0.0"
-        elif op == "one":
-            expr = "1.0"
-        elif op == "star":
-            expr = f"max({a} + {b} - 1.0, 0.0)"
-        else:
-            expr = f"(1.0 if {a} <= {b} else 1.0 - {a} + {b})"
-        name = f"v{len(lines)}"
-        lines.append(f"    {name} = {expr}")
-        return name
-
-    result = fold(f.core(), step)
-    source = "def _fn(p):\n" + "\n".join(lines) + f"\n    return {result}\n"
-    scope: dict = {}
-    exec(source, scope)
-    return scope["_fn"]
-
 
 def empirical_statistics(s: InducedMap, start, iterations: int, box_grid: int,
                          seed: int = 0) -> dict:
@@ -417,15 +450,16 @@ def empirical_statistics(s: InducedMap, start, iterations: int, box_grid: int,
     """
     if iterations < 1 or box_grid < 1:
         raise ValueError("need iterations >= 1 and box_grid >= 1")
+    _check_covers(s, 1)
     n = s.arity
     cap_points([box_grid], "boxes of the statistics table", n)
-    fns = [_compile_float(g) for g in s.images]
+    run = _compile(s.images, "0.0", "1.0")   # the float form of s's program
     rng = random.Random(seed)
     x = [float(v) for v in _cube_point(start, n)]
     counts: dict[tuple, int] = {}
     dither = 2.0 ** -40
     for _ in range(iterations):
-        y = [fn(x) for fn in fns]
+        y = run(None, x)
         x = [min(1.0, max(0.0, c + (rng.random() - 0.5) * 2.0 * dither))
              for c in y]
         box = tuple(min(int(c * box_grid), box_grid - 1) for c in x)

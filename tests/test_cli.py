@@ -556,7 +556,7 @@ def test_avg_refuses_a_box_off_the_cube_by_name(capsys):
     (["algebra", "chain", "--m", "20000"], "20001**2", "mvdyn.algebra.Fraction"),
     (["filters", "--algebra", "luk:20000"], "20001**2", "mvdyn.algebra.Fraction"),
     (["stats", "--subst", "odometer:4", "--start", "0,0,0,0", "--iters", "10",
-      "--grid", "100"], "100**4", "mvdyn.dynamics._compile_float"),
+      "--grid", "100"], "100**4", "mvdyn.dynamics._compile"),
     (["taut", "--logic", "product", "--grid-bound", "-5", "x0 | !x0"], "grid_bound",
      "mvdyn.formula.rationals_up_to"),
     (["subst", "reach", "--source", "2/997", "--target", "5/997"], "2490 unit literals",
@@ -594,7 +594,7 @@ def test_out_of_range_count_is_refused_before_any_work(capsys, monkeypatch, argv
      "mvdyn.formula.rationals_up_to"),
     (["filters", "--algebra", "luk:3"], "mvdyn.algebra.Fraction"),
     (["stats", "--subst", "odometer:4", "--start", "0,0,0,0", "--iters", "10",
-      "--grid", "2"], "mvdyn.dynamics._compile_float"),
+      "--grid", "2"], "mvdyn.dynamics._compile"),
     (["taut", "--logic", "product", "--grid-bound", "1", "x0"],
      "mvdyn.formula.rationals_up_to"),
     (["subst", "reach", "--source", "1/3", "--target", "2/3"], "mvdyn.pwl.Var"),

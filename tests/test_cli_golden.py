@@ -57,6 +57,8 @@ CASES = [
     ("orbit_rotation", ["orbit", "--subst", "rotation", "--start", "1/8,3/8"]),
     ("orbit_2d", ["orbit", "--subst", "x0=(x0 (+) x0) & (!x0 (+) !x0);x1=x0 * x1 (+) !x0 & x1",
                   "--start", "1/5,2/7"]),
+    # four variables: no geometric form, so each step runs the map's program
+    ("orbit_odometer4", ["orbit", "--subst", "odometer:4", "--start", "1/3,1/2,0,1/5"]),
     ("prove_check_derived", ["prove", "check", str(DATA / "odometer_derive.out"),
                              "--hyp", "x0 * x1", "--no-axioms", "--oracle", "boole"]),
 ]

@@ -3,6 +3,7 @@ one-sided differentials, box hitting, and orbit statistics."""
 
 import bisect
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -14,6 +15,7 @@ from mvdyn.formula import (
     Var, Neg, Star, Impl, And, OPlus, Substitution, evaluate, LUKASIEWICZ,
     parse_formula,
 )
+from mvdyn import dynamics, formula, pwl
 from mvdyn.odometer import odometer_substitution
 from mvdyn.pwl import (
     AffineMap, CellComplex, PWLMap, affine_from_simplex_pair, unit_complex,
@@ -22,7 +24,7 @@ from mvdyn.pwl import (
     pwl_to_formula_1d, pwl_compose,
 )
 from mvdyn.dynamics import (
-    InducedMap, induced_map, map_eval, denominator, orbit,
+    InducedMap, Orbit, induced_map, geometric_form, map_eval, denominator, orbit,
     full_rational_orbit, reachability_substitution, rotation_homeomorphism,
     validate_homeomorphism, tsujii_differential, box_hitting_search,
     empirical_statistics, average_truth_value, tent_substitution,
@@ -146,6 +148,115 @@ def test_orbit_walks_the_formulas_past_a_non_integral_form(tent_map):
     assert orbit(s, (F(1, 5),)) == orbit(tent_map, (F(1, 5),))
 
 
+def reference_orbit(s, p, max_steps):
+    """The orbit of p by the reference: each point k/d built with Fraction,
+    stepped through map_eval, and its numerators over d kept for the cycle."""
+    def grid(k):
+        return tuple(F(x, d) for x in k)
+
+    start = tuple(F(v) for v in p)
+    d = denominator(start)
+    ks = [tuple(int(v * d) for v in start)]
+    index = {ks[0]: 0}
+    pre = None
+    for _ in range(max_steps):
+        k = tuple(v.numerator * d // v.denominator for v in map_eval(s, grid(ks[-1])))
+        ks.append(k)
+        if k in index:
+            pre = index[k]
+            break
+        index[k] = len(ks) - 1
+    dens = tuple(d // math.gcd(d, *k) for k in ks)
+    if pre is None:
+        return Orbit(start, tuple(map(grid, ks)), "truncated", None, None, dens)
+    return Orbit(start, tuple(map(grid, ks)), "cycle", pre, len(ks) - 1 - pre, dens)
+
+
+def tent_iterate_map(k):
+    """x0 -> tent^k(x0) as an induced map; from k = 9 its form is over CELL_BUDGET."""
+    g = Var(0)
+    for _ in range(k):
+        g = formula.apply_substitution(tent_substitution(), g)
+    return induced_map(Substitution([g]))
+
+
+def test_orbit_matches_the_reference_walk(tent_map):
+    rng = random.Random(5)
+    over_budget = tent_iterate_map(9)
+    assert over_budget.pwl is None
+    cases = [(tent_map, (F(1, 4099),)), (over_budget, (F(1, 1023),)),
+             (over_budget, (F(5, 37),))]
+    for n in range(3, 7):
+        s = induced_map(odometer_substitution(n))
+        assert s.pwl is None
+        cases += [(s, tuple(F(rng.randint(0, d), d) for _ in range(n)))
+                  for d in (1, 2, 3, 6)]
+    for s, p in cases:
+        for max_steps in (0, 1, 3, 10000):
+            o = orbit(s, p, max_steps=max_steps)
+            assert o == reference_orbit(s, p, max_steps), (s, p, max_steps)
+            assert len(o.points) == len(o.denominators) <= max_steps + 1
+            assert o.status == ("cycle" if o.period else "truncated")
+    assert orbit(tent_map, (F(1, 5),), max_steps=0).points == ((F(1, 5),),)
+    assert orbit(tent_map, (F(1, 4099),), max_steps=3).status == "truncated"
+
+
+def test_odometer_orbit_never_evaluates_a_formula(monkeypatch):
+    s = induced_map(odometer_substitution(4))
+    expected = reference_orbit(s, (F(1, 3), F(1, 2), F(0), F(1, 5)), 10000)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an orbit step evaluated a formula")
+
+    monkeypatch.setattr("mvdyn.formula.interpret", refused)
+    monkeypatch.setattr("mvdyn.dynamics.interpret", refused)
+    assert orbit(s, (F(1, 3), F(1, 2), F(0), F(1, 5))) == expected
+    assert expected.points[-1] == expected.points[expected.preperiod]
+
+
+def test_a_map_compiles_its_lattice_program_once(monkeypatch):
+    calls = []
+    compile_ = dynamics._compile
+    monkeypatch.setattr("mvdyn.dynamics._compile",
+                        lambda *args: calls.append(args) or compile_(*args))
+    s = induced_map(odometer_substitution(5))
+    for d in (1, 3, 7):
+        orbit(s, (F(1, d),) * 5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda e: orbit(e, ()),
+    lambda e: box_hitting_search(e, e, [], [], 1, 1),
+    lambda e: empirical_statistics(e, (), 10, 2),
+], ids=["orbit", "boxhit", "stats"])
+def test_a_map_of_no_variables_is_refused(call):
+    with pytest.raises(ValueError, match="substitution must cover at least x0"):
+        call(InducedMap(0, (), None))
+
+
+def test_geometric_form_reraises_the_kept_refusal_without_compiling(monkeypatch):
+    # the variable ceiling is kept as well
+    assert "4 variables are outside" in str(induced_map(odometer_substitution(4)).refusal)
+    calls = []
+    compile_ = pwl.pwl_map_from_formulas
+
+    def once(*args):
+        calls.append(args)
+        assert len(calls) == 1, "the images were compiled a second time"
+        return compile_(*args)
+
+    monkeypatch.setattr("mvdyn.pwl.pwl_map_from_formulas", once)
+    s = tent_iterate_map(9)
+    assert isinstance(s.refusal, pwl.CellBudgetError) and len(calls) == 1
+    for _ in range(2):
+        with pytest.raises(pwl.CellBudgetError, match="exceeds the 600-cell budget"):
+            geometric_form(s)
+    with pytest.raises(pwl.CellBudgetError, match="exceeds the 600-cell budget"):
+        average_truth_value(Var(0), 1, s, [(F(0), F(1))])
+    assert len(calls) == 1
+
+
 def test_full_rational_orbit_grid(tent_map):
     grid = full_rational_orbit(1, 4)
     assert grid == [(F(0),), (F(1, 4),), (F(1, 2),), (F(3, 4),), (F(1),)]
@@ -250,7 +361,7 @@ def test_rotation_validation_report(rotation):
 
 def test_rotation_inner_triangle_three_cycle(rotation):
     rot, _ = rotation
-    # the exact form's lattice step, then the formulas walked
+    # the exact form's lattice step, then the lattice program of the formulas
     for s in (rot, InducedMap(2, rot.images, None)):
         o = orbit(s, (F(1, 4), F(1, 4)))
         assert o.preperiod == 0 and o.period == 3

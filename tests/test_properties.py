@@ -13,7 +13,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mvdyn.dynamics import InducedMap, average_truth_value, induced_map, map_eval, orbit
+from mvdyn.dynamics import (
+    InducedMap, _lattice_step, average_truth_value, induced_map, map_eval, orbit,
+)
 from mvdyn.formula import (
     And, Impl, Neg, OPlus, Or, Star, Substitution, Var, ONE, ZERO, LUKASIEWICZ,
     apply_substitution, evaluate, fold, parse_formula, print_formula,
@@ -125,11 +127,39 @@ def test_orbit_matches_the_formula_walk(images, point, max_steps):
     assume(s.pwl is not None)
     p = point[:s.arity]
     walk = walk_orbit(s, p, max_steps)
-    # the geometric form's lattice step, then the formulas stepped on numerators
+    # the geometric form's lattice step, then the lattice program of the formulas
     for m in (s, InducedMap(s.arity, s.images, None)):
         o = orbit(m, p, max_steps=max_steps)
         assert (o.points, o.status, o.preperiod, o.period, o.denominators) == walk
         assert all(isinstance(x, Fraction) for q in o.points for x in q)
+
+
+def formulas_of_depth(leaves, depth):
+    """Formulas of depth at most depth over the leaves, with every connective."""
+    sub = st.sampled_from(leaves)
+    for _ in range(depth):
+        sub = st.one_of(sub, sub.map(Neg), binary(sub))
+    return sub
+
+
+@st.composite
+def lattice_cases(draw):
+    """(images over n = 1..5 variables, d <= 40, numerators k of a point k/d)."""
+    n = draw(st.integers(1, 5))
+    leaves = [Var(i) for i in range(n)] + [ZERO, ONE]
+    images = draw(st.lists(formulas_of_depth(leaves, 5), min_size=n, max_size=n))
+    d = draw(st.integers(1, 40))
+    return images, d, draw(st.tuples(*[st.integers(0, d)] * n))
+
+
+@SETTINGS
+@given(lattice_cases())
+def test_lattice_program_matches_map_eval(case):
+    images, d, k = case
+    s = InducedMap(len(images), images, None)
+    image = _lattice_step(s, d)(k)
+    assert all(type(v) is int for v in image)
+    assert tuple(Fraction(v, d) for v in image) == map_eval(s, tuple(Fraction(v, d) for v in k))
 
 
 def average_by_formula(r, k, sigma, box):
