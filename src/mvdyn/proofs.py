@@ -9,8 +9,8 @@ line may use any mix of the defined connectives.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
@@ -244,14 +244,15 @@ def _unit_set_min_and_power(cw, rw):
     the mediant inequality the ratio peaks at a vertex where cw < 1.
     """
     low = witness = None
-    ratio = 0
-    for p, c, r in _pwl._refined_values(cw, rw):
-        if c == 1:
-            if low is None or r < low:
-                low, witness = r, p
-        else:
-            ratio = max(ratio, (1 - r) / (1 - c))
-    return low, witness, max(1, math.ceil(ratio))
+    ratio = (0, 1)
+    # at each vertex cw = c/d and rw = r/d; fractions compare cross-multiplied
+    for p, c, r, d in _pwl._refined_values(cw, rw):
+        if c == d:
+            if low is None or r * low[1] < low[0] * d:
+                low, witness = (r, d), p
+        elif (d - r) * ratio[1] > ratio[0] * (d - c):
+            ratio = (d - r, d - c)
+    return None if low is None else Fraction(*low), witness, max(1, -(-ratio[0] // ratio[1]))
 
 
 def mp_consequence(delta: Sequence[Formula], r: Formula,

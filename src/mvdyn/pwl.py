@@ -73,6 +73,30 @@ def _dot(h, p) -> int:
     return h[0] * p[0] + h[1] * p[1] + h[2] * p[2]
 
 
+def _cross(a, b) -> tuple:
+    """The half-plane left of the line from a to b: where _det(a, b, .) >= 0."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _cuts(planes, pts):
+    """None if one of the half-planes meets the convex hull of the points in
+    zero area (it is <= 0 at each point and < 0 at one), else those that cut
+    it (< 0 at one point, > 0 at another); the others hold it whole."""
+    out = []
+    for h in planes:
+        c0, c1, c2 = h
+        neg = pos = False
+        for x, y, w in pts:
+            e = c0 * x + c1 * y + c2 * w
+            neg |= e < 0
+            pos |= e > 0
+        if neg:
+            if not pos:
+                return None
+            out.append(h)
+    return out
+
+
 def _det(o, a, b) -> int:
     """Positive, zero or negative as o, a, b turn left, are collinear or turn right."""
     return (o[0] * (a[1] * b[2] - a[2] * b[1]) - o[1] * (a[0] * b[2] - a[2] * b[0])
@@ -189,8 +213,8 @@ class CellComplex:
 
     @cached_property
     def _triples(self) -> list:
-        """In dimension 2, each vertex (x, y) as the integer triple the geometry
-        computes on: (x, y, 1) times the lcm of the denominators."""
+        """Each vertex p as the integer tuple the exact tests compute on:
+        (*p, 1) times the lcm of the denominators."""
         return [_scaled((*p, 1))[0] for p in self.vertices]
 
     @cached_property
@@ -210,8 +234,7 @@ class CellComplex:
             tri = [self._triples[i] for i in cell]
             planes = []
             for a, b in zip(tri, tri[1:] + tri[:1]):
-                h = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0])
+                h = _cross(a, b)
                 g = math.gcd(*h) or 1
                 planes.append((h[0] // g, h[1] // g, h[2] // g))
             out.append((j, tuple(planes)))
@@ -586,28 +609,24 @@ def _combine(op: str, f: PWLMap, g: PWLMap) -> PWLMap:
     for j, (i1, i2) in enumerate(tags):
         fp, gp = f.maps[i1], g.maps[i2]
         h = locus(fp, gp)
+        hp = _scaled(h.a[0] + h.b)[0]
         if f.dim == 1:
-            pts = refined.cell_points(j)
-            vals = tuple(_row_value(h, p) for p in pts)
-            geom = (pts[0][0], pts[1][0])
-        else:
-            hp = _scaled(h.a[0] + h.b)[0]
-            geom = [refined._triples[i] for i in refined.cells[j]]
-            vals = [_dot(hp, p) for p in geom]
-        if all(v >= 0 for v in vals):
-            tagged.append((geom, (fp, gp, h, True)))
-        elif all(v <= 0 for v in vals):
-            tagged.append((geom, (fp, gp, h, False)))
-        else:
-            if f.dim == 1:
-                lo, hi = geom
+            geom = tuple(refined.vertices[i][0] for i in refined.cells[j])
+            lo, hi = (hp[0] * x.numerator + hp[1] * x.denominator for x in geom)
+            if lo < 0 < hi or hi < 0 < lo:
                 root = Fraction(-h.b[0], h.a[0][0])
-                first_pos = vals[0] > 0
-                tagged.append(((lo, root), (fp, gp, h, first_pos)))
-                tagged.append(((root, hi), (fp, gp, h, not first_pos)))
+                tagged.append(((geom[0], root), (fp, gp, h, lo > 0)))
+                tagged.append(((root, geom[1]), (fp, gp, h, hi > 0)))
             else:
-                tagged.append((_clip(geom, hp), (fp, gp, h, True)))
-                tagged.append((_clip(geom, tuple(-c for c in hp)), (fp, gp, h, False)))
+                tagged.append((geom, (fp, gp, h, lo >= 0 and hi >= 0)))
+            continue
+        geom = [refined._triples[i] for i in refined.cells[j]]
+        cuts = _cuts((hp,), geom)     # None where the locus is <= 0 on the cell
+        if cuts:
+            tagged.append((_clip(geom, hp), (fp, gp, h, True)))
+            tagged.append((_clip(geom, tuple(-c for c in hp)), (fp, gp, h, False)))
+        else:
+            tagged.append((geom, (fp, gp, h, cuts is not None)))
 
     build = _build_complex_1d if f.dim == 1 else _build_complex_2d
     out_complex, out_tags = build(tagged)
@@ -641,9 +660,10 @@ def _pullback(w: CellComplex, pieces: Sequence, v: CellComplex):
 
     In dimension 1 the ends of v's cells inside a cell's image are found by
     bisection and pulled back through its piece; a flat piece stays one cell.
-    In dimension 2 each cell of w is clipped by the half-planes of v's cells,
-    pulled back through its piece, for the cells of v whose bounding box meets
-    that of the image.
+    In dimension 2 a cell of w meets the cells of v whose bounding box meets
+    its image's. A pair that an edge of either triangle separates is skipped,
+    a cell of v inside the image is pulled back by its vertices, and else the
+    cell is clipped by the half-planes of v that cut the image, pulled back.
     """
     bounds = v._bounds
     if w.dim == 1:
@@ -674,23 +694,44 @@ def _pullback(w: CellComplex, pieces: Sequence, v: CellComplex):
     for i, planes in bounds:
         tri = [v._triples[k] for k in v.cells[i]]
         xs, ys = [p[0] / p[2] for p in tri], [p[1] / p[2] for p in tri]
-        boxes.append((min(xs), max(xs), min(ys), max(ys), i, planes))
+        boxes.append((min(xs), max(xs), min(ys), max(ys), i, planes, tri))
     tagged = []
     for j, cell in enumerate(w.cells):
         sp = pieces[j]
         (a00, a01, a10, a11, b0, b1), s = _scaled(sp.a[0] + sp.a[1] + sp.b)
+        det = a00 * a11 - a01 * a10
         tri = [w._triples[k] for k in cell]
-        xs = [(a00 * x + a01 * y + b0 * z) / (s * z) for x, y, z in tri]
-        ys = [(a10 * x + a11 * y + b1 * z) / (s * z) for x, y, z in tri]
+        # a half-plane of v at the image's vertices (M x + c) / s has the
+        # values of its pullback at the cell's
+        img = [(a00 * x + a01 * y + b0 * z, a10 * x + a11 * y + b1 * z, s * z)
+               for x, y, z in tri]
+        xs, ys = [p[0] / p[2] for p in img], [p[1] / p[2] for p in img]
         xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
-        # a singular piece maps the cell onto a segment or a point, whose
-        # preimages under cells of v that share an edge or vertex coincide
-        seen = set() if a00 * a11 == a01 * a10 else None
-        for bx0, bx1, by0, by1, i, planes in boxes:
+        # the image's ccw edges; a singular piece maps the cell onto a segment
+        # or a point, whose preimages under cells of v that share an edge or
+        # vertex coincide
+        edges = [_cross(p, q) if det > 0 else _cross(q, p)
+                 for p, q in zip(img, img[1:] + img[:1])] if det else ()
+        seen = None if det else set()
+        for bx0, bx1, by0, by1, i, planes, vtri in boxes:
             if bx0 > xhi or bx1 < xlo or by0 > yhi or by1 < ylo:
                 continue
+            cuts = _cuts(planes, img)
+            if cuts is None:
+                continue
+            if cuts and edges:
+                inside = _cuts(edges, vtri)
+                if inside is None:
+                    continue
+                if not inside:
+                    # v's cell lies in the image: its vertices y pulled
+                    # back are adj(M) (s y - c) / det M
+                    tagged.append(([_reduced(a11 * (s * x - b0 * z) - a01 * (s * y - b1 * z),
+                                             a00 * (s * y - b1 * z) - a10 * (s * x - b0 * z),
+                                             det * z) for x, y, z in vtri], (j, i)))
+                    continue
             poly = tri
-            for c0, c1, c2 in planes:
+            for c0, c1, c2 in cuts:
                 poly = _clip(poly, (c0 * a00 + c1 * a10, c0 * a01 + c1 * a11,
                                     c0 * b0 + c1 * b1 + c2 * s))
                 if not poly:
@@ -793,25 +834,30 @@ def pwl_min_value(f: PWLMap):
 
 
 def _refined_values(f: PWLMap, g: PWLMap):
-    """(p, f(p), g(p)) for each vertex p of each cell of a common refinement
-    of two one-row maps, cell by cell. Both are affine on such a cell, so
-    these vertices decide pointwise relations between f and g and hold their
+    """(p, u, v, d) for each vertex p of each cell of a common refinement of
+    two one-row maps, cell by cell, with f(p) = u/d and g(p) = v/d for
+    integers u, v and d > 0. Both are affine on such a cell, so these
+    vertices decide pointwise relations between f and g and hold their
     extremes on each cell."""
     _one_row(f, g)
     refined, tags = _refine_tagged(f.complex, g.complex)
+    n = f.dim + 1
     for j, (i1, i2) in enumerate(tags):
         fm, gm = f.maps[i1], g.maps[i2]
-        for p in refined.cell_points(j):
-            yield p, _row_value(fm, p), _row_value(gm, p)
+        c, s = _scaled(fm.a[0] + fm.b + gm.a[0] + gm.b)
+        cf, cg = c[:n], c[n:]
+        for i in refined.cells[j]:
+            t = refined._triples[i]
+            yield refined.vertices[i], sum(map(mul, cf, t)), sum(map(mul, cg, t)), s * t[-1]
 
 
 def pwl_le(f: PWLMap, g: PWLMap) -> bool:
     """Pointwise f <= g, decided exactly on a common refinement."""
-    return all(u <= v for _, u, v in _refined_values(f, g))
+    return all(u <= v for _, u, v, _ in _refined_values(f, g))
 
 
 def pwl_equal(f: PWLMap, g: PWLMap) -> bool:
-    return all(u == v for _, u, v in _refined_values(f, g))
+    return all(u == v for _, u, v, _ in _refined_values(f, g))
 
 
 def pwl_integral(f: PWLMap, box=None) -> Fraction:
@@ -838,20 +884,22 @@ def pwl_integral(f: PWLMap, box=None) -> Fraction:
         return total
 
     (xlo, xhi), (ylo, yhi) = box
+    # a cell wholly inside or outside the box is kept or skipped, unclipped
     planes = [_scaled(h)[0] for h in ((1, 0, -xlo), (-1, 0, xhi), (0, 1, -ylo), (0, -1, yhi))]
     # a triangle pqr adds det(p, q, r) (c.p q_W r_W + c.q p_W r_W + c.r p_W q_W)
     # / (6 s (p_W q_W r_W)^2) for the piece c / s; numerators are summed per
     # denominator
     sums: dict[int, int] = {}
     for cell, m in zip(f.complex.cells, f.maps):
-        poly = [f.complex._triples[i] for i in cell]
-        for h in planes:
-            poly = _clip(poly, h)
-        poly = _canon(poly)
-        if not poly:
+        tri = [f.complex._triples[i] for i in cell]
+        cuts = _cuts(planes, tri)
+        if cuts is None:
             continue
+        tris = [tri]
+        if cuts:
+            tris = _fan(_canon(reduce(_clip, cuts, tri)))
         c, s = _scaled(m.a[0] + m.b)
-        for p, q, r in _fan(poly):
+        for p, q, r in tris:
             w = p[2] * q[2] * r[2]
             num = _dot(c, p) * q[2] * r[2] + _dot(c, q) * p[2] * r[2] + _dot(c, r) * p[2] * q[2]
             sums[s * w * w] = sums.get(s * w * w, 0) + _det(p, q, r) * num
@@ -918,13 +966,18 @@ def _synthesize_formula(f: PWLMap) -> Formula:
     """
     maps = f.maps
     rows = [(m.a[0], m.b[0]) for m in maps]
+    # every piece over one common denominator s: piece i at a vertex triple t
+    # is (scaled[i] . t) / (s t_W)
+    n = f.dim + 1
+    flat = _scaled([x for m in maps for x in m.a[0] + m.b])[0]
+    scaled = [flat[k:k + n] for k in range(0, len(flat), n)]
     clamped = cache(lambda row: clamp_affine_formula(*row))
     seen_terms, terms = set(), []
-    for j in range(len(maps)):
-        pts = f.complex.cell_points(j)
-        own = [_row_value(maps[j], p) for p in pts]
-        dominating = [rows[i] for i, m in enumerate(maps)
-                      if all(_row_value(m, p) >= v for p, v in zip(pts, own))]
+    for j, cell in enumerate(f.complex.cells):
+        pts = [f.complex._triples[i] for i in cell]
+        own = [sum(map(mul, scaled[j], t)) for t in pts]
+        dominating = [rows[i] for i, c in enumerate(scaled)
+                      if all(sum(map(mul, c, t)) >= v for t, v in zip(pts, own))]
         key = frozenset(dominating)
         if key not in seen_terms:
             seen_terms.add(key)

@@ -2,9 +2,12 @@
 synthesis, and affine maps."""
 
 import bisect
+import json
+import math
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -21,8 +24,8 @@ from mvdyn.pwl import (
     unit_complex, common_refinement, pwl_from_formula, pwl_eval, pwl_combine,
     pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula, MAX_CLAMP_UNITS,
     pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
-    pwl_compose, _synthesize_formula, _area2, _build_complex_2d, _compose_affine, _pullback,
-    _refine_tagged,
+    pwl_compose, pwl_map_from_json, pwl_map_to_json, _synthesize_formula, _area2,
+    _build_complex_2d, _compose_affine, _pullback, _refine_tagged,
 )
 from mvdyn.dynamics import (
     induced_map, rotation_homeomorphism, tent_substitution, validate_homeomorphism,
@@ -390,6 +393,51 @@ def ref_min_over_unit_set(cw, rw):
     return best, witness
 
 
+def ref_refined_values(f, g):
+    """(p, f(p), g(p)) in Fractions at each vertex of each cell of the common
+    refinement, the values the comparisons below read."""
+    refined, tags = _refine_tagged(f.complex, g.complex)
+    for j, (i1, i2) in enumerate(tags):
+        for p in refined.cell_points(j):
+            yield p, f.maps[i1].apply(p)[0], g.maps[i2].apply(p)[0]
+
+
+def ref_le(f, g):
+    return all(u <= v for _, u, v in ref_refined_values(f, g))
+
+
+def ref_equal(f, g):
+    return all(u == v for _, u, v in ref_refined_values(f, g))
+
+
+def ref_unit_set_min_and_power(cw, rw):
+    low = witness = None
+    ratio = 0
+    for p, c, r in ref_refined_values(cw, rw):
+        if c == 1:
+            if low is None or r < low:
+                low, witness = r, p
+        else:
+            ratio = max(ratio, (1 - r) / (1 - c))
+    return low, witness, max(1, math.ceil(ratio))
+
+
+def ref_synthesize_formula(f, clamp):
+    """The lattice-of-pieces formula with its dominance test in Fractions;
+    clamp(coeffs, const) stands for each piece's clamped formula."""
+    rows = [(m.a[0], m.b[0]) for m in f.maps]
+    seen_terms, terms = set(), []
+    for j, m in enumerate(f.maps):
+        pts = f.complex.cell_points(j)
+        own = [m.apply(p)[0] for p in pts]
+        dominating = [rows[i] for i, other in enumerate(f.maps)
+                      if all(other.apply(p)[0] >= v for p, v in zip(pts, own))]
+        if frozenset(dominating) not in seen_terms:
+            seen_terms.add(frozenset(dominating))
+            terms.append(reduce(And, (clamp(*row) for row in dominating)))
+    return reduce(Or, terms) if terms else ZERO
+
+
 def tent_pair():
     x = X1
     return Substitution([tent_substitution().images[0],
@@ -464,6 +512,46 @@ def test_integer_kernel_assembles_hanging_vertices_as_the_reference():
         assert len(got.cells) == 2 * len(ts) + 4
 
 
+def vertex_image_map(rng, w, den):
+    """A continuous self-map of the square, affine on each cell of w, sending
+    each vertex to a random point of (1/den)Z^2, a quarter of them onto the
+    diagonal, so that some pieces are singular."""
+    images = []
+    for _ in w.vertices:
+        x, y = (F(rng.randint(0, den), den) for _ in range(2))
+        images.append((x, x) if rng.random() < 0.25 else (x, y))
+    return PWLMap(w, tuple(affine_from_simplex_pair(w.cell_points(j), [images[i] for i in cell])
+                           for j, cell in enumerate(w.cells)))
+
+
+def seeded_self_maps():
+    """(self-map, formula) pairs: the geometric forms of seeded two-variable
+    substitutions, with integral pieces, and maps built by
+    affine_from_simplex_pair from vertex images, with rational ones."""
+    rng = random.Random(2752)
+    maps = []
+    while len(maps) < 5:
+        s = induced_map(Substitution([rand_formula(rng, 2, 3) for _ in range(2)])).pwl
+        if s is not None and len(s.complex.cells) > 2:
+            maps.append(s)
+    for den in (2, 3, 5, 12):
+        maps.append(vertex_image_map(rng, pwl_from_formula(rand_formula(rng, 2, 3), 2).complex,
+                                     den))
+    return [(s, rand_formula(rng, 2, 4)) for s in maps]
+
+
+SEEDED = seeded_self_maps()
+
+
+def test_seeded_self_maps_have_pieces_of_every_kind():
+    integral = [m for s, _ in SEEDED[:5] for m in s.maps]
+    rational = [m for s, _ in SEEDED[5:] for m in s.maps]
+    assert all(m.is_integral for m in integral)
+    assert any(m.det() < 0 for m in integral) and any(m.det() == 0 for m in integral)
+    assert any(m.det() < 0 for m in rational) and any(m.det() == 0 for m in rational)
+    assert any(m.det() > 0 and not m.is_integral for m in rational)
+
+
 @pytest.mark.parametrize("s, r, steps", [
     (induced_map(tent_pair()).pwl, Star(X0, X1), 3),
     (rotation_homeomorphism()[1], parse_formula("x0 * x1 (+) !x0 & x1"), 3),
@@ -471,7 +559,9 @@ def test_integer_kernel_assembles_hanging_vertices_as_the_reference():
     (induced_map(Substitution([parse_formula("x0 & x1")] * 2)).pwl, Star(X0, X1), 2),
     (induced_map(Substitution([parse_formula("!x0 & x1"), X0])).pwl,
      parse_formula("x0 * x1 (+) !x0 & x1"), 2),
-], ids=["tent-pair", "rotation", "diagonal", "singular-cells"])
+    *((s, r, 2) for s, r in SEEDED),
+], ids=["tent-pair", "rotation", "diagonal", "singular-cells",
+        *(f"seeded-{k}" for k in range(len(SEEDED)))])
 def test_integer_kernel_composes_as_the_reference(s, r, steps):
     w = pwl_from_formula(r, 2)
     for _ in range(steps):
@@ -482,6 +572,32 @@ def test_integer_kernel_composes_as_the_reference(s, r, steps):
         assert nxt.complex.cells == want.cells
         assert nxt.maps == tuple(_compose_affine(w.maps[i], s.maps[j]) for j, i in want_tags)
         w = nxt
+
+
+def test_pullback_clips_only_where_a_half_plane_cuts(monkeypatch):
+    # the tent pair's iterates of x0 * x1 have 4, 40, 204 and 860 cells
+    s, w = induced_map(tent_pair()).pwl, pwl_from_formula(Star(X0, X1), 2)
+    clip, build = pwl_module._clip, pwl_module._build_complex_2d
+    clips, pieces = [0], []
+
+    def counting_clip(poly, h):
+        clips[0] += 1
+        return clip(poly, h)
+
+    def recording_build(tagged):
+        pieces[:] = tagged
+        return build(tagged)
+    monkeypatch.setattr(pwl_module, "_clip", counting_clip)
+    monkeypatch.setattr(pwl_module, "_build_complex_2d", recording_build)
+    sizes = [len(w.complex.cells)]
+    for _ in range(3):
+        clips[0] = 0
+        w = pwl_compose(w, s)
+        sizes.append(len(w.complex.cells))
+        assert clips[0] <= len(pieces)
+        # a nonsingular piece hands on no piece of zero area
+        assert all(pwl_module._canon(poly) for poly, (j, _) in pieces if s.maps[j].det())
+    assert sizes == [4, 40, 204, 860]
 
 
 def _poly_intersection(p1, p2):
@@ -1117,6 +1233,57 @@ def test_only_pwl_reads_the_cell_format():
                 if reads.search(re.sub(r"len\([\w.]*\.cells\)", "", line)):
                     found.append(f"{path.name}:{number}: {line.strip()}")
     assert found == []
+
+
+# -- integer comparisons against their Fraction references --------------------------------------
+
+@st.composite
+def one_row_maps(draw, dim):
+    """A compiled formula of dim variables, or a map on a compiled complex
+    with random values in (1/den)Z at its vertices, read back from JSON: its
+    pieces are rational."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    w = pwl_from_formula(rand_formula(rng, dim, 3), dim)
+    den = draw(st.sampled_from([0, 1, 2, 3, 6]))
+    if not den:
+        return w
+    c = w.complex
+    values = [(F(rng.randint(0, den), den),) for _ in c.vertices]
+    f = PWLMap(c, tuple(affine_from_simplex_pair(c.cell_points(j), [values[i] for i in cell])
+                        for j, cell in enumerate(c.cells)))
+    return pwl_map_from_json(json.loads(json.dumps(pwl_map_to_json(f))))
+
+
+map_pairs = st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(one_row_maps(d), one_row_maps(d)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(map_pairs)
+def test_comparisons_and_the_unit_set_walk_agree_with_the_fraction_references(pair):
+    f, g = pair
+    # f | (f & g) is f on another complex, and f & g lies below f
+    below = pwl_combine("min", f, g)
+    same = pwl_combine("max", f, below)
+    for a, b in ((f, g), (g, f), (f, same), (below, f)):
+        assert pwl_le(a, b) == ref_le(a, b)
+        assert pwl_equal(a, b) == ref_equal(a, b)
+        assert _unit_set_min_and_power(a, b) == ref_unit_set_min_and_power(a, b)
+    assert pwl_equal(f, same) and pwl_le(below, f)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2]).flatmap(one_row_maps))
+def test_dominance_agrees_with_the_fraction_reference(f):
+    # each piece's clamped formula stands in as a variable of its own, so
+    # rational pieces synthesize too
+    rows = {}
+
+    def clamp(coeffs, const):
+        return Var(rows.setdefault((tuple(coeffs), const), len(rows)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pwl_module, "clamp_affine_formula", clamp)
+        got = _synthesize_formula(f)
+    assert got == ref_synthesize_formula(f, clamp)
 
 
 # -- serialization ------------------------------------------------------------------------------
