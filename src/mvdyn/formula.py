@@ -777,6 +777,8 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
     "exact-pwl" (Lukasiewicz, up to pwl.MAX_DIM variables, decisive),
     "grid" (any semantics; countermodel search over all points with
     coordinate denominators <= grid_bound, returns unknown if none found).
+    The two decisive methods ask proofs.mp_consequence whether f follows
+    from no hypotheses, which is the same question.
     """
     n = arity_of(f)
     if method == "auto":
@@ -788,31 +790,23 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
         else:
             method = "grid"
 
-    if method == "truth-table":
-        if sem.kind != "chain":
-            raise ValueError("truth-table method needs a finite chain semantics")
-        axis, exhausted = None, "tautology"
-    elif method == "exact-pwl":
-        if sem.kind != "lukasiewicz":
-            raise ValueError("exact-pwl method is Lukasiewicz-only")
-        from . import pwl
+    if method == "truth-table" and sem.kind != "chain":
+        raise ValueError("truth-table method needs a finite chain semantics")
+    if method == "exact-pwl" and sem.kind != "lukasiewicz":
+        raise ValueError("exact-pwl method is Lukasiewicz-only")
+    if method in ("truth-table", "exact-pwl"):
+        from .proofs import mp_consequence
 
-        func = pwl.pwl_from_formula(f, dim=max(n, 1))
-        val, witness = pwl.pwl_min_value(func)
-        if val == 1:
-            return Verdict("tautology")
-        return Verdict("countermodel", witness[:n])
-    elif method == "grid":
-        if grid_bound < 1:
-            raise ValueError(f"grid_bound must be at least 1, not {grid_bound}")
-        cap_points([grid_bound * (grid_bound + 3) // 2], "candidate values p/q of the grid")
-        axis = [v for v in rationals_up_to(grid_bound) if sem.contains(v)]
-        exhausted = "unknown"
-    else:
+        point = mp_consequence((), f, sem).countermodel
+        return Verdict("tautology") if point is None else Verdict("countermodel", point)
+    if method != "grid":
         raise ValueError(f"unknown method {method!r}")
-
+    if grid_bound < 1:
+        raise ValueError(f"grid_bound must be at least 1, not {grid_bound}")
+    cap_points([grid_bound * (grid_bound + 3) // 2], "candidate values p/q of the grid")
+    axis = [v for v in rationals_up_to(grid_bound) if sem.contains(v)]
     point, _ = _countermodel((), f, sem, n, axis)
-    return Verdict(exhausted) if point is None else Verdict("countermodel", point)
+    return Verdict("unknown") if point is None else Verdict("countermodel", point)
 
 
 def identity_check(r: Formula, s: Formula, sem: TNormSemantics, method: str = "auto",

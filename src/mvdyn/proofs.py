@@ -17,8 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 from . import pwl as _pwl
 from .formula import (
     Formula, Var, Star, ONE, Substitution, apply_substitution, _countermodel,
-    arity_of, boolean_table, json_field, parse_formula, print_formula, tautology_check,
-    variable_index,
+    arity_of, boolean_table, json_field, parse_formula, print_formula, variable_index,
     TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
 
@@ -161,7 +160,7 @@ def _oracle_accepts(oracle, f: Formula, tables: dict) -> bool:
     if oracle == "lukasiewicz":
         if arity_of(f) > _pwl.MAX_DIM:
             return False
-        return tautology_check(f, LUKASIEWICZ, method="exact-pwl").is_tautology
+        return mp_consequence((), f, LUKASIEWICZ).status == "yes"
     raise ValueError(f"unknown axiom oracle {oracle!r}")
 
 
@@ -264,7 +263,8 @@ def mp_consequence(delta: Sequence[Formula], r: Formula,
     pwl.MAX_DIM variables) the same check runs on the vertices of the common
     refinement of the product c of delta and of r, which also give the least
     power of c below r: the local deduction theorem makes that check complete
-    for both.
+    for both. tautology_check and the lukasiewicz oracle ask it with no
+    hypotheses. A countermodel has one coordinate per variable of the formulas.
     """
     delta = list(delta)
     arity = max([arity_of(r)] + [arity_of(d) for d in delta])
@@ -281,7 +281,7 @@ def mp_consequence(delta: Sequence[Formula], r: Formula,
     low, witness, power = _unit_set_min_and_power(_pwl.pwl_from_formula(conj, dim),
                                                   _pwl.pwl_from_formula(r, dim))
     if low is not None and low < 1:
-        return ConsequenceVerdict("no", countermodel=witness)
+        return ConsequenceVerdict("no", countermodel=witness[:arity])
     return ConsequenceVerdict("yes", certificate={"method": "product-search", "power": power})
 
 

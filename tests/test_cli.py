@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from mvdyn import pwl as _pwl
+from mvdyn import proofs as _proofs, pwl as _pwl
 from mvdyn.cli import build_parser, run
 from mvdyn.dynamics import average_truth_value, induced_map
 from mvdyn.formula import (
-    Substitution, Var, evaluate, parse_formula, tautology_check, LUKASIEWICZ,
+    Substitution, Var, evaluate, identity_check, parse_formula, tautology_check, LUKASIEWICZ,
 )
 from mvdyn.proofs import Axiom, Proof, ProofLine, check_proof, mp_consequence
 from mvdyn.pwl import (
@@ -728,3 +728,22 @@ def test_every_caller_follows_pwls_variable_ceiling(capsys, monkeypatch):
                  lambda: average_truth_value(Var(0), 1, swap, [(F(0), F(1))] * 2),
                  ["homeo", "validate", "--subst", "x0=x1;x1=x0"]):
         assert _refusal(capsys, case) == _ceiling(2)
+
+
+def test_every_lukasiewicz_decision_follows_the_consequence_walk(capsys, monkeypatch):
+    # a walk that refutes everything at (1/3, 2/3): every caller that decides
+    # Lukasiewicz logic, tautologies and identities too, reports its point
+    point = (F(1, 3), F(2, 3))
+    monkeypatch.setattr(_proofs, "_unit_set_min_and_power",
+                        lambda cw, rw: (F(0), point, 1))
+    line = parse_formula("(x0 * x1) -> x0")
+    v = tautology_check(line, LUKASIEWICZ)
+    assert (v.status, v.point) == ("countermodel", point)
+    v = identity_check(parse_formula("x0 & x1"), parse_formula("x1 & x0"), LUKASIEWICZ)
+    assert (v.status, v.point) == ("countermodel", point)
+    v = mp_consequence([], line, LUKASIEWICZ)
+    assert (v.status, v.countermodel) == ("no", point)
+    assert not check_proof(Proof((), (ProofLine(line, Axiom()),)), None, oracle="lukasiewicz")
+    expected = {"point": ["1/3", "2/3"], "status": "countermodel"}
+    assert capture_json(capsys, ["taut", "(x0 * x1) -> x0"]) == expected
+    assert capture_json(capsys, ["identity", "x0 & x1", "x1 & x0"]) == expected

@@ -59,6 +59,9 @@ CASES = [
                   "--start", "1/5,2/7"]),
     # four variables: no geometric form, so each step runs the map's program
     ("orbit_odometer4", ["orbit", "--subst", "odometer:4", "--start", "1/3,1/2,0,1/5"]),
+    # the Lukasiewicz decision's witness in two variables
+    ("taut_countermodel_2d", ["taut", "(x0 (+) x1) -> (x0 * x1)"]),
+    ("identity_differs_text", ["--format", "text", "identity", "x0 * x1", "x0 & x1"]),
     ("prove_check_derived", ["prove", "check", str(DATA / "odometer_derive.out"),
                              "--hyp", "x0 * x1", "--no-axioms", "--oracle", "boole"]),
 ]

@@ -10,7 +10,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvdyn import formula as formula_module
 from mvdyn.algebra import evaluate_in, finite_chain
@@ -23,7 +23,7 @@ from mvdyn.formula import (
     tautology_check, identity_check, rationals_up_to, boolean_table,
 )
 from mvdyn.odometer import derive_from_nontautology, odometer_substitution
-from mvdyn.pwl import pwl_equal, pwl_from_formula
+from mvdyn.pwl import pwl_equal, pwl_from_formula, pwl_min_value
 
 F = Fraction
 
@@ -861,6 +861,35 @@ def test_methods_agree_on_lukasiewicz():
             assert exact.status == "countermodel"
         if exact.is_tautology:
             assert grid.status != "countermodel"
+
+
+def ref_exact_pwl_verdict(f):
+    """(status, point) of the exact-pwl method as a minimum of f's own
+    complex, its witness cut to f's variables."""
+    n = arity_of(f)
+    low, witness = pwl_min_value(pwl_from_formula(f, max(n, 1)))
+    return ("tautology", None) if low == 1 else ("countermodel", witness[:n])
+
+
+def formulas_of_depth(depth):
+    """Formulas over x0, x1 and the constants in every connective, at most
+    depth connectives deep."""
+    leaves = st.sampled_from([X0, X1, ZERO, ONE])
+    if depth == 0:
+        return leaves
+    sub = formulas_of_depth(depth - 1)
+    return st.one_of(leaves, sub.map(Neg), st.builds(
+        lambda op, a, b: op(a, b), st.sampled_from([Star, Impl, And, Or, OPlus]), sub, sub))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(formulas_of_depth(5))
+@example(ZERO)
+@example(Impl(OPlus(X0, X1), Star(X0, X1)))
+@example(Or(Impl(X0, X1), Impl(X1, X0)))
+def test_exact_pwl_is_the_minimum_of_the_formulas_own_complex(f):
+    v = tautology_check(f, LUKASIEWICZ)
+    assert (v.status, v.point) == ref_exact_pwl_verdict(f)
 
 
 def test_identity_check():

@@ -473,6 +473,15 @@ def test_mp_consequence_lukasiewicz_no():
     assert v.countermodel == (Fraction(1, 2),)
 
 
+@pytest.mark.parametrize("sem", [LUKASIEWICZ, chain_semantics(3)], ids=["lukasiewicz", "chain3"])
+@pytest.mark.parametrize("delta,r", [([], ZERO), ([ONE], Star(ONE, ZERO))],
+                         ids=["nothing-proves-0", "1-proves-1*0"])
+def test_mp_consequence_refutes_closed_formulas_at_the_empty_point(sem, delta, r):
+    # no variable, so the countermodel has no coordinate, as tautology_check's
+    v = mp_consequence(delta, r, sem)
+    assert (v.status, v.countermodel) == ("no", ())
+
+
 def test_mp_consequence_power_certificate():
     six = X0
     for _ in range(5):
@@ -678,14 +687,15 @@ def dimension(delta, r):
 
 
 def ref_mp_consequence(delta, r, star_power_bound=64):
-    """(status, countermodel, power): the minimum above, then the least power
-    of the product of delta below r, searched up to the bound ("unknown" past it)."""
+    """(status, countermodel, power): the minimum above, its witness cut to
+    the formulas' variables, then the least power of the product of delta
+    below r, searched up to the bound ("unknown" past it)."""
     dim = dimension(delta, r)
     cw = pwl_from_formula(product(delta), dim)
     rw = pwl_from_formula(r, dim)
     low, witness = ref_min_over_unit_set(cw, rw)
     if low is not None and low < 1:
-        return "no", witness, None
+        return "no", witness[:max(map(arity_of, [r, *delta]))], None
     power = cw
     for k in range(1, star_power_bound + 1):
         if pwl_le(power, rw):
