@@ -87,8 +87,15 @@ def _substitution(spec: str) -> Substitution:
         return Substitution.identity(*_count_spec(spec.strip(), "identity:N"))
     if key.startswith("odometer:"):
         return _odo.odometer_substitution(*_count_spec(spec.strip(), "odometer:N"))
-    pairs = (part.split("=", 1) for part in spec.split(";"))
-    return _proofs._sigma_from_json({lhs.strip(): rhs for lhs, rhs in pairs})
+    entries = {}
+    for part in spec.split(";"):
+        lhs, eq, rhs = part.partition("=")
+        if not eq:
+            raise ValueError(f"substitution part {part!r} is not x<i>=<formula>; a map is "
+                             "tent, flip, rotation, identity:N, odometer:N, or "
+                             "x<i>=<formula> parts joined by ';'")
+        entries[lhs.strip()] = rhs
+    return _proofs._sigma_from_json(entries)
 
 
 def _read(path: str) -> str:

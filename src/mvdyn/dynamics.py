@@ -170,11 +170,25 @@ class Orbit:
     denominators: tuple
 
 
+def _reduced_fraction(k: int, d: int) -> Fraction:
+    """k/d for d > 0 as the reduced Fraction that Fraction(k, d) makes.
+
+    The one place that knows Fraction's two slots: one gcd gives the reduced
+    numerator and denominator, set on a bare instance as CPython's own
+    Fraction._from_coprime_ints (3.12+) does, without the constructor's
+    dispatch on its arguments' types.
+    """
+    g = math.gcd(k, d)
+    x = object.__new__(Fraction)
+    x._numerator = k // g
+    x._denominator = d // g
+    return x
+
+
 def _lattice_points(columns, d: int) -> tuple:
     """The points k/d of the lattice (1/d)Z^n whose coordinates' numerators
     are the n >= 1 columns, with one Fraction per distinct numerator."""
-    values = set().union(*columns)
-    fraction = dict(zip(values, map(Fraction, values, itertools.repeat(d))))
+    fraction = {k: _reduced_fraction(k, d) for k in set().union(*columns)}
     return tuple(zip(*[map(fraction.__getitem__, c) for c in columns]))
 
 
@@ -212,7 +226,7 @@ def orbit(s: InducedMap, p, max_steps: int = 10000) -> Orbit:
 
     A start of denominator d stays on the lattice (1/d)Z^n, so the orbit
     steps integer numerators over d (_lattice_step) and builds its points
-    once, at the end.
+    once, at the end; each point's denominator is read off its coordinates.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be at least 0")
@@ -220,9 +234,11 @@ def orbit(s: InducedMap, p, max_steps: int = 10000) -> Orbit:
     start = _cube_point(p, s.arity)
     d = denominator(start)
     index, pre = _iterate(_lattice_step(s, d), tuple(int(v * d) for v in start), max_steps)
-    columns = tuple(zip(*index))
-    points = _lattice_points(columns, d)
-    dens = tuple([d // g for g in map(math.gcd, itertools.repeat(d), *columns)])
+    points = _lattice_points(tuple(zip(*index)), d)
+    if s.arity == 1:
+        dens = tuple([x.denominator for x, in points])
+    else:
+        dens = tuple(map(math.lcm, *[[x.denominator for x in c] for c in zip(*points)]))
     if pre is None:
         return Orbit(start, points, "truncated", None, None, dens)
     return Orbit(start, points + (points[pre],), "cycle", pre, len(points) - pre,

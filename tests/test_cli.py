@@ -525,6 +525,22 @@ def test_malformed_count_spec_is_named(capsys, argv, spec, form):
     assert err == f"error: spec {spec!r} is not of the form {form}\n"
 
 
+@pytest.mark.parametrize("argv, part", [
+    (["orbit", "--subst", "tent2", "--start", "1/3"], "tent2"),
+    (["subst", "apply", "--subst", "foo", "x0"], "foo"),
+    (["subst", "apply", "--subst", "x0=!x0;;x1=x0", "x0"], ""),
+    (["avg", "--subst", "x0=!x0;", "--box", "0:1", "x0"], ""),
+    (["avg", "--subst", "x0=!x0;x1", "--box", "0:1,0:1", "x0"], "x1"),
+], ids=["orbit-unknown-name", "subst-apply-unknown-name", "subst-apply-empty-part",
+        "avg-trailing-semicolon", "avg-part-without-formula"])
+def test_a_substitution_part_without_an_assignment_is_named(capsys, argv, part):
+    code, out, err = capture(capsys, argv)
+    _one_error_line(code, out, err)
+    assert err == (f"error: substitution part {part!r} is not x<i>=<formula>; a map is tent, "
+                   "flip, rotation, identity:N, odometer:N, or x<i>=<formula> parts "
+                   "joined by ';'\n")
+
+
 def test_avg_refuses_a_box_off_the_cube_by_name(capsys):
     code, out, err = capture(capsys, ["avg", "--subst", "tent", "--box", "0:2", "x0"])
     _one_error_line(code, out, err)

@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvdyn.formula import (
     Var, Neg, Star, Impl, And, OPlus, Substitution, evaluate, LUKASIEWICZ,
@@ -199,6 +199,50 @@ def test_orbit_matches_the_reference_walk(tent_map):
             assert o.status == ("cycle" if o.period else "truncated")
     assert orbit(tent_map, (F(1, 5),), max_steps=0).points == ((F(1, 5),),)
     assert orbit(tent_map, (F(1, 4099),), max_steps=3).status == "truncated"
+
+
+big = st.integers(-10 ** 30, 10 ** 30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example(0, 7, 1, 1)
+@example(-6, 4, 3, 2)
+@example(10 ** 30, 10 ** 30, -(10 ** 30), 1)
+@given(big, st.integers(1, 10 ** 30), big, st.integers(1, 10 ** 30))
+def test_a_lattice_coordinate_is_the_fraction_the_constructor_makes(k, d, j, e):
+    # built without Fraction's constructor, so a change to its layout fails here
+    x, y, other = dynamics._reduced_fraction(k, d), F(k, d), F(j, e)
+    assert type(x) is Fraction
+    assert x == y and (x.numerator, x.denominator) == (y.numerator, y.denominator)
+    assert (hash(x), str(x), repr(x)) == (hash(y), str(y), repr(y))
+    for z, w in ((x + other, y + other), (x * other, y * other), (other + x, other + y)):
+        assert type(z) is Fraction and (z.numerator, z.denominator) == (w.numerator, w.denominator)
+    assert (x < other, other < x, x < y, x <= y) == (y < other, other < y, False, True)
+
+
+def test_an_orbit_builds_its_points_without_fractions_constructor(tent_map, monkeypatch):
+    calls = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for d in (4099, 8179):
+        start = (F(1, d),)
+        calls.clear()
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        o = orbit(tent_map, start)
+        monkeypatch.undo()
+        assert o == reference_orbit(tent_map, start, 10000)
+        counts.append(len(calls))
+    assert len(o.points) == 4091 and counts[0] == counts[1] <= 4, counts
+    for s, p in ((induced_map(odometer_substitution(4)), (F(1, 3), F(1, 2), F(0), F(1, 5))),
+                 (induced_map(tent_pair()), (F(3, 7), F(2, 9)))):
+        o = orbit(s, p)
+        assert o.status == "cycle"
+        assert o.denominators == tuple(math.lcm(*(x.denominator for x in q)) for q in o.points)
 
 
 def test_odometer_orbit_never_evaluates_a_formula(monkeypatch):
