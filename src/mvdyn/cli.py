@@ -87,15 +87,15 @@ def _substitution(spec: str) -> Substitution:
         return Substitution.identity(*_count_spec(spec.strip(), "identity:N"))
     if key.startswith("odometer:"):
         return _odo.odometer_substitution(*_count_spec(spec.strip(), "odometer:N"))
-    entries = {}
+    parts = []
     for part in spec.split(";"):
         lhs, eq, rhs = part.partition("=")
         if not eq:
             raise ValueError(f"substitution part {part!r} is not x<i>=<formula>; a map is "
                              "tent, flip, rotation, identity:N, odometer:N, or "
                              "x<i>=<formula> parts joined by ';'")
-        entries[lhs.strip()] = rhs
-    return _proofs._sigma_from_json(entries)
+        parts.append((lhs.strip(), rhs))
+    return _proofs._sigma_from_parts(parts)
 
 
 def _read(path: str) -> str:

@@ -17,7 +17,7 @@ from functools import partial, reduce
 from typing import Optional, Sequence
 
 from .formula import (
-    Formula, Var, Neg, And, OPlus, Substitution,
+    Formula, Var, Neg, And, OPlus, OutOfReach, Substitution,
     cap_points, interpret, LUKASIEWICZ, arity_of, fold,
 )
 from . import pwl as _pwl
@@ -45,7 +45,7 @@ class InducedMap(Substitution):
     __slots__ = ("pwl", "refusal", "_program")
 
     def __init__(self, arity: int, images: Sequence[Formula], pwl: Optional[PWLMap],
-                 refusal: Optional[ValueError] = None):
+                 refusal: Optional[OutOfReach] = None):
         super().__init__(images)
         if self.arity != arity:
             raise ValueError(f"{self.arity} images for a map of arity {arity}")
@@ -72,7 +72,7 @@ def _check_covers(sigma: Substitution, n: int) -> None:
 def geometric_form(sigma: Substitution) -> PWLMap:
     """sigma's map of the cube as a PWLMap: the one an InducedMap carries, else
     its images compiled under CELL_BUDGET. Without one it refuses the empty
-    substitution, or raises pwl's refusal: too many variables for the exact
+    substitution, or raises pwl's OutOfReach: too many variables for the exact
     geometry, or CellBudgetError; an InducedMap raises the refusal it keeps
     without compiling again."""
     form = getattr(sigma, "pwl", None)
@@ -88,14 +88,14 @@ def geometric_form(sigma: Substitution) -> PWLMap:
 def induced_map(sigma: Substitution) -> InducedMap:
     """sigma with its geometric form: an InducedMap as it is, else the form
     compiled when the exact geometry takes sigma's variables and the cell
-    budget suffices; otherwise pwl is None, the map keeps pwl's refusal, and
-    orbits run its lattice program."""
+    budget suffices; where compiling raises OutOfReach, pwl is None, the map
+    keeps that refusal, and orbits run its lattice program."""
     if isinstance(sigma, InducedMap):
         return sigma
     _check_covers(sigma, 1)
     try:
         form, refusal = geometric_form(sigma), None
-    except ValueError as err:   # pwl's: the variable ceiling, or CellBudgetError
+    except OutOfReach as err:   # pwl's: the variable ceiling, or CellBudgetError
         form, refusal = None, err.with_traceback(None)
     return InducedMap(sigma.arity, sigma.images, form, refusal)
 

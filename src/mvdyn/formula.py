@@ -36,6 +36,10 @@ class ParseError(ValueError):
         self.expected = frozenset(expected)
 
 
+class OutOfReach(ValueError):
+    """No exact procedure reaches this input; a caller with a fallback takes it."""
+
+
 class Formula:
     """Immutable formula node; equality and hashing are modulo desugaring.
 
@@ -774,38 +778,34 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
     """Decide (or refute, or give up on) "f evaluates to 1 everywhere".
 
     Methods: "truth-table" (finite chains, exhaustive and decisive),
-    "exact-pwl" (Lukasiewicz, up to pwl.MAX_DIM variables, decisive),
+    "exact-pwl" (Lukasiewicz, as far as the exact geometry reaches, decisive),
     "grid" (any semantics; countermodel search over all points with
-    coordinate denominators <= grid_bound, returns unknown if none found).
-    The two decisive methods ask proofs.mp_consequence whether f follows
-    from no hypotheses, which is the same question.
+    coordinate denominators <= grid_bound, returns unknown if none found),
+    and "auto". The decisive methods ask proofs.mp_consequence whether f
+    follows from no hypotheses, which is the same question; "auto" asks it
+    for any semantics and runs the grid where it refuses with OutOfReach.
     """
-    n = arity_of(f)
-    if method == "auto":
-        if sem.kind == "chain":
-            method = "truth-table"
-        elif sem.kind == "lukasiewicz":
-            from . import pwl
-            method = "exact-pwl" if n <= pwl.MAX_DIM else "grid"
-        else:
-            method = "grid"
+    from .proofs import mp_consequence
 
     if method == "truth-table" and sem.kind != "chain":
         raise ValueError("truth-table method needs a finite chain semantics")
     if method == "exact-pwl" and sem.kind != "lukasiewicz":
         raise ValueError("exact-pwl method is Lukasiewicz-only")
-    if method in ("truth-table", "exact-pwl"):
-        from .proofs import mp_consequence
-
-        point = mp_consequence((), f, sem).countermodel
-        return Verdict("tautology") if point is None else Verdict("countermodel", point)
-    if method != "grid":
+    if method in ("auto", "truth-table", "exact-pwl"):
+        try:
+            point = mp_consequence((), f, sem).countermodel
+        except OutOfReach:
+            if method != "auto":
+                raise
+        else:
+            return Verdict("tautology") if point is None else Verdict("countermodel", point)
+    elif method != "grid":
         raise ValueError(f"unknown method {method!r}")
     if grid_bound < 1:
         raise ValueError(f"grid_bound must be at least 1, not {grid_bound}")
     cap_points([grid_bound * (grid_bound + 3) // 2], "candidate values p/q of the grid")
     axis = [v for v in rationals_up_to(grid_bound) if sem.contains(v)]
-    point, _ = _countermodel((), f, sem, n, axis)
+    point, _ = _countermodel((), f, sem, arity_of(f), axis)
     return Verdict("unknown") if point is None else Verdict("countermodel", point)
 
 

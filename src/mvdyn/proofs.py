@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
 from . import pwl as _pwl
 from .formula import (
-    Formula, Var, Star, ONE, Substitution, apply_substitution, _countermodel,
+    Formula, Var, Star, ONE, OutOfReach, Substitution, apply_substitution, _countermodel,
     arity_of, boolean_table, json_field, parse_formula, print_formula, variable_index,
     TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
@@ -158,9 +157,10 @@ def _oracle_accepts(oracle, f: Formula, tables: dict) -> bool:
         n = f.arity
         return boolean_table(f, n, memo=tables.setdefault(n, {})) == (1 << (1 << n)) - 1
     if oracle == "lukasiewicz":
-        if arity_of(f) > _pwl.MAX_DIM:
+        try:
+            return mp_consequence((), f, LUKASIEWICZ).status == "yes"
+        except OutOfReach:
             return False
-        return mp_consequence((), f, LUKASIEWICZ).status == "yes"
     raise ValueError(f"unknown axiom oracle {oracle!r}")
 
 
@@ -232,28 +232,6 @@ class ConsequenceVerdict:
     countermodel: Optional[tuple] = None
 
 
-def _unit_set_min_and_power(cw, rw):
-    """(min of rw over {cw = 1} or None if empty, its first witness, the least
-    k with cw^k <= rw given rw = 1 on {cw = 1}), from the common refinement's
-    vertices.
-
-    On a cell, cw <= 1 is affine, so it is 1 on the face its vertices of
-    value 1 span. Elsewhere cw^k = max(0, 1 - k (1 - cw)) <= rw asks for
-    k >= (1 - rw) / (1 - cw); on a cell both sides vanish on that face, so by
-    the mediant inequality the ratio peaks at a vertex where cw < 1.
-    """
-    low = witness = None
-    ratio = (0, 1)
-    # at each vertex cw = c/d and rw = r/d; fractions compare cross-multiplied
-    for p, c, r, d in _pwl._refined_values(cw, rw):
-        if c == d:
-            if low is None or r * low[1] < low[0] * d:
-                low, witness = (r, d), p
-        elif (d - r) * ratio[1] > ratio[0] * (d - c):
-            ratio = (d - r, d - c)
-    return None if low is None else Fraction(*low), witness, max(1, -(-ratio[0] // ratio[1]))
-
-
 def mp_consequence(delta: Sequence[Formula], r: Formula,
                    sem: TNormSemantics) -> ConsequenceVerdict:
     """Does some product of hypotheses lie below r, as functions?
@@ -263,8 +241,9 @@ def mp_consequence(delta: Sequence[Formula], r: Formula,
     pwl.MAX_DIM variables) the same check runs on the vertices of the common
     refinement of the product c of delta and of r, which also give the least
     power of c below r: the local deduction theorem makes that check complete
-    for both. tautology_check and the lukasiewicz oracle ask it with no
-    hypotheses. A countermodel has one coordinate per variable of the formulas.
+    for both. Any other input (past pwl's ceiling, or a logic with no backend)
+    raises OutOfReach, on which tautology_check's auto and the lukasiewicz
+    oracle fall back. A countermodel has one coordinate per variable of the formulas.
     """
     delta = list(delta)
     arity = max([arity_of(r)] + [arity_of(d) for d in delta])
@@ -275,11 +254,11 @@ def mp_consequence(delta: Sequence[Formula], r: Formula,
         return ConsequenceVerdict("yes", certificate={"method": "finite-valuations",
                                                       "satisfying_assignments": satisfying})
     if sem.kind != "lukasiewicz":
-        raise ValueError("no decidable backend for this semantics")
+        raise OutOfReach("no decidable backend for this semantics")
     dim = max(arity, 1)
     conj = reduce(Star, delta) if delta else ONE
-    low, witness, power = _unit_set_min_and_power(_pwl.pwl_from_formula(conj, dim),
-                                                  _pwl.pwl_from_formula(r, dim))
+    low, witness, power = _pwl._unit_set_min_and_power(_pwl.pwl_from_formula(conj, dim),
+                                                       _pwl.pwl_from_formula(r, dim))
     if low is not None and low < 1:
         return ConsequenceVerdict("no", countermodel=witness[:arity])
     return ConsequenceVerdict("yes", certificate={"method": "product-search", "power": power})
@@ -294,15 +273,21 @@ def _sigma_to_json(sigma: Substitution, memo: Optional[dict] = None) -> dict:
 
 
 def _sigma_from_json(obj: dict, memo: Optional[dict] = None) -> Substitution:
-    """The substitution x_i -> parse_formula(obj["x<i>"], memo=memo); every
-    other x_i below the arity maps to itself."""
     if not isinstance(obj, dict):
         raise ValueError("a substitution is a JSON object")
+    return _sigma_from_parts(obj.items(), memo)
+
+
+def _sigma_from_parts(parts, memo: Optional[dict] = None) -> Substitution:
+    """The substitution x_i -> parse_formula(text, memo=memo) for each part
+    (x<i>, text), one per x_i; every other x_i below the arity maps to itself."""
     entries = {}
-    for key, text in obj.items():
+    for key, text in parts:
         i = variable_index(key)
         if i is None:
             raise ValueError(f"substitution target {key!r} is not a variable")
+        if i in entries:
+            raise ValueError(f"substitution target {key!r} names x{i} again")
         entries[i] = parse_formula(text, memo=memo)
     arity = max([i + 1 for i in entries] + [g.arity for g in entries.values()], default=0)
     images = [entries.get(i, Var(i)) for i in range(arity)]

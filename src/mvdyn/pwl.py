@@ -20,7 +20,7 @@ from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .formula import (
-    Formula, Var, Neg, And, Or, OPlus, Star, ZERO, ONE, arity_of, fold, json_field,
+    Formula, Var, Neg, And, Or, OPlus, Star, ZERO, ONE, OutOfReach, arity_of, fold, json_field,
 )
 
 Point = tuple  # tuple of Fractions, length = dim
@@ -33,7 +33,7 @@ MAX_DIM = 2   # most variables of the exact geometry: its cells are intervals or
 def _check_dim(n: int) -> None:
     """Refuse a cube of n variables outside the exact geometry's 1..MAX_DIM."""
     if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"{n} variables are outside the exact geometry, "
+        raise OutOfReach(f"{n} variables are outside the exact geometry, "
                          f"which handles 1 to {MAX_DIM}")
 
 
@@ -755,7 +755,7 @@ def pwl_compose(f: PWLMap, s: PWLMap) -> PWLMap:
     return PWLMap(complex_, tuple(_compose_affine(f.maps[i], s.maps[j]) for j, i in tags))
 
 
-class CellBudgetError(ValueError):
+class CellBudgetError(OutOfReach):
     """Raised when an exact compilation grows past its cell budget."""
 
 
@@ -858,6 +858,28 @@ def pwl_le(f: PWLMap, g: PWLMap) -> bool:
 
 def pwl_equal(f: PWLMap, g: PWLMap) -> bool:
     return all(u == v for _, u, v, _ in _refined_values(f, g))
+
+
+def _unit_set_min_and_power(cw, rw):
+    """(min of rw over {cw = 1} or None if empty, its first witness, the least
+    k with cw^k <= rw given rw = 1 on {cw = 1}), from the common refinement's
+    vertices.
+
+    On a cell, cw <= 1 is affine, so it is 1 on the face its vertices of
+    value 1 span. Elsewhere cw^k = max(0, 1 - k (1 - cw)) <= rw asks for
+    k >= (1 - rw) / (1 - cw); on a cell both sides vanish on that face, so by
+    the mediant inequality the ratio peaks at a vertex where cw < 1.
+    """
+    low = witness = None
+    ratio = (0, 1)
+    # at each vertex cw = c/d and rw = r/d; fractions compare cross-multiplied
+    for p, c, r, d in _refined_values(cw, rw):
+        if c == d:
+            if low is None or r * low[1] < low[0] * d:
+                low, witness = (r, d), p
+        elif (d - r) * ratio[1] > ratio[0] * (d - c):
+            ratio = (d - r, d - c)
+    return None if low is None else Fraction(*low), witness, max(1, -(-ratio[0] // ratio[1]))
 
 
 def pwl_integral(f: PWLMap, box=None) -> Fraction:

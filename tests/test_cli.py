@@ -11,9 +11,12 @@ from mvdyn import proofs as _proofs, pwl as _pwl
 from mvdyn.cli import build_parser, run
 from mvdyn.dynamics import average_truth_value, induced_map
 from mvdyn.formula import (
-    Substitution, Var, evaluate, identity_check, parse_formula, tautology_check, LUKASIEWICZ,
+    OutOfReach, Substitution, Var, arity_of, chain_semantics, evaluate, identity_check,
+    parse_formula, tautology_check, BOOLE, GODEL, LUKASIEWICZ,
 )
-from mvdyn.proofs import Axiom, Proof, ProofLine, check_proof, mp_consequence
+from mvdyn.proofs import (
+    Axiom, ConsequenceVerdict, Proof, ProofLine, check_proof, mp_consequence,
+)
 from mvdyn.pwl import (
     CellComplex, affine_from_simplex_pair, pwl_from_formula, pwl_from_json, pwl_equal,
     pwl_to_json,
@@ -329,6 +332,8 @@ VALID_LINE = '{"formula": "x0", "just": {"hyp": 1}}'
      "ill-typed field 'sigma': ValueError: a substitution is a JSON object"),
     ('{"formula": "x0", "just": {"subst": {"line": 1, "sigma": {"x\u00b2": "x0"}}}}',
      "ill-typed field 'sigma': ValueError: substitution target 'x²' is not a variable"),
+    ('{"formula": "x0", "just": {"subst": {"line": 1, "sigma": {"x0": "!x0", "x00": "x0"}}}}',
+     "ill-typed field 'sigma': ValueError: substitution target 'x00' names x0 again"),
     ('{"formula": "x0", "just": {"wave": 1}}', "unknown justification {'wave': 1}"),
     ('{"formula": "x0", ', "Expecting"),
 ])
@@ -541,6 +546,20 @@ def test_a_substitution_part_without_an_assignment_is_named(capsys, argv, part):
                    "joined by ';'\n")
 
 
+@pytest.mark.parametrize("argv, target, index", [
+    (["subst", "apply", "--subst", "x0=!x0;x0=x0", "x0"], "x0", 0),
+    (["subst", "apply", "--subst", "x0=!x0;x00=x0", "x0"], "x00", 0),
+    (["orbit", "--subst", "x1=x0;x0=x1; x01 =x0", "--start", "0,1"], "x01", 1),
+    (["avg", "--subst", "x0=x0;x0=!x0", "--box", "0:1", "x0"], "x0", 0),
+], ids=["subst-apply-same-name", "subst-apply-leading-zero", "orbit-third-part",
+        "avg-same-name"])
+def test_a_repeated_substitution_target_is_named(capsys, argv, target, index):
+    # each part names one variable; a second part for it is refused, not merged
+    code, out, err = capture(capsys, argv)
+    _one_error_line(code, out, err)
+    assert err == f"error: substitution target {target!r} names x{index} again\n"
+
+
 def test_avg_refuses_a_box_off_the_cube_by_name(capsys):
     code, out, err = capture(capsys, ["avg", "--subst", "tent", "--box", "0:2", "x0"])
     _one_error_line(code, out, err)
@@ -750,7 +769,7 @@ def test_every_lukasiewicz_decision_follows_the_consequence_walk(capsys, monkeyp
     # a walk that refutes everything at (1/3, 2/3): every caller that decides
     # Lukasiewicz logic, tautologies and identities too, reports its point
     point = (F(1, 3), F(2, 3))
-    monkeypatch.setattr(_proofs, "_unit_set_min_and_power",
+    monkeypatch.setattr(_pwl, "_unit_set_min_and_power",
                         lambda cw, rw: (F(0), point, 1))
     line = parse_formula("(x0 * x1) -> x0")
     v = tautology_check(line, LUKASIEWICZ)
@@ -763,3 +782,72 @@ def test_every_lukasiewicz_decision_follows_the_consequence_walk(capsys, monkeyp
     expected = {"point": ["1/3", "2/3"], "status": "countermodel"}
     assert capture_json(capsys, ["taut", "(x0 * x1) -> x0"]) == expected
     assert capture_json(capsys, ["identity", "x0 & x1", "x1 & x0"]) == expected
+
+
+GODEL_LINE = "((x0 -> x1) -> x2) -> (((x1 -> x0) -> x2) -> x2)"
+
+
+def test_a_new_backend_needs_no_edit_in_auto_or_the_oracle(capsys, monkeypatch):
+    # a backend that decides Goedel logic and three-variable Lukasiewicz lines
+    # plugs into mp_consequence alone: taut's auto and the oracle follow it
+    point = (F(1, 3),) * 3
+    decide = mp_consequence
+
+    def backend(delta, r, sem):
+        if sem == GODEL:
+            return ConsequenceVerdict("no", countermodel=point)
+        if sem == LUKASIEWICZ and arity_of(r) == 3:
+            return ConsequenceVerdict("yes", certificate={"method": "stub"})
+        return decide(delta, r, sem)
+
+    monkeypatch.setattr(_proofs, "mp_consequence", backend)
+    line = parse_formula(GODEL_LINE)
+    v = tautology_check(line, GODEL)
+    assert (v.status, v.point) == ("countermodel", point)
+    assert capture_json(capsys, ["taut", "--logic", "godel", GODEL_LINE]) == {
+        "point": ["1/3"] * 3, "status": "countermodel"}
+    assert check_proof(Proof((), (ProofLine(line, Axiom()),)), None, oracle="lukasiewicz")
+
+
+def test_without_a_backend_taut_answers_through_the_grid(capsys):
+    for logic, text in (("godel", GODEL_LINE), ("product", "(x0 -> x1) | (x1 -> x0)")):
+        assert capture_json(capsys, ["taut", "--logic", logic, text]) == {"status": "unknown"}
+
+
+def _raises_value_error(*args):
+    raise ValueError("not a refusal of reach")
+
+
+@pytest.mark.parametrize("case", [
+    lambda: tautology_check(parse_formula("x0 -> x0"), GODEL),
+    lambda: tautology_check(parse_formula("x0 -> x1"), LUKASIEWICZ),
+    lambda: check_proof(Proof((), (ProofLine(parse_formula("x0 -> x0"), Axiom()),)), None,
+                        oracle="lukasiewicz"),
+], ids=["taut-auto-godel", "taut-auto-lukasiewicz", "lukasiewicz-oracle"])
+def test_the_fallbacks_catch_only_out_of_reach(monkeypatch, case):
+    monkeypatch.setattr(_proofs, "mp_consequence", _raises_value_error)
+    with pytest.raises(ValueError, match="not a refusal of reach"):
+        case()
+
+
+def test_induced_map_keeps_only_out_of_reach(monkeypatch):
+    def out_of_reach(*args):
+        raise OutOfReach("out of reach")
+
+    swap = Substitution([Var(1), Var(0)])
+    monkeypatch.setattr(_pwl, "pwl_map_from_formulas", _raises_value_error)
+    with pytest.raises(ValueError, match="not a refusal of reach"):
+        induced_map(swap)
+    monkeypatch.setattr(_pwl, "pwl_map_from_formulas", out_of_reach)
+    m = induced_map(swap)
+    assert m.pwl is None and str(m.refusal) == "out of reach"
+
+
+@pytest.mark.parametrize("sem, message", [
+    (BOOLE, r"2\*\*21 valuations of a finite chain exceed"),
+    (chain_semantics(2), r"3\*\*21 valuations of a finite chain exceed"),
+])
+def test_the_chain_cap_refusal_is_not_a_fallback_under_auto(sem, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        tautology_check(Var(20), sem)
+    assert not isinstance(exc.value, OutOfReach)

@@ -1,19 +1,21 @@
 """Hilbert-style proof checking, axiom families, the substitution rule, and
 the semantic consequence backends."""
 
+import ast
 import gc
 import itertools
 import json
 import random
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mvdyn.formula as formula_module
 from mvdyn.formula import (
-    Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, parse_formula,
+    Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, OutOfReach, parse_formula,
     print_formula, Substitution, arity_of, boolean_table, chain_semantics, interpret,
     rationals_up_to, tautology_check, LUKASIEWICZ, GODEL, PRODUCT, BOOLE, TNormSemantics,
 )
@@ -505,12 +507,37 @@ def test_mp_consequence_empty_delta():
 
 
 def test_mp_consequence_guards():
-    with pytest.raises(ValueError):
+    # past pwl's ceiling, or in a logic with no backend, no exact procedure
+    # reaches the input: the one refusal that the fallbacks catch
+    with pytest.raises(OutOfReach):
         mp_consequence([Var(3)], X0, LUKASIEWICZ)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfReach, match="no decidable backend for this semantics"):
         mp_consequence([X0], X0, GODEL)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfReach, match="no decidable backend for this semantics"):
         mp_consequence([X0], X0, PRODUCT)
+
+
+def test_only_mp_consequence_chooses_a_backend_by_kind():
+    """Outside TNormSemantics itself, only proofs.mp_consequence branches on a
+    semantics' kind; tautology_check keeps only the guards of its explicit
+    truth-table and exact-pwl methods. So a new backend plugs in at one place."""
+    found = []
+    for path in sorted(Path(formula_module.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            within = {id(v): b for b in ast.walk(fn) if isinstance(b, ast.BoolOp) for v in b.values}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(x, ast.Attribute) and x.attr == "kind"
+                        and ast.unparse(x.value) != "self" for x in [node.left, *node.comparators]):
+                    found.append((path.name, fn.name, ast.unparse(within.get(id(node), node))))
+    assert sorted(found) == [
+        ("formula.py", "tautology_check", "method == 'exact-pwl' and sem.kind != 'lukasiewicz'"),
+        ("formula.py", "tautology_check", "method == 'truth-table' and sem.kind != 'chain'"),
+        ("proofs.py", "mp_consequence", "sem.kind != 'lukasiewicz'"),
+        ("proofs.py", "mp_consequence", "sem.kind == 'chain'"),
+    ]
 
 
 def test_mp_consequence_chain_cap_is_checked_before_the_carrier(monkeypatch):

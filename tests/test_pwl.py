@@ -1,6 +1,7 @@
 """Exact piecewise-linear calculus: complexes, compilation, integration,
 synthesis, and affine maps."""
 
+import ast
 import bisect
 import json
 import math
@@ -25,12 +26,11 @@ from mvdyn.pwl import (
     pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula, MAX_CLAMP_UNITS,
     pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
     pwl_compose, pwl_map_from_json, pwl_map_to_json, _synthesize_formula, _area2,
-    _build_complex_2d, _compose_affine, _pullback, _refine_tagged,
+    _build_complex_2d, _compose_affine, _pullback, _refine_tagged, _unit_set_min_and_power,
 )
 from mvdyn.dynamics import (
     induced_map, rotation_homeomorphism, tent_substitution, validate_homeomorphism,
 )
-from mvdyn.proofs import _unit_set_min_and_power
 
 F = Fraction
 
@@ -1223,15 +1223,32 @@ def test_affine_solve_refuses_as_the_closed_forms():
 
 def test_only_pwl_reads_the_cell_format():
     """No module but pwl.py reads a complex's cell tests (_bounds, _triples),
-    a cell's vertices, the tags of _refine_tagged or AffineMap._apply, so a
-    new cell format touches pwl alone; counting cells is allowed."""
-    reads = re.compile(r"\b(_bounds|_triples|_refine_tagged|cell_points)\b|\._apply\b|\.cells\b")
+    a cell's vertices, the tags of _refine_tagged, the vertex values of
+    _refined_values or AffineMap._apply, so a new cell format touches pwl
+    alone; counting cells is allowed."""
+    reads = re.compile(r"\b(_bounds|_triples|_refine_tagged|_refined_values|cell_points)\b"
+                       r"|\._apply\b|\.cells\b")
     found = []
     for path in sorted(Path(pwl_module.__file__).parent.glob("*.py")):
         if path.name != "pwl.py":
             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
                 if reads.search(re.sub(r"len\([\w.]*\.cells\)", "", line)):
                     found.append(f"{path.name}:{number}: {line.strip()}")
+    assert found == []
+
+
+def test_only_pwl_reads_its_variable_ceiling():
+    """No module but pwl.py reads MAX_DIM, as an attribute or an imported
+    name: every other module lets pwl refuse with OutOfReach, so lifting the
+    ceiling touches pwl alone. Docstrings may still name it."""
+    found = []
+    for path in sorted(Path(pwl_module.__file__).parent.glob("*.py")):
+        if path.name != "pwl.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute) and node.attr == "MAX_DIM"
+                        or isinstance(node, ast.Name) and node.id == "MAX_DIM"
+                        or isinstance(node, ast.alias) and node.name == "MAX_DIM"):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
