@@ -407,7 +407,7 @@ def _cmd_spec(args) -> int:
 
 def _cmd_duality(args) -> int:
     a = _algebra(args.algebra)
-    rep = _alg.duality_check(a, seed=args.seed)
+    rep = _alg.duality_check(a)
     _emit(args, rep, f"ok={str(rep['ok']).lower()}")
     return 0
 

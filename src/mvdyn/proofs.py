@@ -343,19 +343,29 @@ def _line_from_json(obj, memo: dict) -> ProofLine:
     raise ValueError(f"unknown justification {j!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its pairs; a repeated key is refused, not merged."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def proof_from_jsonl(text: str, hypotheses: Sequence[Formula] = ()) -> Proof:
     """The proof that proof_to_jsonl wrote. A malformed line raises ValueError
     that names its proof line number (blank lines do not count) and its field;
     a text with no proof line raises one too. Every formula, sigmas' too, is
     parsed through one group memo, so each distinct group is parsed once."""
     memo: dict = {}
+    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
     lines = []
     for raw in text.splitlines():
         raw = raw.strip()
         if not raw:
             continue
         try:
-            lines.append(_line_from_json(json.loads(raw), memo))
+            lines.append(_line_from_json(decode(raw), memo))
         except ValueError as exc:
             raise ValueError(f"line {len(lines) + 1}: {exc}") from None
     if not lines:

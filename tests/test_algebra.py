@@ -1,6 +1,7 @@
 """Finite residuated chains, products, filters, quotients, and the prime
 filter spectrum with its duality checks."""
 
+import functools
 import itertools
 import math
 import random
@@ -17,7 +18,7 @@ from mvdyn.algebra import (
     subalgebra_generated, evaluate_in, is_filter, filter_generated,
     enumerate_filters, is_prime, quotient_algebra, lemma7_check,
     Homomorphism, identity_homomorphism, compose_homomorphisms,
-    spec_space, dual_map, duality_check, algebra_to_json, algebra_from_json,
+    SpecSpace, spec_space, dual_map, duality_check, algebra_to_json, algebra_from_json,
 )
 
 F = Fraction
@@ -93,6 +94,30 @@ def _reference_opens(subbasic, k):
                     opens.add(u | v)
                     changed = True
     return tuple(sorted(opens, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def _reference_compositions(a):
+    """duality_check's two compositions over every subset of the elements and
+    of the points."""
+    space = spec_space(a)
+    k = len(space.points)
+
+    def above(s):
+        return frozenset(i for i in range(k) if s <= space.points[i])
+
+    def meet_of(point_set):
+        out = frozenset(a.elements())
+        for i in point_set:
+            out &= space.points[i]
+        return out
+
+    def subsets(n):
+        return (frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r))
+
+    return {"generated_filter_composition": all(meet_of(above(d)) == filter_generated(a, d)
+                                                for d in subsets(a.size)),
+            "closure_composition": all(above(meet_of(c)) == space.closure(c)
+                                       for c in subsets(k))}
 
 
 def two_by_two():
@@ -457,8 +482,16 @@ def test_subalgebras_of_a_product_equal_the_reference():
         assert subalgebra_generated(a, gens).names == want
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(algebras().filter(lambda a: a.size <= 12))
+def test_duality_compositions_equal_the_exhaustive_reference(a):
+    report = duality_check(a)
+    assert {key: report[key] for key in ("generated_filter_composition",
+                                         "closure_composition")} == _reference_compositions(a)
+
+
 def test_duality_check_on_a_long_godel_chain():
-    # 40 prime points: the closure law is checked on 200 sampled point sets
+    # 40 prime points: the closure law is decided on the 40 sets C_j, one per point
     report = duality_check(finite_chain(40, "godel"))
     assert report["ok"] and report["points"] == 40 and report["filters"] == 41
 
@@ -468,3 +501,39 @@ def test_duality_check_on_bool_to_the_sixth():
         "filters": 64, "opens": 64, "points": 6, "bijective": True,
         "order_isomorphism": True, "subbasis_laws": True,
         "generated_filter_composition": True, "closure_composition": True, "ok": True}
+
+
+def test_duality_check_flags_a_generated_filter_broken_on_one_coatom(monkeypatch):
+    # only a set of elements whose product is the coatom meets the break; a
+    # random subset of the 64 elements almost always multiplies to 0
+    a = power_algebra(finite_chain(1), 6)
+    coatom = a.names.index("(1,1,1,1,1,0)")
+
+    def broken(alg, items):
+        items = list(items)
+        if functools.reduce(alg.star, items, alg.one) == coatom:
+            return frozenset({alg.one})
+        return filter_generated(alg, items)
+
+    monkeypatch.setattr("mvdyn.algebra.filter_generated", broken)
+    report = duality_check(a)
+    assert not report["generated_filter_composition"] and not report["ok"]
+
+
+def test_duality_check_flags_a_closure_broken_on_one_point_set(monkeypatch):
+    # one set C_j of the 40 points, of 19 points, so spec_space's check of each
+    # point's closure passes; a random subset of the points is almost never it
+    a = finite_chain(40, "godel")
+    space = spec_space(a)
+    target = frozenset(i for i in range(40) if not space.le[i][20])
+    assert len(target) == 19
+    closure = SpecSpace.closure
+
+    def broken(self, point_set):
+        s = frozenset(point_set)
+        out = closure(self, s)
+        return out - {min(s)} if s == target else out
+
+    monkeypatch.setattr(SpecSpace, "closure", broken)
+    report = duality_check(a)
+    assert not report["closure_composition"] and not report["ok"]

@@ -335,6 +335,9 @@ VALID_LINE = '{"formula": "x0", "just": {"hyp": 1}}'
     ('{"formula": "x0", "just": {"subst": {"line": 1, "sigma": {"x0": "!x0", "x00": "x0"}}}}',
      "ill-typed field 'sigma': ValueError: substitution target 'x00' names x0 again"),
     ('{"formula": "x0", "just": {"wave": 1}}', "unknown justification {'wave': 1}"),
+    # json.loads alone would keep the last x0 and read this line as valid
+    ('{"formula": "!x0", "just": {"subst": {"line": 1, "sigma": {"x0": "x1", "x0": "!x0"}}}}',
+     "repeated key 'x0'"),
     ('{"formula": "x0", ', "Expecting"),
 ])
 def test_prove_check_malformed_line_names_its_line_and_field(capsys, monkeypatch, line, message):

@@ -42,6 +42,8 @@ CASES = [
     ("filters_godel", ["filters", "--algebra", "godel:3"]),
     ("spec_luk", ["spec", "--algebra", "luk:3"]),
     ("duality_bool", ["duality", "--algebra", "bool"]),
+    # 41 elements and 40 points: past any all-subsets check
+    ("duality_godel40", ["duality", "--algebra", "godel:40"]),
     # piecewise-affine maps in one and two variables
     ("pwl_compile_2d", ["pwl", "compile", "x0 * x1 (+) !x0 & x1"]),
     ("pwl_synthesize_tent", ["pwl", "synthesize", str(DATA / "pwl_compile_tent.out")]),
