@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .formula import (
     BOOLE, GODEL, PRODUCT, LUKASIEWICZ, Substitution, apply_substitution,
-    chain_semantics, compose_substitutions, evaluate, identity_check,
+    chain_semantics, compose_substitutions, decode_json, evaluate, identity_check,
     parse_formula, print_formula, tautology_check,
 )
 from . import pwl as _pwl
@@ -110,7 +110,7 @@ def _algebra(spec: str) -> _alg.FiniteAlgebra:
     """bool | luk:M | godel:M | @file.json | "-" for JSON on stdin."""
     key = spec.strip()
     if key == "-" or key.startswith("@"):
-        return _alg.algebra_from_json(json.loads(_read(key.removeprefix("@"))))
+        return _alg.algebra_from_json(decode_json(_read(key.removeprefix("@"))))
     low = key.lower()
     if low in ("bool", "boole"):
         return _alg.finite_chain(1)
@@ -189,7 +189,7 @@ def _cmd_pwl_integrate(args) -> int:
 
 
 def _cmd_pwl_synthesize(args) -> int:
-    w = _pwl.pwl_from_json(json.loads(_read(args.file)))
+    w = _pwl.pwl_from_json(decode_json(_read(args.file)))
     f = _pwl.pwl_to_formula_1d(w)
     _emit(args, {"formula": print_formula(f)}, print_formula(f))
     return 0

@@ -107,21 +107,32 @@ def map_eval(s: InducedMap, p) -> tuple:
 
 
 def _compile(images: Sequence[Formula], zero: str, one: str):
-    """The images as one straight-line function (d, x) -> their values at x.
+    """The images as one straight-line program, wrapped as one function.
 
     The program has one line per distinct core node of all the images (one
-    fold memo) and reads the Lukasiewicz chain from zero to one: x_i is x[i],
-    star is max(a + b - one, zero) and impl is one if a <= b else one - a + b.
-    Lattice form ("0", "d"): x holds the integer numerators of a point over d.
-    Float form ("0.0", "1.0"): x holds floats and d is unused. The source holds
-    only these names, the ops and integer indices.
+    fold memo) and reads the Lukasiewicz chain from zero to one: star is
+    max(a + b - one, zero) and impl is one if a <= b else one - a + b.
+
+    Lattice form ("0", "d"): the function (d, x) -> the images' values at x,
+    where x holds the integer numerators of a point over d and x_i is x[i].
+
+    Float form ("0.0", "1.0"): the whole loop of empirical_statistics, as the
+    function (random, iterations, g, dither, x0, ..., x_{n-1}) -> counts,
+    with x_i a local float. Each of the iterations runs the program, sets
+    each x_i in coordinate order to its image plus one draw of
+    (random() - 0.5) * 2.0 * dither, clamped to [0, 1], and adds one to the
+    count of the box whose indices are min(int(x_i * g), g - 1); counts is
+    one flat list of the g**n boxes in itertools.product's order.
+
+    The source holds only these names, the ops and integer indices.
     """
+    lattice = one == "d"
     lines = []
 
     def step(node: Formula, a=None, b=None) -> str:
         op = node.op
         if op == "var":
-            expr = f"x[{node.index}]"
+            expr = f"x[{node.index}]" if lattice else f"x{node.index}"
         elif op == "zero":
             expr = zero
         elif op == "one":
@@ -130,13 +141,29 @@ def _compile(images: Sequence[Formula], zero: str, one: str):
             expr = f"max({a} + {b} - {one}, {zero})"
         else:
             expr = f"{one} if {a} <= {b} else {one} - {a} + {b}"
-        lines.append(f"    v{len(lines)} = {expr}")
+        lines.append(f"v{len(lines)} = {expr}")
         return f"v{len(lines) - 1}"
 
     cores = [g.core() for g in images]   # alive while the memo keys them
     memo: dict = {}
     outputs = [fold(c, step, memo=memo) for c in cores]
-    source = "def _run(d, x):\n" + "\n".join(lines) + f"\n    return ({', '.join(outputs)},)\n"
+    if lattice:
+        head, indent = ["def _run(d, x):"], "    "
+        tail = [f"    return ({', '.join(outputs)},)"]
+    else:
+        xs = [f"x{i}" for i in range(len(outputs))]
+        for x, v in zip(xs, outputs):
+            lines += [f"t = {v} + (random() - 0.5) * 2.0 * dither",
+                      "t = t if t > 0.0 else 0.0", f"{x} = t if t < 1.0 else 1.0"]
+        for i, x in enumerate(xs):
+            lines += [f"b = int({x} * g)", "if b > m:", "    b = m",
+                      "k = k * g + b" if i else "k = b"]
+        lines.append("counts[k] += 1")
+        head = [f"def _run(random, iterations, g, dither, {', '.join(xs)}):",
+                "    m = g - 1", f"    counts = [0] * g ** {len(xs)}",
+                "    for _ in range(iterations):"]
+        tail, indent = ["    return counts"], "        "
+    source = "\n".join([*head, *(indent + line for line in lines), *tail]) + "\n"
     scope: dict = {}
     exec(source, scope)
     return scope["_run"]
@@ -469,23 +496,16 @@ def empirical_statistics(s: InducedMap, start, iterations: int, box_grid: int,
     _check_covers(s, 1)
     n = s.arity
     cap_points([box_grid], "boxes of the statistics table", n)
-    run = _compile(s.images, "0.0", "1.0")   # the float form of s's program
-    rng = random.Random(seed)
     x = [float(v) for v in _cube_point(start, n)]
-    counts: dict[tuple, int] = {}
+    run = _compile(s.images, "0.0", "1.0")   # the whole loop, in floats
     dither = 2.0 ** -40
-    for _ in range(iterations):
-        y = run(None, x)
-        x = [min(1.0, max(0.0, c + (rng.random() - 0.5) * 2.0 * dither))
-             for c in y]
-        box = tuple(min(int(c * box_grid), box_grid - 1) for c in x)
-        counts[box] = counts.get(box, 0) + 1
+    counts = run(random.Random(seed).random, iterations, box_grid, dither, *x)
     volume = 1.0 / box_grid ** n
     table = []
     discrepancy = 0.0
-    for idx in itertools.product(range(box_grid), repeat=n):
-        freq = counts.get(idx, 0) / iterations
-        table.append({"box": list(idx), "count": counts.get(idx, 0),
+    for idx, count in zip(itertools.product(range(box_grid), repeat=n), counts):
+        freq = count / iterations
+        table.append({"box": list(idx), "count": count,
                       "frequency": freq, "volume": volume})
         discrepancy = max(discrepancy, abs(freq - volume))
     return {"iterations": iterations, "box_grid": box_grid, "dither": dither,

@@ -11,6 +11,7 @@ packed integer truth tables on the two-element chain.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 import re
@@ -277,6 +278,20 @@ def json_field(obj, key: str, convert: Callable):
         return convert(obj[key])
     except (TypeError, ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
         raise ValueError(f"ill-typed field {key!r}: {type(exc).__name__}: {exc}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its pairs; a repeated key is refused, not merged."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+# json.loads for every JSON text mvdyn reads: a repeated key in any object
+# raises ValueError naming it, where json.loads keeps the last value
+decode_json = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 # -- parser -------------------------------------------------------------------

@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence, Union
 from . import pwl as _pwl
 from .formula import (
     Formula, Var, Star, ONE, OutOfReach, Substitution, apply_substitution, _countermodel,
-    arity_of, boolean_table, json_field, parse_formula, print_formula, variable_index,
-    TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
+    arity_of, boolean_table, decode_json, json_field, parse_formula, print_formula,
+    variable_index, TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
 
 
@@ -343,29 +343,19 @@ def _line_from_json(obj, memo: dict) -> ProofLine:
     raise ValueError(f"unknown justification {j!r}")
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object from its pairs; a repeated key is refused, not merged."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
-    return obj
-
-
 def proof_from_jsonl(text: str, hypotheses: Sequence[Formula] = ()) -> Proof:
     """The proof that proof_to_jsonl wrote. A malformed line raises ValueError
     that names its proof line number (blank lines do not count) and its field;
     a text with no proof line raises one too. Every formula, sigmas' too, is
     parsed through one group memo, so each distinct group is parsed once."""
     memo: dict = {}
-    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
     lines = []
     for raw in text.splitlines():
         raw = raw.strip()
         if not raw:
             continue
         try:
-            lines.append(_line_from_json(decode(raw), memo))
+            lines.append(_line_from_json(decode_json(raw), memo))
         except ValueError as exc:
             raise ValueError(f"line {len(lines) + 1}: {exc}") from None
     if not lines:

@@ -441,6 +441,35 @@ def test_pwl_synthesize_missing_field_exits_one(capsys, tmp_path):
     assert err.startswith("error: ") and "'vertices'" in err and err.count("\n") == 1
 
 
+ALGEBRA_BOOL = '"names": ["0", "1"], "star": [[0, 0], [0, 1]], "impl": [[1, 1], [0, 1]]'
+PWL_IDENTITY = '"vertices": [[["0", "1"]], [["1", "1"]]], "cells": [[0, 1]]'
+
+
+@pytest.mark.parametrize("command, text, key", [
+    (["filters", "--algebra", "@{path}"], '{%s, "zero": 0, "one": 0, "one": 1}' % ALGEBRA_BOOL,
+     "one"),
+    (["filters", "--algebra", "-"], '{%s, "zero": 0, "one": 0, "one": 1}' % ALGEBRA_BOOL, "one"),
+    (["pwl", "synthesize", "{path}"],
+     '{"dim": 2, "dim": 1, %s, "pieces": [{"a": [1], "b": 0}]}' % PWL_IDENTITY, "dim"),
+    (["pwl", "synthesize", "{path}"],
+     '{"dim": 1, %s, "pieces": [{"a": [1], "b": 1, "b": 0}]}' % PWL_IDENTITY, "b"),
+], ids=["algebra-file", "algebra-stdin", "pwl", "pwl-piece"])
+def test_a_repeated_json_key_is_refused_not_merged(capsys, monkeypatch, tmp_path,
+                                                   command, text, key):
+    # json.loads alone would keep the last value and read each text as valid
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = capture(capsys, [arg.format(path=path) for arg in command])
+    _one_error_line(code, out, err)
+    assert f"repeated key {key!r}" in err
+    # the same text with the first of the two pairs removed is read
+    single = text.replace('"one": 0, ', "").replace('"dim": 2, ', "").replace('"b": 1, ', "")
+    path.write_text(single, encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(single))
+    assert capture(capsys, [arg.format(path=path) for arg in command])[0] == 0
+
+
 def _one_error_line(code, out, err):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

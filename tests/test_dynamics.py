@@ -764,6 +764,128 @@ def test_empirical_statistics_deterministic(tent_map):
     assert a != c
 
 
+def float_program(images):
+    """The images' values at a float point x, by one walk of their shared core
+    DAG with the float program's ops: star is max(a + b - 1.0, 0.0) and impl
+    is 1.0 if a <= b else 1.0 - a + b."""
+    nodes = []
+
+    def step(node, a=None, b=None):
+        nodes.append((node.op, node.index if node.op == "var" else a, b))
+        return len(nodes) - 1
+
+    memo = {}
+    cores = [g.core() for g in images]
+    outputs = [formula.fold(c, step, memo=memo) for c in cores]
+
+    def run(x):
+        v = []
+        for op, a, b in nodes:
+            if op == "var":
+                v.append(x[a])
+            elif op in ("zero", "one"):
+                v.append(0.0 if op == "zero" else 1.0)
+            elif op == "star":
+                v.append(max(v[a] + v[b] - 1.0, 0.0))
+            else:
+                v.append(1.0 if v[a] <= v[b] else 1.0 - v[a] + v[b])
+        return [v[i] for i in outputs]
+
+    return run
+
+
+def reference_statistics(s, start, iterations, box_grid, seed=0):
+    """empirical_statistics one step at a time: each step evaluates the
+    images, dithers and clamps each coordinate in order, and counts the box
+    in a dict keyed by its index tuple."""
+    n = s.arity
+    run = float_program(s.images)
+    rng = random.Random(seed)
+    x = [float(v) for v in start]
+    counts = {}
+    dither = 2.0 ** -40
+    for _ in range(iterations):
+        y = run(x)
+        x = [min(1.0, max(0.0, c + (rng.random() - 0.5) * 2.0 * dither)) for c in y]
+        box = tuple(min(int(c * box_grid), box_grid - 1) for c in x)
+        counts[box] = counts.get(box, 0) + 1
+    volume = 1.0 / box_grid ** n
+    table = []
+    discrepancy = 0.0
+    for idx in itertools.product(range(box_grid), repeat=n):
+        freq = counts.get(idx, 0) / iterations
+        table.append({"box": list(idx), "count": counts.get(idx, 0),
+                      "frequency": freq, "volume": volume})
+        discrepancy = max(discrepancy, abs(freq - volume))
+    return {"iterations": iterations, "box_grid": box_grid, "dither": dither,
+            "table": table, "discrepancy": discrepancy}
+
+
+def random_images(n):
+    """n random images over x0..x_{n-1}, the constants 0 and 1 among the leaves."""
+    leaves = st.sampled_from([formula.ZERO, formula.ONE, *map(Var, range(n))])
+    formulas = st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(Neg), st.builds(lambda op, a, b: op(a, b),
+                                st.sampled_from([Star, Impl, And, OPlus]), sub, sub)),
+        max_leaves=6)
+    return st.lists(formulas, min_size=n, max_size=n)
+
+
+STATISTICS_MAPS = {"tent": tent_substitution(), "tent-pair": tent_pair(),
+                   "odometer:3": odometer_substitution(3),
+                   "rotation": rotation_homeomorphism()[0],
+                   "zero": Substitution([formula.ZERO]), "one": Substitution([formula.ONE])}
+coordinates = st.one_of(st.sampled_from([F(0), F(1)]),
+                        st.fractions(min_value=0, max_value=1, max_denominator=50))
+
+
+@st.composite
+def statistics_cases(draw):
+    """(substitution, start): a named map, or random images of 1 or 2 variables."""
+    name = draw(st.sampled_from([*STATISTICS_MAPS, "random"]))
+    if name == "random":
+        sigma = Substitution(draw(st.integers(1, 2).flatmap(random_images)))
+    else:
+        sigma = STATISTICS_MAPS[name]
+    return sigma, draw(st.tuples(*[coordinates] * sigma.arity))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example((STATISTICS_MAPS["tent"], (F(1, 3),)), 3000, 6, 7)
+@example((STATISTICS_MAPS["tent-pair"], (F(0), F(1))), 3000, 4, 7)
+@example((STATISTICS_MAPS["rotation"], (F(1, 3), F(1, 7))), 3000, 5, 1)
+@example((STATISTICS_MAPS["odometer:3"], (F(1), F(0), F(1, 2))), 3000, 3, 2)
+@example((STATISTICS_MAPS["one"], (F(0),)), 3000, 1, 0)
+@given(statistics_cases(), st.integers(1, 3000), st.integers(1, 6), st.integers(0, 2 ** 32))
+def test_statistics_are_the_reference_loops(case, iterations, box_grid, seed):
+    sigma, start = case
+    s = induced_map(sigma)
+    assert (empirical_statistics(s, start, iterations, box_grid, seed)
+            == reference_statistics(s, start, iterations, box_grid, seed))
+
+
+@pytest.mark.parametrize("subst, start", [
+    (tent_substitution(), (F(1, 3),)),
+    (tent_pair(), (F(1, 3), F(1, 7))),
+    (odometer_substitution(3), (F(0), F(1), F(1, 2))),
+], ids=["tent", "tent-pair", "odometer3"])
+def test_statistics_draw_once_per_coordinate_and_compile_once(monkeypatch, subst, start):
+    s = induced_map(subst)
+    draws, compiles = [], []
+    draw, compile_ = random.Random.random, dynamics._compile
+    monkeypatch.setattr(random.Random, "random", lambda rng: draws.append(1) or draw(rng))
+    monkeypatch.setattr("mvdyn.dynamics._compile",
+                        lambda *args: compiles.append(args) or compile_(*args))
+    for calls, iterations in enumerate((1, 7, 500), start=1):
+        draws.clear()
+        rep = empirical_statistics(s, start, iterations, 3, seed=calls)
+        assert len(draws) == iterations * s.arity
+        assert len(compiles) == calls
+        assert sum(row["count"] for row in rep["table"]) == iterations
+    monkeypatch.undo()
+    assert rep == reference_statistics(s, start, 500, 3, seed=3)
+
+
 def test_average_truth_value_tent():
     avg = average_truth_value(Var(0), 3, tent_substitution(), [(F(0), F(1, 4))])
     assert avg["sequence"] == [F(1, 8), F(1, 4), F(1, 2), F(1, 2)]
