@@ -115,6 +115,7 @@ def _compile(images: Sequence[Formula], zero: str, one: str):
 
     Lattice form ("0", "d"): the function (d, x) -> the images' values at x,
     where x holds the integer numerators of a point over d and x_i is x[i].
+    With one image, x is the one numerator, an int, and so is the value.
 
     Float form ("0.0", "1.0"): the whole loop of empirical_statistics, as the
     function (random, iterations, g, dither, x0, ..., x_{n-1}) -> counts,
@@ -127,12 +128,13 @@ def _compile(images: Sequence[Formula], zero: str, one: str):
     The source holds only these names, the ops and integer indices.
     """
     lattice = one == "d"
+    single = lattice and len(images) == 1
     lines = []
 
     def step(node: Formula, a=None, b=None) -> str:
         op = node.op
         if op == "var":
-            expr = f"x[{node.index}]" if lattice else f"x{node.index}"
+            expr = "x" if single else f"x[{node.index}]" if lattice else f"x{node.index}"
         elif op == "zero":
             expr = zero
         elif op == "one":
@@ -149,7 +151,7 @@ def _compile(images: Sequence[Formula], zero: str, one: str):
     outputs = [fold(c, step, memo=memo) for c in cores]
     if lattice:
         head, indent = ["def _run(d, x):"], "    "
-        tail = [f"    return ({', '.join(outputs)},)"]
+        tail = [f"    return {outputs[0]}" if single else f"    return ({', '.join(outputs)},)"]
     else:
         xs = [f"x{i}" for i in range(len(outputs))]
         for x, v in zip(xs, outputs):
@@ -200,10 +202,10 @@ class Orbit:
 def _reduced_fraction(k: int, d: int) -> Fraction:
     """k/d for d > 0 as the reduced Fraction that Fraction(k, d) makes.
 
-    The one place that knows Fraction's two slots: one gcd gives the reduced
+    The one place that sets Fraction's two slots: one gcd gives the reduced
     numerator and denominator, set on a bare instance as CPython's own
     Fraction._from_coprime_ints (3.12+) does, without the constructor's
-    dispatch on its arguments' types.
+    dispatch on its arguments' types. _lattice_points reads _denominator back.
     """
     g = math.gcd(k, d)
     x = object.__new__(Fraction)
@@ -212,15 +214,28 @@ def _reduced_fraction(k: int, d: int) -> Fraction:
     return x
 
 
-def _lattice_points(columns, d: int) -> tuple:
-    """The points k/d of the lattice (1/d)Z^n whose coordinates' numerators
-    are the n >= 1 columns, with one Fraction per distinct numerator."""
+def _lattice_points(ks, n: int, d: int) -> tuple:
+    """(points, denominators) of the lattice points ks of (1/d)Z^n, in order.
+
+    In one variable a lattice point is its numerator, an int, and makes one
+    Fraction, whose denominator is the point's. In n >= 2 it is a tuple of
+    numerators: one Fraction and denominator per distinct numerator, and a
+    point's denominator is the lcm of its coordinates' ones from that table.
+    """
+    if n == 1:
+        fractions = [_reduced_fraction(k, d) for k in ks]
+        return (tuple([(x,) for x in fractions]),
+                tuple([x._denominator for x in fractions]))
+    columns = tuple(zip(*ks))
     fraction = {k: _reduced_fraction(k, d) for k in set().union(*columns)}
-    return tuple(zip(*[map(fraction.__getitem__, c) for c in columns]))
+    den = {k: x._denominator for k, x in fraction.items()}
+    return (tuple(zip(*[map(fraction.__getitem__, c) for c in columns])),
+            tuple(map(math.lcm, *[map(den.__getitem__, c) for c in columns])))
 
 
 def _lattice_step(s: InducedMap, d: int):
-    """s on the lattice (1/d)Z^n, as a function on integer numerators.
+    """s on the lattice (1/d)Z^n, as a function on integer numerators: an
+    int in one variable, a tuple of n ints in n >= 2.
 
     A McNaughton function has integer coefficients, so s sends k/d to a
     point over the same d: the step is the integral geometric form's
@@ -252,20 +267,19 @@ def orbit(s: InducedMap, p, max_steps: int = 10000) -> Orbit:
     """Iterate exactly until the first repeated point or the step budget.
 
     A start of denominator d stays on the lattice (1/d)Z^n, so the orbit
-    steps integer numerators over d (_lattice_step) and builds its points
-    once, at the end; each point's denominator is read off its coordinates.
+    steps integer numerators over d (_lattice_step), plain ints in one
+    variable, and builds its points and their denominators once, at the end,
+    in one pass (_lattice_points).
     """
     if max_steps < 0:
         raise ValueError("max_steps must be at least 0")
     _check_covers(s, 1)
-    start = _cube_point(p, s.arity)
+    n = s.arity
+    start = _cube_point(p, n)
     d = denominator(start)
-    index, pre = _iterate(_lattice_step(s, d), tuple(int(v * d) for v in start), max_steps)
-    points = _lattice_points(tuple(zip(*index)), d)
-    if s.arity == 1:
-        dens = tuple([x.denominator for x, in points])
-    else:
-        dens = tuple(map(math.lcm, *[[x.denominator for x in c] for c in zip(*points)]))
+    ks = [int(v * d) for v in start]
+    index, pre = _iterate(_lattice_step(s, d), ks[0] if n == 1 else tuple(ks), max_steps)
+    points, dens = _lattice_points(index, n, d)
     if pre is None:
         return Orbit(start, points, "truncated", None, None, dens)
     return Orbit(start, points + (points[pre],), "cycle", pre, len(points) - pre,
@@ -277,7 +291,7 @@ def full_rational_orbit(n: int, d: int) -> list:
     if d < 1 or n < 1:
         raise ValueError("need n >= 1 and d >= 1")
     cap_points([d + 1], "points of denominator dividing d", n)
-    return list(_lattice_points(tuple(zip(*_box_points([range(d + 1)] * n))), d))
+    return list(_lattice_points(_box_points([range(d + 1)] * n), n, d)[0])
 
 
 def _extended_gcd_chain(values: Sequence[int]):
@@ -440,7 +454,10 @@ class BoxHit:
 
 
 def _box_points(numerators) -> list:
-    """The numerator tuples of a box's grid points, one range per axis."""
+    """A box's grid points as lattice points, from one range of numerators
+    per axis: the ints of the range for one axis, else the numerator tuples."""
+    if len(numerators) == 1:
+        return list(numerators[0])
     return list(itertools.product(*numerators))
 
 
@@ -450,8 +467,8 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
     """First (h, k, grid witness) with R^k(Q^h(a)) in the target box.
 
     The witnesses k/g lie on (1/g)Z^n, so both maps step integer numerators
-    over g (_lattice_step). Sound but incomplete: a miss at the given
-    resolution proves nothing.
+    over g (_lattice_step), plain ints in one variable. Sound but incomplete:
+    a miss at the given resolution proves nothing.
     """
     g = grid_denominator
     if g < 1:
@@ -470,11 +487,13 @@ def box_hitting_search(q_map: InducedMap, r_map: InducedMap, a_box, b_box,
     cap_points([len(axis) for axis in sources], "grid points of the source box")
     starts = q_iter = _box_points(sources)
     q_step, r_step = _lattice_step(q_map, g), _lattice_step(r_map, g)
+    inside = (targets[0].__contains__ if n == 1
+              else lambda x: all(map(range.__contains__, targets, x)))
     for h in range(h_max + 1):
         for start, x in zip(starts, q_iter):
             for k in range(k_max + 1):
-                if all(v in axis for v, axis in zip(x, targets)):
-                    return BoxHit(h, k, *_lattice_points(tuple(zip(start, x)), g))
+                if inside(x):
+                    return BoxHit(h, k, *_lattice_points((start, x), n, g)[0])
                 x = r_step(x)
         if h < h_max:
             q_iter = [q_step(x) for x in q_iter]

@@ -484,9 +484,11 @@ class PWLMap:
 
         An integral piece x -> A x + b sends k/d to (A k + b d)/d, so step(k)
         returns the numerators of value(k/d) over the same d, and an orbit
-        never leaves the lattice. Point location compares integers only: a
-        bisect over floor(r d) of the right cell ends r in dimension 1, the
-        signs of each cell's integer half-planes at k in dimension 2.
+        never leaves the lattice. In dimension 1 a point is its numerator, an
+        int, and step is k -> a k + c; in dimension 2 it is the pair (x, y).
+        Point location compares integers only: a bisect over floor(r d) of the
+        right cell ends r in dimension 1, the signs of each cell's integer
+        half-planes at k in dimension 2.
         """
         if not all(m.is_integral for m in self.maps):
             return None
@@ -497,8 +499,8 @@ class PWLMap:
                       for j, _ in bounds]
 
             def step(k):
-                a, c = pieces[bisect.bisect_left(ends, k[0])]
-                return (a * k[0] + c,)
+                a, c = pieces[bisect.bisect_left(ends, k)]
+                return a * k + c
             return step
 
         cells = []

@@ -127,7 +127,30 @@ def test_lattice_step_matches_value_on_the_grid(tent_map):
         step = s.pwl.lattice_step(d)
         for p in full_rational_orbit(s.arity, d):
             k = tuple(int(v * d) for v in p)
-            assert tuple(F(x, d) for x in step(k)) == s.pwl.value(p) == map_eval(s, p)
+            image = (step(k[0]),) if s.arity == 1 else step(k)
+            assert tuple(F(x, d) for x in image) == s.pwl.value(p) == map_eval(s, p)
+
+
+def test_a_one_variable_lattice_point_is_an_int(tent_map, monkeypatch):
+    # 7/35 -> 14/35 by the integral form's step and by the one-image program
+    step, run = tent_map.pwl.lattice_step(35), dynamics._compile(tent_map.images, "0", "d")
+    assert type(step(7)) is int and step(7) == 14
+    assert type(run(35, 7)) is int and run(35, 7) == 14
+    ks = dynamics._box_points([range(3, 6)])
+    assert ks == [3, 4, 5] and all(type(k) is int for k in ks)
+    walks = []
+    iterate = dynamics._iterate
+
+    def spy(step, start, max_steps):
+        index, pre = iterate(step, start, max_steps)
+        walks.append(list(index))
+        return index, pre
+
+    monkeypatch.setattr("mvdyn.dynamics._iterate", spy)
+    for s in (tent_map, InducedMap(1, tent_map.images, None)):
+        assert orbit(s, (F(1, 5),)).points == ((F(1, 5),), (F(2, 5),), (F(4, 5),), (F(2, 5),))
+    assert walks == [[1, 2, 4]] * 2
+    assert all(type(k) is int for walk in walks for k in walk)
 
 
 def test_odometer_orbit_walks_the_formulas():
@@ -708,6 +731,49 @@ def test_box_hitting_on_the_lattice_matches_the_formula_walk(tent_map):
                 assert hit == box_hitting_search(walk, walk, *boxes, 3, 3, g)
                 hits += hit is not None
     assert 0 < hits < 40
+
+
+def reference_box_search(q_map, r_map, a_box, b_box, h_max, k_max, g):
+    """The first (h, k, witness) by the reference: the source box's grid points
+    as Fraction tuples in product order, each step one map_eval."""
+    axes = [[F(k, g) for k in range(math.ceil(lo * g), math.floor(hi * g) + 1)]
+            for lo, hi in a_box]
+    starts = q_iter = list(itertools.product(*axes))
+    for h in range(h_max + 1):
+        for start, x in zip(starts, q_iter):
+            for k in range(k_max + 1):
+                if all(lo <= v <= hi for v, (lo, hi) in zip(x, b_box)):
+                    return dynamics.BoxHit(h, k, start, x)
+                x = map_eval(r_map, x)
+        if h < h_max:
+            q_iter = [map_eval(q_map, x) for x in q_iter]
+    return None
+
+
+BOX_MAPS = {"tent": induced_map(tent_substitution()), "flip": induced_map(flip_substitution()),
+            "tent-pair": induced_map(tent_pair()), "rotation": rotation_homeomorphism()[0]}
+
+
+@st.composite
+def box_search_cases(draw):
+    """(map, source box, target box, grid): boxes with ends on the grid (1/g)Z."""
+    s = BOX_MAPS[draw(st.sampled_from(sorted(BOX_MAPS)))]
+    g = draw(st.integers(1, 12))
+    ends = st.lists(st.integers(0, g), min_size=2, max_size=2, unique=True).map(sorted)
+    boxes = [[(F(lo, g), F(hi, g)) for lo, hi in draw(st.lists(ends, min_size=s.arity,
+                                                               max_size=s.arity))]
+             for _ in range(2)]
+    return s, *boxes, g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example((BOX_MAPS["tent-pair"], [(F(1, 5), F(2, 5))] * 2, [(F(4, 5), F(1))] * 2, 10), 3, 3)
+@example((BOX_MAPS["flip"], [(F(0), F(1, 12))], [(F(1, 6), F(5, 6))], 12), 3, 3)
+@given(box_search_cases(), st.integers(0, 3), st.integers(0, 3))
+def test_box_hitting_is_the_reference_search(case, h_max, k_max):
+    s, a_box, b_box, g = case
+    assert (box_hitting_search(s, s, a_box, b_box, h_max, k_max, g)
+            == reference_box_search(s, s, a_box, b_box, h_max, k_max, g))
 
 
 def test_box_hitting_identity_misses():
