@@ -28,7 +28,10 @@ from .pwl import (
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-CELL_BUDGET = 600     # most cells in the geometric form of an induced map
+# most cells in each compiled row of a geometric form; stacking the rows is
+# held only to the refinement work (pwl._charge), so the form of x0 -> tent^3(x0),
+# x1 -> tent^3(x1) has 940 cells from two rows of 54
+CELL_BUDGET = 600
 PIECE_CAP = 20000     # most pieces in one iterate of average_truth_value
 
 

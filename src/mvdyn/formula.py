@@ -308,9 +308,9 @@ _BINARY = {
 }
 _INFIX = {symbol: (level, ctor) for level, symbol, ctor in _BINARY.values()}
 
-# One token per match: a variable, a connective, a constant, '!', '(' or ')',
-# else any one non-space character, an error (regex \s is str.isspace).
-_TOKEN = re.compile(r"x[0-9]+|->|\(\+\)|[01!()*&|]|\S")
+# One token per match: a variable, a connective, a constant, a run of '!',
+# '(' or ')', else any one non-space character, an error (regex \s is str.isspace).
+_TOKEN = re.compile(r"x[0-9]+|->|\(\+\)|!+|[01()*&|]|\S")
 # The '(' and ')' that open and close groups: not those of '(+)'.
 _PARENS = re.compile(r"(\((?!\+\))|(?<!\(\+)\))")
 _MAX_INDEX_DIGITS = 4300  # the longest decimal string int() reads by default
@@ -339,10 +339,13 @@ def _reduce(operands: list, pending: list, level: int) -> None:
         operands[-1] = _INFIX[pending.pop()][1](operands[-1], right)
 
 
-def _parse_tokens(tokens: list) -> Formula:
-    """Operator-precedence parse on two lists, operands and pending '!', '(' and
-    binary connectives, not on the call stack: any depth of nesting parses. A
-    Formula among the tokens is an operand: a group parsed before."""
+def _parse_tokens(tokens: list, chains: dict) -> Formula:
+    """Operator-precedence parse on two lists, operands and pending runs of '!',
+    '(' and binary connectives, not on the call stack: any depth of nesting
+    parses. A Formula among the tokens is an operand: a group parsed before.
+    The runs of '!' before an operand x, k in all, give Neg^k(x), read from the
+    chain [x, !x, !!x, ...] that chains keeps under id(x) and extends as needed;
+    the chain holds x, so the id stays unique while chains lives."""
     operands: list[Formula] = []
     pending: list[str] = []
     open_parens = 0
@@ -351,7 +354,7 @@ def _parse_tokens(tokens: list) -> Formula:
         if not after_operand:
             if tok.__class__ is not str:
                 operands.append(tok)
-            elif tok == "!" or tok == "(":
+            elif tok[0] == "!" or tok == "(":
                 pending.append(tok)
                 open_parens += tok == "("
                 continue
@@ -376,9 +379,14 @@ def _parse_tokens(tokens: list) -> Formula:
             raise _Stuck(i, [_TOKEN_NAMES[")"] if open_parens else "end of input"])
         after_operand = True
         # an operand is complete, or a parenthesis closed: apply the ! pending before it
-        while pending and pending[-1] == "!":
-            pending.pop()
-            operands[-1] = Neg(operands[-1])
+        k = 0
+        while pending and pending[-1][0] == "!":
+            k += len(pending.pop())
+        if k:
+            chain = chains.setdefault(id(operands[-1]), [operands[-1]])
+            while len(chain) <= k:
+                chain.append(Neg(chain[-1]))
+            operands[-1] = chain[k]
     if not after_operand or open_parens:
         raise _Stuck(len(tokens), [_TOKEN_NAMES[")"]] if after_operand else _ATOM_STARTS)
     _reduce(operands, pending, 0)
@@ -391,7 +399,7 @@ def _parse_positioned(text: str) -> Formula:
     matches = list(_TOKEN.finditer(text))
     tokens = [m.group() for m in matches]
     for i, tok in enumerate(tokens):
-        if tok not in _TOKEN_NAMES and variable_index(tok) is None:
+        if tok[0] != "!" and tok not in _TOKEN_NAMES and variable_index(tok) is None:
             message, expected = (
                 _BAD_CHARS.get(tok, (f"unexpected character {tok!r}", _ATOM_STARTS))
                 if len(tok) == 1  # else x and more digits than int() reads
@@ -399,11 +407,12 @@ def _parse_positioned(text: str) -> Formula:
             break
     else:
         try:
-            return _parse_tokens(tokens)
+            return _parse_tokens(tokens, {})
         except _Stuck as stuck:
             i, expected = stuck.args
-        message = "unexpected " + (_TOKEN_NAMES.get(tokens[i], "variable") if i < len(tokens)
-                                   else "end of input")
+        message = "unexpected " + (_TOKEN_NAMES.get("!" if tokens[i][0] == "!" else tokens[i],
+                                                    "variable")
+                                   if i < len(tokens) else "end of input")
     pos = matches[i].start() if i < len(tokens) else len(text)
     raise ParseError(message, len(text[:pos].encode("utf-8")), expected)
 
@@ -413,14 +422,16 @@ def parse_formula(text: str, *, memo: Optional[dict] = None) -> Formula:
 
     Each group ( ... ), and the whole text, is keyed by its text segments and
     the nodes of the groups in it, and each distinct group body is parsed once
-    per memo: per call, or across the calls that share the dict memo. Nodes
-    are hash-consed, so a DAG printed as a tree costs its distinct groups, not
-    its tokens. On any error the whole text is parsed again as one token
-    list, which raises the ParseError.
+    per memo: per call, or across the calls that share the dict memo. A run
+    of '!' is one token, and each of its nodes is built once per memo. Nodes
+    are hash-consed, so a DAG printed as a tree costs its distinct groups and
+    runs, not its tokens. On any error the whole text is parsed again as one
+    token list, which raises the ParseError.
     """
     pieces = iter(_PARENS.split(text) + [")", ""])  # the top level closes like a group
-    # group key (a tuple) -> node, and id(node) (an int) -> node for each such
-    # node; holding the nodes keeps the ids in the keys unique while it lives
+    # group key (a tuple) -> node, and id(x) (an int) -> the chain [x, !x, ...]
+    # for each group node and each operand of a run of '!' (see _parse_tokens);
+    # holding the nodes keeps the ids in the keys unique while it lives
     if memo is None:
         memo = {}
     stack = [[]]                      # the items of the groups around this one
@@ -438,10 +449,10 @@ def parse_formula(text: str, *, memo: Optional[dict] = None) -> Formula:
             if node is None:
                 tokens = _TOKEN.findall(items[0])
                 for j in range(1, len(items), 2):
-                    tokens.append(memo[items[j]])
+                    tokens.append(memo[items[j]][0])
                     tokens += _TOKEN.findall(items[j + 1])
-                node = memo[key] = _parse_tokens(tokens)
-                memo[id(node)] = node
+                node = memo[key] = _parse_tokens(tokens, memo)
+                memo.setdefault(id(node), [node])
             items = stack.pop()
             items += (id(node), segment)
         if not stack:

@@ -626,6 +626,7 @@ def test_parser_raises_the_reference_error_on_mutated_text(text):
     "x0 (+ x1)", "x0 (+)(+) x1", "((+) x1)", "(x0)(+)(x1))", "!" * 40, "x0 ->" * 30,
     "(" * 50 + "x0" + ")" * 49, "x0 @ (x1", " x0 x1", "x0 -> x1 -",
     "x0) * (x1", "(x0)) -> ((x1)", "x0" + " " * 300 + ") * (x1", ") (x0)",
+    "x0 !!", "!!)", "(!!!", "!! (+) x0", "x0 * !!",
 ])
 def test_parser_matches_the_reference_on_malformed_text(text):
     assert assert_parses_as_reference(text) is None
@@ -644,7 +645,7 @@ def test_each_distinct_group_is_parsed_once(monkeypatch):
     calls = []
     real = formula_module._parse_tokens
     monkeypatch.setattr(formula_module, "_parse_tokens",
-                        lambda tokens: calls.append(len(tokens)) or real(tokens))
+                        lambda tokens, chains: calls.append(len(tokens)) or real(tokens, chains))
     assert parse_formula(text) is line
     # one parse per distinct group body and one for the top level: a few
     # hundred tokens, against about 500 parentheses and 6,000 tokens in the text

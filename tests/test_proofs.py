@@ -161,6 +161,34 @@ def test_mp_conclusion_mismatch():
     assert not check_proof(Proof((X0, Impl(X0, X1)), lines))
 
 
+@pytest.mark.parametrize("premise, implication, conclusion, valid", [
+    # the implication's sugar differs from the premise's: its node holds
+    # x0 -> 0, not !x0, and only the cores agree
+    ("!x0", "(x0 -> 0) -> x1", "x1", True),
+    ("x0 -> 0", "!x0 -> x1", "x1", True),
+    # a (+) b is !a -> b: no impl node at all until desugared
+    ("!x0", "x0 (+) x1", "x1", True),
+    ("!x0", "x0 (+) x1", "x2", False),
+    ("x1", "(x0 -> 0) -> x1", "x1", False),
+    ("!x0", "x0 & x1", "x1", False),
+])
+def test_mp_falls_back_to_the_cores_when_the_nodes_differ(premise, implication,
+                                                          conclusion, valid):
+    hyps = (parse_formula(premise), parse_formula(implication))
+    lines = (
+        ProofLine(hyps[0], Hypothesis(0)),
+        ProofLine(hyps[1], Hypothesis(1)),
+        ProofLine(parse_formula(conclusion), ModusPonens(0, 1)),
+    )
+    proof = Proof(hyps, lines)
+    verdict = check_proof(proof)
+    assert (verdict.valid, verdict.line, verdict.reason) == ref_check_proof(proof)
+    assert verdict.valid is valid
+    if not valid:
+        assert verdict.line == 2
+        assert verdict.reason == "line 2 is not an implication from line 1 to this line"
+
+
 def test_substitution_line_mismatch():
     sigma = Substitution([Neg(X0)])
     lines = (
@@ -450,6 +478,55 @@ def test_the_boole_check_walks_each_node_once_per_proof(monkeypatch, hyp):
     low, high = (fold_steps_per_line(monkeypatch, hyp, n) for n in (4, 10))
     assert high <= 2 * low
     assert len(formula_module._NODES) == start
+
+
+def count_calls(monkeypatch, name, run):
+    """run() with formula_module.<name> counted: (its result, the calls)."""
+    calls = 0
+    real = getattr(formula_module, name)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(formula_module, name, counted)
+        return run(), calls
+
+
+@pytest.mark.parametrize("hyp", ["x0", "x0 * x1"])
+def test_the_boole_check_desugars_no_line(monkeypatch, hyp):
+    # every MP line of a derivation, and of its JSONL round trip, holds the
+    # very nodes of its premise and conclusion, so none is desugared
+    proof = derivation(hyp, 4)
+    again = proof_from_jsonl(proof_to_jsonl(proof), hypotheses=proof.hypotheses)
+    for p in (proof, again):
+        verdict, desugared = count_calls(
+            monkeypatch, "_desugar", lambda: check_proof(p, None, oracle="boole"))
+        assert verdict.valid
+        assert desugared == 0
+
+
+def test_reading_a_proof_builds_each_negation_once(monkeypatch):
+    """Input: the derivation of !x0 from x0 at n = 6 (254 distinct nodes,
+    about 250 KB). Measure: Neg calls of proof_from_jsonl against the distinct
+    neg nodes of the proof (72). Bound: one call per node; one call per '!'
+    of the text would make 180,779."""
+    proof = derivation("x0", 6)
+    text = proof_to_jsonl(proof)
+    back, calls = count_calls(
+        monkeypatch, "Neg", lambda: proof_from_jsonl(text, hypotheses=proof.hypotheses))
+    memo = {}
+    for line in back.lines:
+        formula_module.fold(line.formula, lambda node, *kids: node, memo=memo)
+        if isinstance(line.justification, Substituted):
+            for g in line.justification.sigma.images:
+                formula_module.fold(g, lambda node, *kids: node, memo=memo)
+    negations = sum(node.op == "neg" for node in memo.values())
+    assert all(a.formula is b.formula for a, b in zip(back.lines, proof.lines))
+    assert 0 < calls <= negations
+    assert text.count("!") > 100 * negations
 
 
 # -- semantic consequence --------------------------------------------------------------
