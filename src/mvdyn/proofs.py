@@ -173,9 +173,7 @@ def check_proof(proof: Proof, axioms: Optional[AxiomSet] = None,
     The boole oracle's truth tables share one memo per variable count, and
     substitution lines one memo per tuple of images (by identity), so each
     distinct node of the proof is tabled, and substituted by each sigma, once.
-    The proof keeps every key node alive; the memos die with the call.
-    Equal trees with the same sugar are one node, so an MP line is checked on
-    its nodes by identity first, and desugared only when they differ."""
+    The proof keeps every key node alive; the memos die with the call."""
     lines = proof.lines
     tables: dict[int, dict] = {}
     substituted: dict[tuple, dict] = {}
@@ -203,10 +201,8 @@ def check_proof(proof: Proof, axioms: Optional[AxiomSet] = None,
             if not (0 <= k < idx and 0 <= m < idx):
                 return ProofVerdict(False, idx, "MP references a later or missing line")
             imp = lines[m].formula
-            if imp.op == "impl" and imp.args[0] is lines[k].formula \
-                    and imp.args[1] is line.formula:
-                continue
-            imp = imp.core()
+            if imp.op != "impl":
+                imp = imp.core()
             if imp.op != "impl" or imp.args[0] != lines[k].formula \
                     or imp.args[1] != line.formula:
                 return ProofVerdict(
