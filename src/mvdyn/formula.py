@@ -5,7 +5,7 @@ primitive connectives * (strong conjunction) and -> (residual implication),
 constants 0 and 1, and sugar connectives !, &, |, (+) that desugar into the
 primitives.
 All evaluation is exact: over fractions.Fraction point by point, and over
-packed integer truth tables on the two-element chain.
+packed integer tables of all points at once on every finite chain.
 """
 
 from __future__ import annotations
@@ -622,14 +622,24 @@ def cap_points(sizes: Sequence[int], what: str, repeat: int = 1) -> None:
         raise ValueError(f"the {count} {what} exceed the cap of {MAX_CHAIN_VALUATIONS}")
 
 
-def _variable_mask(i: int, n: int) -> int:
-    # one period: 2**i zeros then 2**i ones, doubled until it covers all 2**n
-    # positions
-    mask, width = ((1 << (1 << i)) - 1) << (1 << i), 1 << (i + 1)
-    while width < 1 << n:
-        mask |= mask << width
-        width <<= 1
-    return mask
+def _variable_planes(n: int, m: int) -> list[list[int]]:
+    """Plane b of x_i, for each bit b of m: the points of the chain with m steps,
+    (m+1)**n in all, whose digit i in base m+1 (x0 least significant) has bit b
+    set. By doubling: 2**b clear blocks, 2**b set ones, to a period, then to all."""
+    total, planes = (m + 1) ** n, []
+    for i in range(n):
+        block, xs = (m + 1) ** i, []
+        for b in range(m.bit_length()):
+            run = block << b
+            plane, width = ((1 << run) - 1) << run, 2 * run
+            for length in ((m + 1) * block, total):
+                while width < length:
+                    plane |= plane << width
+                    width <<= 1
+                plane, width = plane & ((1 << length) - 1), length
+            xs.append(plane)
+        planes.append(xs)
+    return planes
 
 
 def cap_boolean_table(n: int) -> None:
@@ -653,7 +663,7 @@ def boolean_table(f: Formula, n: int, *, memo: Optional[dict] = None) -> int:
     if f.arity > n:
         raise ValueError(f"formula uses x{f.arity - 1}, beyond n={n}")
     full = (1 << (1 << n)) - 1
-    masks = [_variable_mask(i, n) for i in range(n)]
+    masks = [p[0] for p in _variable_planes(n, 1)]
 
     def step(node: Formula, a=None, b=None) -> int:
         op = node.op
@@ -672,6 +682,54 @@ def boolean_table(f: Formula, n: int, *, memo: Optional[dict] = None) -> int:
         return (~a | b) & full  # impl
 
     return fold(f, step, memo=memo)
+
+
+def _sub(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """a - b with a rippled borrow: (its planes mod 2**len(a), the points where a < b)."""
+    out, borrow = [], 0
+    for x, y in zip(a, b):
+        d = x ^ y
+        out.append(d ^ borrow)
+        borrow = (~x & y) | (~d & borrow)
+    return out, borrow
+
+
+def _chain_step(m: int, base: str, planes: list[list[int]], full: int) -> Callable:
+    """The step on the chain with m >= 2 steps, over x_i's planes: each point's
+    numerator k of its value k/m, plane b where bit b of k is set. A connective,
+    sugar too, is O(log m) plane operations: rippled subtractions and selects."""
+    top = [full if m >> b & 1 else 0 for b in range(m.bit_length())]
+
+    def cut(a, b):  # max(0, a - b)
+        d, below = _sub(a, b)
+        return [x & ~below for x in d]
+
+    def select(mask, a, b):  # a where mask is set, else b
+        return [(x & mask) | (y & ~mask) for x, y in zip(a, b)]
+
+    def step(node: Formula, a=None, b=None) -> list[int]:
+        op = node.op
+        if op == "var":
+            return planes[node.index]
+        if op in ("zero", "one"):
+            return top if op == "one" else [0] * len(top)
+        if op in ("and", "or") or op == "star" and base == "godel":
+            below = _sub(a, b)[1]
+            return select(below, b, a) if op == "or" else select(below, a, b)
+        if base == "godel":
+            if op == "impl":
+                return select(_sub(b, a)[1], b, top)
+            nonzero = reduce(operator.or_, a)
+            return [t & ~nonzero for t in top] if op == "neg" else select(nonzero, top, b)
+        if op == "neg":
+            return _sub(top, a)[0]
+        if op == "star":
+            return cut(a, _sub(top, b)[0])
+        if op == "oplus":  # !a -> b
+            a = _sub(top, a)[0]
+        return _sub(top, cut(a, b))[0]
+
+    return step
 
 
 # -- substitutions ------------------------------------------------------------
@@ -764,39 +822,39 @@ def rationals_up_to(bound: int) -> list[Fraction]:
     return sorted(vals)
 
 
-def _countermodel(delta: Sequence[Formula], f: Formula, sem: TNormSemantics, n: int,
-                  axis: Optional[list] = None) -> tuple[Optional[tuple], Optional[int]]:
-    """Search axis**n, in itertools.product order, for a point where every
-    formula of delta is 1 and f is not: (the first such point, None), or if
-    there is none (None, the number of points where all of delta is 1).
-    Every formula uses only x0..x_{n-1}. The axis defaults to the carrier of
-    the finite chain sem, where two elements make each formula one packed
-    table; an axis given is a grid's. The one cap refuses either first."""
-    if axis is not None:
-        cap_points([len(axis)], "points of the grid", n)
-    else:
-        cap_points([sem.m + 1], "valuations of a finite chain", n)
-        if sem.m == 1:
-            held = reduce(operator.and_, [boolean_table(d, n) for d in delta], (1 << (1 << n)) - 1)
-            bad = held & ~boolean_table(f, n)
-            if not bad:
-                return None, held.bit_count()
-            # itertools.product order varies x0 slowest: fix x0, x1, ... in
-            # turn to 0 whenever some point of bad remains with it
-            point = []
-            for i in range(n):
-                low = bad & ~_variable_mask(i, n)
-                point.append(ZERO_F if low else ONE_F)
-                bad = low or bad
-            return tuple(point), None
-        axis = sem.carrier()
-    held = 0
-    for point in itertools.product(axis, repeat=n):
-        if all(interpret(d, sem, point) == 1 for d in delta):
-            if interpret(f, sem, point) != 1:
-                return point, None
-            held += 1
-    return None, held
+def _countermodel(delta: Sequence[Formula], f: Formula, sem: TNormSemantics,
+                  n: int) -> tuple[Optional[tuple], Optional[int]]:
+    """Search the (m+1)**n valuations of the finite chain sem, in
+    itertools.product order, for a point where every formula of delta is 1
+    and f is not: (the first such point, None), or if there is none (None,
+    the number of points where all of delta is 1). Every formula uses only
+    x0..x_{n-1}. The one cap refuses first. Bit p of a table is the point whose
+    digit i in base m+1 is x_i's numerator; at m = 1 boolean_table is faster."""
+    m = sem.m
+    cap_points([m + 1], "valuations of a finite chain", n)
+    full = (1 << (m + 1) ** n) - 1
+    planes = _variable_planes(n, m)
+    step, memo = _chain_step(m, sem.base, planes, full), {}
+
+    def ones(g: Formula) -> int:  # the points where g is 1
+        if m == 1:
+            return boolean_table(g, n, memo=memo)
+        return full & ~_sub(fold(g, step, memo=memo), step(ONE))[1]
+
+    held = reduce(operator.and_, map(ones, delta), full)
+    bad = held & ~ones(f)
+    if not bad:
+        return None, held.bit_count()
+    # itertools.product order varies x0 slowest: give x0, x1, ... in turn the
+    # least value some point of bad still has, reading its bits from the top
+    point = []
+    for xs in planes:
+        k = 0
+        for plane in reversed(xs):
+            low = bad & ~plane
+            k, bad = (2 * k, low) if low else (2 * k + 1, bad)
+        point.append(Fraction(k, m))
+    return tuple(point), None
 
 
 def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
@@ -831,7 +889,9 @@ def tautology_check(f: Formula, sem: TNormSemantics, method: str = "auto",
         raise ValueError(f"grid_bound must be at least 1, not {grid_bound}")
     cap_points([grid_bound * (grid_bound + 3) // 2], "candidate values p/q of the grid")
     axis = [v for v in rationals_up_to(grid_bound) if sem.contains(v)]
-    point, _ = _countermodel((), f, sem, arity_of(f), axis)
+    cap_points([len(axis)], "points of the grid", f.arity)
+    point = next((p for p in itertools.product(axis, repeat=f.arity)
+                  if interpret(f, sem, p) != 1), None)
     return Verdict("unknown") if point is None else Verdict("countermodel", point)
 
 

@@ -612,7 +612,7 @@ def test_avg_refuses_a_box_off_the_cube_by_name(capsys):
     (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
       "--kmax", "-1"], "k_max", "mvdyn.dynamics._box_points"),
     (["taut", "--logic", "chain:100000000", "x0"], "100000001**1",
-     "mvdyn.formula.TNormSemantics.carrier"),
+     "mvdyn.formula._variable_planes"),
     (["taut", "--logic", "product", "x7 -> (x0 -> x0)"], "13**8", "mvdyn.formula.interpret"),
     (["boxhit", "--q", "tent", "--r", "tent", "--source", "0:1", "--target", "0:1",
       "--grid", "3000000"], "3000001**1", "mvdyn.dynamics._box_points"),

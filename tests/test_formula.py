@@ -18,7 +18,7 @@ from mvdyn.dynamics import empirical_statistics, induced_map
 from mvdyn.formula import (
     Formula, Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, fold,
     ParseError, parse_formula, print_formula, variables_of, arity_of,
-    GODEL, PRODUCT, LUKASIEWICZ, BOOLE, TNormSemantics, chain_semantics, evaluate,
+    GODEL, PRODUCT, LUKASIEWICZ, BOOLE, chain_semantics, evaluate,
     Substitution, apply_substitution, compose_substitutions,
     tautology_check, identity_check, rationals_up_to, boolean_table,
 )
@@ -816,17 +816,17 @@ def test_boolean_table_reads_sugar_like_its_desugaring():
 
 
 def test_chain_valuation_cap_is_checked_before_the_carrier(monkeypatch):
-    real_carrier = TNormSemantics.carrier
+    real_planes = formula_module._variable_planes
 
-    def refused(self):
-        raise AssertionError("the carrier was built past the cap")
+    def refused(*args):
+        raise AssertionError("a variable plane was built past the cap")
 
-    monkeypatch.setattr(TNormSemantics, "carrier", refused)
+    monkeypatch.setattr(formula_module, "_variable_planes", refused)
     with pytest.raises(ValueError, match=r"100000001\*\*1 valuations"):
         tautology_check(X0, chain_semantics(100_000_000))
     with pytest.raises(ValueError, match=r"2\*\*21 valuations"):
         tautology_check(Var(20), BOOLE, method="truth-table")
-    monkeypatch.setattr(TNormSemantics, "carrier", real_carrier)
+    monkeypatch.setattr(formula_module, "_variable_planes", real_planes)
     # the packed Boolean path is under the same cap, which 2**20 valuations meet
     assert tautology_check(Or(Var(19), Neg(Var(19))), BOOLE).is_tautology
     monkeypatch.setattr("mvdyn.formula.MAX_CHAIN_VALUATIONS", 9)

@@ -74,9 +74,9 @@ def test_truth_table_guards():
 
 def test_truth_table_refuses_too_many_variables_before_any_mask(monkeypatch):
     def refused(*args):
-        raise AssertionError("a variable mask was built")
+        raise AssertionError("a variable plane was built")
 
-    monkeypatch.setattr("mvdyn.formula._variable_mask", refused)
+    monkeypatch.setattr("mvdyn.formula._variable_planes", refused)
     with pytest.raises(ValueError, match=r"2\*\*21 valuations"):
         truth_table(Var(0), 21)
     with pytest.raises(ValueError, match="at least 0"):

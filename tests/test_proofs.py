@@ -619,10 +619,10 @@ def test_only_mp_consequence_chooses_a_backend_by_kind():
 
 def test_mp_consequence_chain_cap_is_checked_before_the_carrier(monkeypatch):
     def refused(*args):
-        raise AssertionError("the carrier or a variable mask was built past the cap")
+        raise AssertionError("the carrier or a variable plane was built past the cap")
 
     monkeypatch.setattr(TNormSemantics, "carrier", refused)
-    monkeypatch.setattr("mvdyn.formula._variable_mask", refused)
+    monkeypatch.setattr("mvdyn.formula._variable_planes", refused)
     with pytest.raises(ValueError, match=r"100000001\*\*1 valuations"):
         mp_consequence([X0], X0, chain_semantics(100_000_000))
     with pytest.raises(ValueError, match=r"2\*\*21 valuations"):
@@ -635,12 +635,20 @@ def test_mp_consequence_on_boole_reads_packed_tables(monkeypatch):
 
     monkeypatch.setattr("mvdyn.formula.interpret", refused)
     monkeypatch.setattr(TNormSemantics, "carrier", refused)
-    for sem in (BOOLE, chain_semantics(1, "godel")):
+    for m, base in itertools.product(range(1, 9), ("lukasiewicz", "godel")):
+        sem = chain_semantics(m, base)
         v = mp_consequence([X0, Impl(X0, X1)], X1, sem)
         assert v.certificate == {"method": "finite-valuations", "satisfying_assignments": 1}
         v = mp_consequence([Or(X0, X1)], X0, sem)
         assert (v.status, v.countermodel) == ("no", (Fraction(0), Fraction(1)))
-        assert tautology_check(Or(X2, Neg(X2)), sem).is_tautology
+        assert tautology_check(Or(Impl(X0, X1), Impl(X1, X0)), sem).is_tautology
+        v = tautology_check(Or(X2, Neg(X2)), sem)
+        assert v.point == (None if m == 1 else (0, 0, Fraction(1, m)))
+    # a closed formula has one point however long the chain, and x0 on
+    # 1,999,999 steps has 2,000,000, at the cap: neither builds a carrier
+    v = tautology_check(Impl(ONE, ZERO), chain_semantics(10**9))
+    assert (v.status, v.point) == ("countermodel", ())
+    assert tautology_check(Impl(X0, X0), chain_semantics(1_999_999)).is_tautology
 
 
 def test_mp_consequence_matches_brute_force_on_chain():
@@ -751,6 +759,46 @@ def test_the_one_search_decides_as_the_loops_it_replaced(case):
     assert (got.status, got.countermodel, got.certificate) == ref_chain_consequence(delta, f,
                                                                                       chain)
     assert got.countermodel is None or is_point(got.countermodel)
+
+
+def seeded_formula(rng, n, depth):
+    """A formula over x0..x_{n-1}, 0 and 1, drawn from every connective."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([Var(i) for i in range(n)] + [ZERO, ONE])
+    ctor = rng.choice([Neg, Star, Impl, And, Or, OPlus])
+    if ctor is Neg:
+        return Neg(seeded_formula(rng, n, depth - 1))
+    return ctor(seeded_formula(rng, n, depth - 1), seeded_formula(rng, n, depth - 1))
+
+
+def test_every_chain_is_searched_as_the_point_loop_searches_it():
+    """A fixed sweep: chains m = 1..8 on both bases, every n = 0..4 with at
+    most 729 points, 0 to 3 hypotheses, 8 cases each. mp_consequence and both
+    chain methods of tautology_check give the point loop's verdict, first
+    countermodel and count."""
+    rng = random.Random(36)
+    cases = 0
+    for m, base in itertools.product(range(1, 9), ("lukasiewicz", "godel")):
+        chain, ops = chain_semantics(m, base), set()
+        for n in itertools.takewhile(lambda n: (m + 1) ** n <= 729, range(5)):
+            for _ in range(8):
+                f = seeded_formula(rng, n, 4)
+                delta = [seeded_formula(rng, n, 2) for _ in range(rng.randint(0, 3))]
+                want = ref_point_verdict(f, chain, chain.carrier(), "tautology")
+                for method in ("auto", "truth-table"):
+                    got = tautology_check(f, chain, method=method)
+                    assert (got.status, got.point) == want, (m, base, f)
+                got = mp_consequence(delta, f, chain)
+                assert (got.status, got.countermodel, got.certificate) == \
+                    ref_chain_consequence(delta, f, chain), (m, base, delta, f)
+                stack = [f, *delta]
+                while stack:
+                    node = stack.pop()
+                    ops.add(node.op)
+                    stack.extend(node.args)
+                cases += 1
+        assert ops == {"var", "zero", "one", "star", "impl", "neg", "and", "or", "oplus"}
+    assert cases == 576
 
 
 # -- Lukasiewicz consequence against the clip-and-search reference ----------------------
