@@ -11,9 +11,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .formula import Formula, cap_points, interpret, json_field
+from .formula import Formula, cap_points, interpret, json_field, json_int, json_list
 
 DEFAULT_SIZE_CAP = 64
 
@@ -518,10 +518,10 @@ def algebra_to_json(a: FiniteAlgebra) -> dict:
 
 def algebra_from_json(obj: dict) -> FiniteAlgebra:
     def table(rows):
-        return [[int(x) for x in row] for row in rows]
+        return [list(map(json_int, json_list(row))) for row in json_list(rows)]
 
-    a = FiniteAlgebra(json_field(obj, "names", list),
+    a = FiniteAlgebra(json_field(obj, "names", json_list),
                       json_field(obj, "star", table), json_field(obj, "impl", table),
-                      json_field(obj, "zero", int), json_field(obj, "one", int))
+                      json_field(obj, "zero", json_int), json_field(obj, "one", json_int))
     a.validate()
     return a

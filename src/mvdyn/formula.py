@@ -280,6 +280,24 @@ def json_field(obj, key: str, convert: Callable):
         raise ValueError(f"ill-typed field {key!r}: {type(exc).__name__}: {exc}") from None
 
 
+def json_int(x, text: bool = False) -> int:
+    """x if it is a JSON integer, not a bool; with text, also the int that an
+    ASCII decimal string with an optional minus sign writes. Else TypeError."""
+    digits = x.removeprefix("-") if text and x.__class__ is str else ""
+    if digits.isascii() and digits.isdigit():
+        return int(x)
+    if x.__class__ is not int:
+        raise TypeError(f"not an integer: {x!r}")
+    return x
+
+
+def json_list(x) -> list:
+    """x if it is a JSON list, else TypeError."""
+    if x.__class__ is not list:
+        raise TypeError(f"not a list: {x!r}")
+    return x
+
+
 def _unique_keys(pairs: list) -> dict:
     """A JSON object from its pairs; a repeated key is refused, not merged."""
     obj = dict(pairs)
@@ -622,23 +640,20 @@ def cap_points(sizes: Sequence[int], what: str, repeat: int = 1) -> None:
         raise ValueError(f"the {count} {what} exceed the cap of {MAX_CHAIN_VALUATIONS}")
 
 
-def _variable_planes(n: int, m: int) -> list[list[int]]:
+def _variable_planes(n: int, m: int, i: int) -> list[int]:
     """Plane b of x_i, for each bit b of m: the points of the chain with m steps,
     (m+1)**n in all, whose digit i in base m+1 (x0 least significant) has bit b
     set. By doubling: 2**b clear blocks, 2**b set ones, to a period, then to all."""
-    total, planes = (m + 1) ** n, []
-    for i in range(n):
-        block, xs = (m + 1) ** i, []
-        for b in range(m.bit_length()):
-            run = block << b
-            plane, width = ((1 << run) - 1) << run, 2 * run
-            for length in ((m + 1) * block, total):
-                while width < length:
-                    plane |= plane << width
-                    width <<= 1
-                plane, width = plane & ((1 << length) - 1), length
-            xs.append(plane)
-        planes.append(xs)
+    total, block, planes = (m + 1) ** n, (m + 1) ** i, []
+    for b in range(m.bit_length()):
+        run = block << b
+        plane, width = ((1 << run) - 1) << run, 2 * run
+        for length in ((m + 1) * block, total):
+            while width < length:
+                plane |= plane << width
+                width <<= 1
+            plane, width = plane & ((1 << length) - 1), length
+        planes.append(plane)
     return planes
 
 
@@ -655,33 +670,14 @@ def boolean_table(f: Formula, n: int, *, memo: Optional[dict] = None) -> int:
 
     Bit p is the value of f at the valuation whose x_i is bit i of p (least
     significant bit first). A variable beyond x_{n-1} raises ValueError.
-    Walks f itself, not its core: on {0,1}, ! is complement, & and * are AND,
-    | and (+) are OR. The 2**n valuations are held to the one cap first.
-    memo is as in fold, shared only by calls with the same n.
+    One fold of _chain_step on the two-element chain, after the 2**n
+    valuations are held to the one cap. memo is as in fold, shared only by
+    calls with the same n; it keeps each variable's table once built.
     """
     cap_boolean_table(n)
     if f.arity > n:
         raise ValueError(f"formula uses x{f.arity - 1}, beyond n={n}")
-    full = (1 << (1 << n)) - 1
-    masks = [p[0] for p in _variable_planes(n, 1)]
-
-    def step(node: Formula, a=None, b=None) -> int:
-        op = node.op
-        if op == "var":
-            return masks[node.index]
-        if op == "zero":
-            return 0
-        if op == "one":
-            return full
-        if op == "neg":
-            return ~a & full
-        if op in ("star", "and"):
-            return a & b
-        if op in ("or", "oplus"):
-            return a | b
-        return (~a | b) & full  # impl
-
-    return fold(f, step, memo=memo)
+    return fold(f, _chain_step(n, BOOLE.m, BOOLE.base), memo=memo)
 
 
 def _sub(a: list[int], b: list[int]) -> tuple[list[int], int]:
@@ -694,10 +690,32 @@ def _sub(a: list[int], b: list[int]) -> tuple[list[int], int]:
     return out, borrow
 
 
-def _chain_step(m: int, base: str, planes: list[list[int]], full: int) -> Callable:
-    """The step on the chain with m >= 2 steps, over x_i's planes: each point's
-    numerator k of its value k/m, plane b where bit b of k is set. A connective,
-    sugar too, is O(log m) plane operations: rippled subtractions and selects."""
+def _chain_step(n: int, m: int, base: str) -> Callable:
+    """The fold step on the chain with m steps over x0..x_{n-1}, valued in packed
+    tables of its (m+1)**n points. x_i's planes are built when the fold first
+    meets x_i; a memo shared by calls with the same (n, m, base) keeps them.
+    At m = 1 a value is one table, of f itself, not its core: ! is complement,
+    & and * are AND, | and (+) are OR. At m >= 2 it is each point's numerator k
+    of its value k/m, plane b where bit b of k is set; a connective, sugar too,
+    is O(log m) plane operations: rippled subtractions and selects."""
+    full = (1 << (m + 1) ** n) - 1
+    if m == 1:
+        def step(node: Formula, a=None, b=None) -> int:
+            op = node.op
+            if op == "var":
+                return _variable_planes(n, 1, node.index)[0]
+            if op in ("zero", "one"):
+                return full if op == "one" else 0
+            if op == "neg":
+                return ~a & full
+            if op in ("star", "and"):
+                return a & b
+            if op in ("or", "oplus"):
+                return a | b
+            return (~a | b) & full  # impl
+
+        return step
+
     top = [full if m >> b & 1 else 0 for b in range(m.bit_length())]
 
     def cut(a, b):  # max(0, a - b)
@@ -710,7 +728,7 @@ def _chain_step(m: int, base: str, planes: list[list[int]], full: int) -> Callab
     def step(node: Formula, a=None, b=None) -> list[int]:
         op = node.op
         if op == "var":
-            return planes[node.index]
+            return _variable_planes(n, m, node.index)
         if op in ("zero", "one"):
             return top if op == "one" else [0] * len(top)
         if op in ("and", "or") or op == "star" and base == "godel":
@@ -828,18 +846,17 @@ def _countermodel(delta: Sequence[Formula], f: Formula, sem: TNormSemantics,
     itertools.product order, for a point where every formula of delta is 1
     and f is not: (the first such point, None), or if there is none (None,
     the number of points where all of delta is 1). Every formula uses only
-    x0..x_{n-1}. The one cap refuses first. Bit p of a table is the point whose
-    digit i in base m+1 is x_i's numerator; at m = 1 boolean_table is faster."""
+    x0..x_{n-1}. The one cap refuses first. Every formula folds _chain_step
+    through one memo; bit p of a table is the point whose digit i in base m+1
+    is x_i's numerator."""
     m = sem.m
     cap_points([m + 1], "valuations of a finite chain", n)
     full = (1 << (m + 1) ** n) - 1
-    planes = _variable_planes(n, m)
-    step, memo = _chain_step(m, sem.base, planes, full), {}
+    step, memo = _chain_step(n, m, sem.base), {}
 
     def ones(g: Formula) -> int:  # the points where g is 1
-        if m == 1:
-            return boolean_table(g, n, memo=memo)
-        return full & ~_sub(fold(g, step, memo=memo), step(ONE))[1]
+        value = fold(g, step, memo=memo)
+        return value if m == 1 else full & ~_sub(value, step(ONE))[1]
 
     held = reduce(operator.and_, map(ones, delta), full)
     bad = held & ~ones(f)
@@ -848,9 +865,9 @@ def _countermodel(delta: Sequence[Formula], f: Formula, sem: TNormSemantics,
     # itertools.product order varies x0 slowest: give x0, x1, ... in turn the
     # least value some point of bad still has, reading its bits from the top
     point = []
-    for xs in planes:
+    for i in range(n):
         k = 0
-        for plane in reversed(xs):
+        for plane in reversed(_variable_planes(n, m, i)):
             low = bad & ~plane
             k, bad = (2 * k, low) if low else (2 * k + 1, bad)
         point.append(Fraction(k, m))

@@ -114,8 +114,9 @@ def induced_permutation(sigma: Substitution, n: int) -> BoolPermutation:
     size = 1 << n
     # each table read once as a binary string, x_(n-1) first: column j of the
     # strings is q = sigma(p) in binary for p = size - 1 - j; the zeros column
-    # keeps one column when n is 0
-    columns = zip("0" * size, *(format(truth_table(g, n).bits, f"0{size}b")
+    # keeps one column when n is 0. The images share one memo, which sigma keeps alive.
+    memo: dict = {}
+    columns = zip("0" * size, *(format(boolean_table(g, n, memo=memo), f"0{size}b")
                                 for g in reversed(sigma.images)))
     return BoolPermutation(n, tuple(int("".join(c), 2) for c in columns)[::-1])
 

@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence, Union
 from . import pwl as _pwl
 from .formula import (
     Formula, Var, Star, ONE, OutOfReach, Substitution, apply_substitution, _countermodel,
-    arity_of, boolean_table, decode_json, json_field, parse_formula, print_formula,
-    variable_index, TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
+    arity_of, boolean_table, decode_json, json_field, json_int, json_list, parse_formula,
+    print_formula, variable_index, TNormSemantics, GODEL, PRODUCT, LUKASIEWICZ, BOOLE,
 )
 
 
@@ -318,8 +318,8 @@ def proof_to_jsonl(proof: Proof) -> str:
 
 
 def _premises(pair) -> tuple[int, int]:
-    k, m = pair
-    return int(k) - 1, int(m) - 1
+    k, m = json_list(pair)
+    return json_int(k) - 1, json_int(m) - 1
 
 
 def _json_object(obj) -> dict:
@@ -334,12 +334,12 @@ def _line_from_json(obj, memo: dict) -> ProofLine:
     if j == "axiom":
         return ProofLine(formula, Axiom())
     if isinstance(j, dict) and "hyp" in j:
-        return ProofLine(formula, Hypothesis(json_field(j, "hyp", int) - 1))
+        return ProofLine(formula, Hypothesis(json_field(j, "hyp", json_int) - 1))
     if isinstance(j, dict) and "mp" in j:
         return ProofLine(formula, ModusPonens(*json_field(j, "mp", _premises)))
     if isinstance(j, dict) and "subst" in j:
         s = json_field(j, "subst", _json_object)
-        return ProofLine(formula, Substituted(json_field(s, "line", int) - 1,
+        return ProofLine(formula, Substituted(json_field(s, "line", json_int) - 1,
                                               json_field(s, "sigma",
                                                          lambda o: _sigma_from_json(o, memo))))
     raise ValueError(f"unknown justification {j!r}")

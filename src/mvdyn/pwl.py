@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .formula import (
     Formula, Var, Neg, And, Or, OPlus, Star, ZERO, ONE, OutOfReach, arity_of, fold, json_field,
+    json_int, json_list,
 )
 
 Point = tuple  # tuple of Fractions, length = dim
@@ -43,16 +44,7 @@ def _frac_point(p) -> Point:
 
 # -- exact planar primitives ---------------------------------------------------
 
-def _area2(poly) -> Fraction:
-    """Twice the signed area of a polygon of Fraction points."""
-    s = F0
-    for i in range(len(poly)):
-        p, q = poly[i], poly[(i + 1) % len(poly)]
-        s += p[0] * q[1] - q[0] * p[1]
-    return s
-
-
-# The rest of the 2-D geometry computes on integer triples: a point (x, y) is
+# The 2-D geometry computes on integer triples: a point (x, y) is
 # the reduced triple (X, Y, W) with x = X/W, y = Y/W, W > 0 and gcd(X, Y, W) = 1.
 # The form is canonical, so equal points are equal tuples. A half-plane is an
 # integer triple h, the points where h . (X, Y, W) >= 0.
@@ -241,10 +233,12 @@ class CellComplex:
         return out
 
     def measure(self, j: int) -> Fraction:
-        pts = self.cell_points(j)
         if self.dim == 1:
+            pts = self.cell_points(j)
             return pts[1][0] - pts[0][0]
-        return _area2(pts) / 2
+        # twice a triangle's signed area is _det(p, q, r) / (W_p W_q W_r)
+        p, q, r = (self._triples[i] for i in self.cells[j])
+        return Fraction(_det(p, q, r), 2 * p[2] * q[2] * r[2])
 
     def validate(self) -> None:
         n = len(self.vertices)
@@ -276,15 +270,15 @@ class CellComplex:
         total = F0
         edges: dict[tuple, int] = {}
         for j, cell in enumerate(self.cells):
-            a2 = _area2(self.cell_points(j))
-            if a2 <= 0:
+            area = self.measure(j)
+            if area <= 0:
                 raise ValueError(f"cell {j} is degenerate or not ccw")
-            total += a2
+            total += area
             for e in zip(cell, cell[1:] + cell[:1]):
                 if e in edges:
                     raise ValueError(f"cells {edges[e]} and {j} overlap along edge {e}")
                 edges[e] = j
-        if total != 2:
+        if total != 1:
             raise ValueError("cells do not cover the unit square exactly")
         for (a, b), j in edges.items():
             p, q = self.vertices[a], self.vertices[b]
@@ -1047,15 +1041,17 @@ def _rat_to_json(x: Fraction):
     return [str(x.numerator), str(x.denominator)]
 
 def _rat_from_json(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
+    num, den = json_list(pair)
+    return Fraction(json_int(num, text=True), json_int(den, text=True))
 
 
 def _complex_from_json(obj) -> CellComplex:
     return CellComplex(
-        json_field(obj, "dim", int),
+        json_field(obj, "dim", json_int),
         json_field(obj, "vertices",
                    lambda vs: [tuple(_rat_from_json(x) for x in v) for v in vs]),
-        json_field(obj, "cells", lambda cs: [tuple(int(i) for i in c) for c in cs]))
+        json_field(obj, "cells",
+                   lambda cs: [tuple(map(json_int, json_list(c))) for c in json_list(cs)]))
 
 
 def _map_from_json(obj, field: str, read_map) -> PWLMap:
@@ -1082,7 +1078,7 @@ def pwl_to_json(f: PWLMap) -> dict:
 
 def pwl_from_json(obj: dict) -> PWLMap:
     return _map_from_json(obj, "pieces", lambda p: AffineMap(
-        (tuple(int(x) for x in p["a"]),), (int(p["b"]),)))
+        (tuple(map(json_int, json_list(p["a"]))),), (json_int(p["b"]),)))
 
 
 def pwl_map_to_json(s: PWLMap) -> dict:

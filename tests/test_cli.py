@@ -501,6 +501,44 @@ def _synthesize(capsys, tmp_path, **changes):
     return capture(capsys, ["pwl", "synthesize", str(path)])
 
 
+MP_PREMISES = ('{"formula": "x0", "just": {"hyp": 1}}\n'
+               '{"formula": "x0 -> x1", "just": {"hyp": 2}}\n')
+PROVE = ["prove", "check", "-", "--hyp", "x0", "--hyp", "x0 -> x1", "--no-axioms"]
+PWL_PIECE = '{"dim": 1, %s, "pieces": [%s]}'
+
+
+@pytest.mark.parametrize("command, text, field", [
+    (PROVE, MP_PREMISES + '{"formula": "x1", "just": {"mp": "12"}}', "mp"),
+    (PROVE, MP_PREMISES + '{"formula": "x1", "just": {"mp": [1.5, 2.2]}}', "mp"),
+    (PROVE, '{"formula": "x0", "just": {"hyp": 1.9}}', "hyp"),
+    (PROVE, '{"formula": "x0", "just": {"hyp": true}}', "hyp"),
+    (PROVE, '{"formula": "x0", "just": {"hyp": "1"}}', "hyp"),
+    (PROVE, '{"formula": "x0", "just": {"hyp": 1}}\n'
+     '{"formula": "x0", "just": {"subst": {"line": 1.0, "sigma": {}}}}', "line"),
+    (["pwl", "synthesize", "-"], PWL_PIECE % (PWL_IDENTITY, '{"a": [0.9], "b": 0}'), "pieces"),
+    (["pwl", "synthesize", "-"], PWL_PIECE % (PWL_IDENTITY, '{"a": [true], "b": false}'),
+     "pieces"),
+    (["pwl", "synthesize", "-"], PWL_PIECE % ('"vertices": [[[0.5, 1]], [["1", "1"]]], '
+                                              '"cells": [[0, 1]]', '{"a": [1], "b": 0}'),
+     "vertices"),
+    (["pwl", "synthesize", "-"], PWL_PIECE % ('"vertices": [[["0", "1"]], [["1", "1"]]], '
+                                              '"cells": ["01"]', '{"a": [1], "b": 0}'), "cells"),
+    (["algebra", "sub", "--base", "-"], '{"names": "01", "star": ["00", "01"], '
+     '"impl": ["11", "01"], "zero": 0, "one": 1}', "names"),
+    (["algebra", "sub", "--base", "-"], '{"names": ["0", "1"], "star": ["00", "01"], '
+     '"impl": ["11", "01"], "zero": 0, "one": 1}', "star"),
+    (["filters", "--algebra", "-"], '{%s, "zero": false, "one": true}' % ALGEBRA_BOOL, "zero"),
+], ids=["mp-string", "mp-floats", "hyp-float", "hyp-bool", "hyp-string", "line-float",
+        "piece-float", "piece-bools", "vertex-float", "cell-string", "names-string",
+        "table-strings", "zero-bool"])
+def test_json_integers_and_lists_are_read_strictly(capsys, monkeypatch, command, text, field):
+    # int() and list() on these values read them as other, valid, inputs
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = capture(capsys, command)
+    assert code == (2 if command[0] == "prove" else 1) and out == ""
+    assert err.count("\n") == 1 and f"ill-typed field {field!r}: TypeError: not a" in err
+
+
 def test_pwl_synthesize_vertex_index_out_of_range_exits_one(capsys, tmp_path):
     _one_error_line(*_synthesize(capsys, tmp_path, cells=[[0, 5]]))
 

@@ -18,6 +18,7 @@ from mvdyn.formula import (
     Var, Star, Impl, Neg, And, Or, OPlus, ZERO, ONE, OutOfReach, parse_formula,
     print_formula, Substitution, arity_of, boolean_table, chain_semantics, interpret,
     rationals_up_to, tautology_check, LUKASIEWICZ, GODEL, PRODUCT, BOOLE, TNormSemantics,
+    _countermodel,
 )
 from mvdyn.pwl import (
     pwl_combine, pwl_from_formula, pwl_le, _clip, _refine_tagged, _row_value, _scaled,
@@ -506,6 +507,38 @@ def test_the_boole_check_desugars_no_line(monkeypatch, hyp):
             monkeypatch, "_desugar", lambda: check_proof(p, None, oracle="boole"))
         assert verdict.valid
         assert desugared == 0
+
+
+@pytest.mark.parametrize("hyp, built", [
+    ("x0", [(1, 1, 0)]),
+    ("x0 * x1 -> x2 & x3", [(4, 1, 0), (4, 1, 1), (4, 1, 2), (4, 1, 3)]),
+])
+def test_the_boole_check_builds_each_variable_once_per_proof(monkeypatch, hyp, built):
+    """Input: the derivation of !x0 from hyp at n = 4 (16 axiom lines, each of
+    one variable from x0 and of four from the other hypothesis). Measure:
+    the (n, m, i) of each variable's planes the boole check builds. Bound: each
+    variable once per proof; a table per axiom line would build all four 16 times."""
+    proof = derivation(hyp, 4)
+    calls = []
+    real = formula_module._variable_planes
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(formula_module, "_variable_planes", recorded)
+    assert check_proof(proof, None, oracle="boole").valid
+    assert calls == built
+
+
+def test_the_two_element_search_folds_the_one_chain_step(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the search tabled a formula through boolean_table")
+
+    monkeypatch.setattr(formula_module, "boolean_table", refused)
+    assert _countermodel([X0, Impl(X0, X1)], X1, BOOLE, 2) == (None, 1)
+    assert _countermodel([Or(X0, X1)], X0, BOOLE, 2) == ((Fraction(0), Fraction(1)), None)
+    assert mp_consequence([], Or(X2, Neg(X2)), BOOLE).status == "yes"
 
 
 def test_reading_a_proof_builds_each_negation_once(monkeypatch):

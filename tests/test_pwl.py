@@ -25,7 +25,7 @@ from mvdyn.pwl import (
     unit_complex, common_refinement, pwl_from_formula, pwl_eval, pwl_combine,
     pwl_equal, pwl_le, pwl_min_value, pwl_integral, clamp_affine_formula, MAX_CLAMP_UNITS,
     pwl_to_formula_1d, affine_from_simplex_pair, pwl_to_json, pwl_from_json,
-    pwl_compose, pwl_map_from_json, pwl_map_to_json, _synthesize_formula, _area2,
+    pwl_compose, pwl_map_from_json, pwl_map_to_json, _synthesize_formula,
     _build_complex_2d, _compose_affine, _pullback, _refine_tagged, _unit_set_min_and_power,
 )
 from mvdyn.dynamics import (
@@ -37,6 +37,15 @@ F = Fraction
 X0, X1 = Var(0), Var(1)
 TENT = parse_formula("x0 (+) x0 & !x0 (+) !x0")
 FIGURE = parse_formula("!x0 | (x0 & !x0) (+) (x0 & !x0)")
+
+
+def _area2(poly) -> Fraction:
+    """Twice the signed area of a polygon of Fraction points."""
+    s = F(0)
+    for i in range(len(poly)):
+        p, q = poly[i], poly[(i + 1) % len(poly)]
+        s += p[0] * q[1] - q[0] * p[1]
+    return s
 
 
 def rand_formula(rng, n, depth, leaf_p=0.25):
@@ -1250,6 +1259,24 @@ def test_only_pwl_reads_its_variable_ceiling():
                         or isinstance(node, ast.alias) and node.name == "MAX_DIM"):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_imported_name_is_read():
+    """Each name a module of the package imports is read in that module;
+    __init__.py's re-exports and the __future__ annotations are exempt."""
+    unread = []
+    for path in sorted(Path(pwl_module.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name != "annotations" and name not in read:
+                        unread.append(f"{path.name}:{node.lineno}: {name}")
+    assert unread == []
 
 
 # -- integer comparisons against their Fraction references --------------------------------------
