@@ -517,10 +517,16 @@ def algebra_to_json(a: FiniteAlgebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> FiniteAlgebra:
+    def names(values):
+        for x in json_list(values):
+            if x.__class__ is not str:
+                raise TypeError(f"not a string: {x!r}")
+        return values
+
     def table(rows):
         return [list(map(json_int, json_list(row))) for row in json_list(rows)]
 
-    a = FiniteAlgebra(json_field(obj, "names", json_list),
+    a = FiniteAlgebra(json_field(obj, "names", names),
                       json_field(obj, "star", table), json_field(obj, "impl", table),
                       json_field(obj, "zero", json_int), json_field(obj, "one", json_int))
     a.validate()

@@ -435,6 +435,26 @@ def _parse_positioned(text: str) -> Formula:
     raise ParseError(message, len(text[:pos].encode("utf-8")), expected)
 
 
+def _top_level_arrows(text: str) -> list:
+    """The offsets of the '->' of text outside every group, for a text that
+    parses: '(+)' opens and closes, so it leaves the depth as it was."""
+    arrows, depth, start, p = [], 0, 0, text.find("->")
+    while p >= 0:
+        depth += text.count("(", start, p) - text.count(")", start, p)
+        if not depth:
+            arrows.append(p)
+        start, p = p, text.find("->", p + 2)
+    return arrows
+
+
+def _key_consequent(memo: dict, node: Formula, text: str, arrows: list, k: int) -> None:
+    """Key the text after the top-level '->' at text[arrows[k]], left-stripped, to
+    node's consequent, with what keys the next one: -> is the loosest connective
+    and right-associative, so that text parses on its own to the consequent."""
+    if k < len(arrows):
+        memo.setdefault(text[arrows[k] + 2:].lstrip(), (node.args[1], text, arrows, k + 1))
+
+
 def parse_formula(text: str, *, memo: Optional[dict] = None) -> Formula:
     """The formula that text writes, read in one pass over its parentheses.
 
@@ -445,13 +465,26 @@ def parse_formula(text: str, *, memo: Optional[dict] = None) -> Formula:
     are hash-consed, so a DAG printed as a tree costs its distinct groups and
     runs, not its tokens. On any error the whole text is parsed again as one
     token list, which raises the ParseError.
+
+    A caller's memo also keys each text that parses, and the text after its
+    first top-level '->'; reading that one keys the text after the next, so a
+    Modus Ponens line of a proof read through one memo is one lookup.
     """
-    pieces = iter(_PARENS.split(text) + [")", ""])  # the top level closes like a group
-    # group key (a tuple) -> node, and id(x) (an int) -> the chain [x, !x, ...]
-    # for each group node and each operand of a run of '!' (see _parse_tokens);
-    # holding the nodes keeps the ids in the keys unique while it lives
-    if memo is None:
+    keyed = memo is not None and text.__class__ is str  # a tuple could be a group key
+    if keyed:
+        node = memo.get(text)
+        if node.__class__ is tuple:  # a consequent: key the one after it
+            _key_consequent(memo, *node)
+            node = memo[text] = node[0]
+        if node is not None:
+            return node
+    elif memo is None:
         memo = {}
+    pieces = iter(_PARENS.split(text) + [")", ""])  # the top level closes like a group
+    # group key (a tuple) -> node, id(x) (an int) -> the chain [x, !x, ...]
+    # for each group node and each operand of a run of '!' (see _parse_tokens),
+    # and text (a str) -> node or consequent; holding the nodes keeps the ids
+    # in the keys unique while it lives
     stack = [[]]                      # the items of the groups around this one
     items = [next(pieces)]            # text segments, and node ids between them
     try:
@@ -474,6 +507,9 @@ def parse_formula(text: str, *, memo: Optional[dict] = None) -> Formula:
             items = stack.pop()
             items += (id(node), segment)
         if not stack:
+            if keyed:
+                memo[text] = node
+                _key_consequent(memo, node, text, _top_level_arrows(text), 0)
             return node
     except _Stuck:
         pass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Optional, Sequence, Union
 
 from . import pwl as _pwl
@@ -119,12 +119,18 @@ class AxiomSet:
 
 
 def builtin_axioms(logic: str) -> AxiomSet:
-    """The eight shared schemas plus the extension for the chosen logic."""
+    """The eight shared schemas plus the extension for the chosen logic, parsed
+    once per process: every call with the same lower-cased name returns the
+    same AxiomSet."""
     key = logic.lower()
     if key not in _EXTENSION_TEXT:
         raise ValueError("logic must be one of MV, Product, Godel, Boole")
-    texts = _THETA_TEXT + _EXTENSION_TEXT[key]
-    return AxiomSet(key, tuple(parse_formula(t) for t in texts))
+    return _axiom_set(key)
+
+
+@cache
+def _axiom_set(key: str) -> AxiomSet:
+    return AxiomSet(key, tuple(parse_formula(t) for t in _THETA_TEXT + _EXTENSION_TEXT[key]))
 
 
 def is_instance_of(schema: Formula, f: Formula) -> bool:

@@ -348,6 +348,19 @@ def test_prove_check_malformed_line_names_its_line_and_field(capsys, monkeypatch
     assert err.startswith(f"malformed proof: line 2: {message}")
 
 
+def test_prove_check_refuses_a_tail_cut_inside_a_group(capsys, monkeypatch):
+    # a line read keys the text after its top-level '->' ('x2'); the text after
+    # the '->' inside its group is no formula, and is still read and refused
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"formula": "(x0 -> x1) -> x2", "just": {"hyp": 1}}\n'
+        '{"formula": "x1) -> x2", "just": {"mp": [1, 1]}}\n'))
+    code, out, err = capture(capsys, ["prove", "check", "-", "--hyp", "(x0 -> x1) -> x2",
+                                      "--no-axioms", "--oracle", "none"])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("malformed proof: line 2: ill-typed field 'formula': ParseError: "
+                          "unexpected ')' at byte 2")
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n"])
 def test_prove_check_refuses_a_proof_without_lines(capsys, monkeypatch, text):
     # an empty proof proves nothing: it is malformed, not valid
@@ -527,10 +540,14 @@ PWL_PIECE = '{"dim": 1, %s, "pieces": [%s]}'
      '"impl": ["11", "01"], "zero": 0, "one": 1}', "names"),
     (["algebra", "sub", "--base", "-"], '{"names": ["0", "1"], "star": ["00", "01"], '
      '"impl": ["11", "01"], "zero": 0, "one": 1}', "star"),
+    (["algebra", "sub", "--base", "-"], '{"names": [{"a": 1}, null], "star": [[0, 0], [0, 1]], '
+     '"impl": [[1, 1], [0, 1]], "zero": 0, "one": 1}', "names"),
+    (["algebra", "sub", "--base", "-"], '{"names": [0, 1], "star": [[0, 0], [0, 1]], '
+     '"impl": [[1, 1], [0, 1]], "zero": 0, "one": 1}', "names"),
     (["filters", "--algebra", "-"], '{%s, "zero": false, "one": true}' % ALGEBRA_BOOL, "zero"),
 ], ids=["mp-string", "mp-floats", "hyp-float", "hyp-bool", "hyp-string", "line-float",
         "piece-float", "piece-bools", "vertex-float", "cell-string", "names-string",
-        "table-strings", "zero-bool"])
+        "table-strings", "names-objects", "names-ints", "zero-bool"])
 def test_json_integers_and_lists_are_read_strictly(capsys, monkeypatch, command, text, field):
     # int() and list() on these values read them as other, valid, inputs
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

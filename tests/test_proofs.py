@@ -58,6 +58,15 @@ def test_builtin_axiom_counts():
         builtin_axioms("classical")
 
 
+def test_builtin_axioms_are_parsed_once_per_logic(monkeypatch):
+    # prove check asks for them on every call; the schema texts are read once
+    for logic in ("mv", "product", "godel", "boole"):
+        builtin_axioms(logic)
+    monkeypatch.setattr("mvdyn.proofs.parse_formula", None)
+    assert builtin_axioms("MV") is builtin_axioms("mv")
+    assert builtin_axioms("Godel") is builtin_axioms("godel")
+
+
 def test_axioms_sound_on_finite_chains():
     for logic, sems in (("mv", [chain_semantics(m) for m in range(1, 6)]),
                         ("godel", [chain_semantics(m, "godel") for m in range(1, 6)]),
@@ -539,6 +548,43 @@ def test_the_two_element_search_folds_the_one_chain_step(monkeypatch):
     assert _countermodel([X0, Impl(X0, X1)], X1, BOOLE, 2) == (None, 1)
     assert _countermodel([Or(X0, X1)], X0, BOOLE, 2) == ((Fraction(0), Fraction(1)), None)
     assert mp_consequence([], Or(X2, Neg(X2)), BOOLE).status == "yes"
+
+
+@pytest.mark.parametrize("hyp, n", [("x0 * x1", 4), ("x0", 6)])
+def test_reading_a_proof_cuts_no_modus_ponens_line(monkeypatch, hyp, n):
+    """Input: the JSONL of the derivation of !x0 from hyp at n variables.
+    Measure: the texts that the parser cuts at their parentheses
+    (formula._PARENS.split). Bound: each text once, and no Modus Ponens
+    line's text unless another line or a sigma writes it too: it is the text
+    after the top-level '->' of a line read before. Every line read is the
+    node a memo-free parse gives."""
+    proof = derivation(hyp, n)
+    text = proof_to_jsonl(proof)
+    cut = []
+    parens = formula_module._PARENS
+
+    class Recorded:
+        def split(self, s):
+            cut.append(s)
+            return parens.split(s)
+
+    monkeypatch.setattr(formula_module, "_PARENS", Recorded())
+    back = proof_from_jsonl(text, hypotheses=proof.hypotheses)
+    monkeypatch.undo()
+    rows = [json.loads(raw) for raw in text.splitlines()]
+    mp, others = set(), set()
+    for row in rows:
+        j = row["just"]
+        if isinstance(j, dict) and "mp" in j:
+            mp.add(row["formula"])
+        else:
+            others.add(row["formula"])
+            others.update(j["subst"]["sigma"].values() if "subst" in j else ())
+    assert len(cut) == len(set(cut))
+    assert len(mp - others) > len(proof.lines) // 3
+    assert cut and (mp - others).isdisjoint(cut)
+    assert all(line.formula is parse_formula(row["formula"])
+               for line, row in zip(back.lines, rows, strict=True))
 
 
 def test_reading_a_proof_builds_each_negation_once(monkeypatch):

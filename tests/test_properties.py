@@ -7,6 +7,7 @@ stored between runs, so every run checks the same cases.
 import json
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -56,6 +57,40 @@ def shape(f):
 @given(formulas)
 def test_parse_inverts_print_up_to_tree_shape(f):
     assert shape(parse_formula(print_formula(f))) == shape(f)
+
+
+def top_level_arrows(text):
+    """The offsets of the '->' outside every group of text, by a scan of its
+    characters ('(+)' opens and closes, so it leaves the depth as it was)."""
+    depth, found = 0, []
+    for i, c in enumerate(text):
+        depth += (c == "(") - (c == ")")
+        if depth == 0 and text.startswith("->", i):
+            found.append(i)
+    return found
+
+
+# f_1 -> (f_2 -> ... -> f_k) for 1 to 4 drawn formulas: up to three top-level '->'
+implication_chains = st.lists(formulas, min_size=1, max_size=4).map(
+    lambda fs: reduce(lambda tail, f: Impl(f, tail), reversed(fs[:-1]), fs[-1]))
+
+
+@SETTINGS
+@given(implication_chains)
+def test_each_text_after_a_top_level_arrow_reads_as_a_fresh_parse(f):
+    # one memo reads each text, canonical and with the spaces removed, then the
+    # text after each of its top-level '->'s, which the text read before keys;
+    # every text the memo keys is one that a fresh parse reads as its node
+    memo = {}
+    for text in (print_formula(f), print_formula(f).replace(" ", "")):
+        assert parse_formula(text, memo=memo) is parse_formula(text)
+        for i in top_level_arrows(text):
+            tail = text[i + 2:].lstrip()
+            assert tail in memo
+            assert parse_formula(tail, memo=memo) is parse_formula(tail)
+    for key, value in memo.items():
+        if isinstance(key, str):
+            assert parse_formula(key) is (value[0] if isinstance(value, tuple) else value)
 
 
 @SETTINGS
