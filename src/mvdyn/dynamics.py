@@ -32,7 +32,7 @@ F1 = Fraction(1)
 # held only to the refinement work (pwl._charge), so the form of x0 -> tent^3(x0),
 # x1 -> tent^3(x1) has 940 cells from two rows of 54
 CELL_BUDGET = 600
-PIECE_CAP = 20000     # most pieces in one iterate of average_truth_value
+PIECE_CAP = 20000     # most pieces of the box's itinerary in one step of average_truth_value
 
 
 # -- induced maps of substitutions ----------------------------------------------------
@@ -537,9 +537,11 @@ def empirical_statistics(s: InducedMap, start, iterations: int, box_grid: int,
 def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict:
     """Exact averages of sigma^j(r) over a box, plus the Lebesgue average of r.
 
-    The map of sigma^(j+1)(r) is the map of sigma^j(r) after the geometric
-    form S of sigma's induced map, so r is compiled once and each iterate is
-    the previous one pulled back through S (pwl_compose).
+    The map of sigma^j(r) is the map of r after S^j, for the geometric form S
+    of sigma's induced map, so the integral of sigma^j(r) over the box is that
+    of r over the pieces of the box's itinerary under S: the box is cut
+    forward through S once per step, and each piece's integral is read off
+    the cells of r, compiled once. No iterate is assembled over the cube.
     """
     if k < 0:
         raise ValueError("need k >= 0")
@@ -551,13 +553,12 @@ def average_truth_value(r: Formula, k: int, sigma: Substitution, mu_box) -> dict
     w = pwl_from_formula(r, dim)
     lebesgue = _pwl.pwl_integral(w)
     # every iterate of a constant r is r; otherwise sigma covers x0..x_{dim-1}
+    s = None
     if k >= 1 and r.arity:
         s = geometric_form(sigma if sigma.arity == dim else Substitution(sigma.images[:dim]))
     sequence = []
-    for j in range(k + 1):
-        if len(w.complex.cells) > PIECE_CAP:
+    for j, pieces in zip(range(k + 1), _pwl._itinerary(box, s)):
+        if len(pieces) > PIECE_CAP:
             raise ValueError(f"piece cap exceeded at step {j}")
-        sequence.append(_pwl.pwl_integral(w, box) / volume)
-        if j < k and r.arity:
-            w = _pwl.pwl_compose(w, s)
+        sequence.append(_pwl._pieces_integral(w, pieces) / volume)
     return {"sequence": sequence, "lebesgue_average": lebesgue}

@@ -152,8 +152,9 @@ def _on_open_segment(a, b, v) -> bool:
 
 
 def _fan(poly):
-    """Triangulate a canonical convex polygon (ccw, so every triangle is ccw)
-    by fanning from its first vertex; [] for []."""
+    """Triangulate a convex polygon by fanning from its first vertex: each
+    triangle turns as the polygon does (ccw for a canonical one) or has zero
+    area; [] for fewer than three points."""
     return [(poly[0], a, b) for a, b in zip(poly[1:-1], poly[2:])]
 
 
@@ -649,40 +650,69 @@ def _compose_affine(fp: AffineMap, sp: AffineMap) -> AffineMap:
                      tuple(sum(map(mul, row, sp.b)) + e for row, e in zip(fp.a, fp.b)))
 
 
-def _pullback(w: CellComplex, pieces: Sequence, v: CellComplex):
-    """The cells of w cut by v pulled back through w's affine pieces (one per
-    cell, each into the cube of v): (complex, tags), each tag (cell of w,
-    cell of v).
+def _int_piece(m: AffineMap) -> tuple:
+    """m over the least common denominator s > 0 of its entries: (a, b, s),
+    x -> (a x + b) / s, in dimension 1, and (a00, a01, a10, a11, b0, b1, s),
+    x -> (A x + b) / s, in dimension 2. The integers have no common factor."""
+    c, s = _scaled(sum(m.a, ()) + m.b)
+    return (*c, s)
 
-    In dimension 1 the ends of v's cells inside a cell's image are found by
-    bisection and pulled back through its piece; a flat piece stays one cell.
-    In dimension 2 a cell of w meets the cells of v whose bounding box meets
-    its image's. A pair that an edge of either triangle separates is skipped,
-    a cell of v inside the image is pulled back by its vertices, and else the
-    cell is clipped by the half-planes of v that cut the image, pulled back.
+
+def _after(t: tuple, m: tuple) -> tuple:
+    """The integer map t after the integer map m (_int_piece's form), reduced."""
+    if len(m) == 3:
+        c, d, u = t
+        a, b, s = m
+        out = (c * a, c * b + d * s, s * u)
+    else:
+        c00, c01, c10, c11, d0, d1, u = t
+        a00, a01, a10, a11, b0, b1, s = m
+        out = (c00 * a00 + c01 * a10, c00 * a01 + c01 * a11, c10 * a00 + c11 * a10,
+               c10 * a01 + c11 * a11, c00 * b0 + c01 * b1 + d0 * s,
+               c10 * b0 + c11 * b1 + d1 * s, s * u)
+    if out[-1] != 1:
+        g = math.gcd(*out)
+        out = tuple(x // g for x in out)
+    return out
+
+
+def _cut(pairs: Sequence, v: CellComplex):
+    """Each (geometry, integer map) pair's geometry cut by the cells of v
+    pulled back through its map into the cube of v: yields (piece, index of
+    the pair, cell of v). The pieces tile each geometry up to zero area.
+
+    In dimension 1 a geometry is an interval (lo, hi) of Fractions. The ends
+    of v's cells inside its image are found by bisection and pulled back; a
+    flat map keeps it whole. In dimension 2 it is a convex ccw polygon of
+    integer triples, and it meets the cells of v whose bounding box meets its
+    image's. A cell that an edge of either one separates from the image is
+    skipped, a cell inside the image is pulled back by its vertices, and else
+    the polygon is clipped by the half-planes of the cell that cut the image,
+    pulled back; such a piece may have zero area or repeated points. A
+    singular map sends the polygon onto a segment or a point, whose
+    preimages under cells of v that share an edge or vertex coincide; each is
+    yielded once.
     """
     bounds = v._bounds
-    if w.dim == 1:
+    if v.dim == 1:
         ends = [r for _, r in bounds]
-        tagged = []
-        for j, x_hi in w._bounds:
-            sp = pieces[j]
-            alpha, beta = sp.a[0][0], sp.b[0]
-            x_lo = w.vertices[w.cells[j][0]][0]
-            if alpha == 0:
-                starts, cells = [x_lo], [bisect.bisect_left(ends, beta)]
+        for k, ((x_lo, x_hi), (a, b, s)) in enumerate(pairs):
+            if a == 0:
+                starts, cells = [x_lo], [bisect.bisect_left(ends, Fraction(b, s))]
             else:
                 # v's cells first..last meet the open image (y0, y1), cut at
                 # the ends strictly inside it
-                y0, y1 = sorted((alpha * x_lo + beta, alpha * x_hi + beta))
+                y0, y1 = (Fraction(a * x.numerator + b * x.denominator, s * x.denominator)
+                          for x in ((x_lo, x_hi) if a > 0 else (x_hi, x_lo)))
                 first, last = bisect.bisect_right(ends, y0), bisect.bisect_left(ends, y1)
                 inner, cells = ends[first:last], range(first, last + 1)
-                if alpha < 0:
+                if a < 0:
                     inner, cells = inner[::-1], cells[::-1]
-                starts = [x_lo] + [(e - beta) / alpha for e in inner]
-            tagged.extend(((lo, hi), (j, bounds[i][0]))
-                          for lo, hi, i in zip(starts, starts[1:] + [x_hi], cells))
-        return _build_complex_1d(tagged)
+                starts = [x_lo] + [Fraction(s * e.numerator - b * e.denominator, a * e.denominator)
+                                   for e in inner]
+            for lo, hi, i in zip(starts, starts[1:] + [x_hi], cells):
+                yield (lo, hi), k, bounds[i][0]
+        return
 
     # bounding boxes in floats, rounded in order: a box test that skips only
     # cells of v the image misses
@@ -691,21 +721,15 @@ def _pullback(w: CellComplex, pieces: Sequence, v: CellComplex):
         tri = [v._triples[k] for k in v.cells[i]]
         xs, ys = [p[0] / p[2] for p in tri], [p[1] / p[2] for p in tri]
         boxes.append((min(xs), max(xs), min(ys), max(ys), i, planes, tri))
-    tagged = []
-    for j, cell in enumerate(w.cells):
-        sp = pieces[j]
-        (a00, a01, a10, a11, b0, b1), s = _scaled(sp.a[0] + sp.a[1] + sp.b)
+    for k, (poly, (a00, a01, a10, a11, b0, b1, s)) in enumerate(pairs):
         det = a00 * a11 - a01 * a10
-        tri = [w._triples[k] for k in cell]
         # a half-plane of v at the image's vertices (M x + c) / s has the
-        # values of its pullback at the cell's
+        # values of its pullback at the polygon's
         img = [(a00 * x + a01 * y + b0 * z, a10 * x + a11 * y + b1 * z, s * z)
-               for x, y, z in tri]
+               for x, y, z in poly]
         xs, ys = [p[0] / p[2] for p in img], [p[1] / p[2] for p in img]
         xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
-        # the image's ccw edges; a singular piece maps the cell onto a segment
-        # or a point, whose preimages under cells of v that share an edge or
-        # vertex coincide
+        # the image's ccw edges, unless the map is singular
         edges = [_cross(p, q) if det > 0 else _cross(q, p)
                  for p, q in zip(img, img[1:] + img[:1])] if det else ()
         seen = None if det else set()
@@ -722,23 +746,35 @@ def _pullback(w: CellComplex, pieces: Sequence, v: CellComplex):
                 if not inside:
                     # v's cell lies in the image: its vertices y pulled
                     # back are adj(M) (s y - c) / det M
-                    tagged.append(([_reduced(a11 * (s * x - b0 * z) - a01 * (s * y - b1 * z),
-                                             a00 * (s * y - b1 * z) - a10 * (s * x - b0 * z),
-                                             det * z) for x, y, z in vtri], (j, i)))
+                    yield ([_reduced(a11 * (s * x - b0 * z) - a01 * (s * y - b1 * z),
+                                     a00 * (s * y - b1 * z) - a10 * (s * x - b0 * z),
+                                     det * z) for x, y, z in vtri], k, i)
                     continue
-            poly = tri
+            piece = poly
             for c0, c1, c2 in cuts:
-                poly = _clip(poly, (c0 * a00 + c1 * a10, c0 * a01 + c1 * a11,
-                                    c0 * b0 + c1 * b1 + c2 * s))
-                if not poly:
+                piece = _clip(piece, (c0 * a00 + c1 * a10, c0 * a01 + c1 * a11,
+                                      c0 * b0 + c1 * b1 + c2 * s))
+                if not piece:
                     break
             if seen is not None:
-                key = tuple(_canon(poly))
+                key = tuple(_canon(piece))
                 if key in seen:
                     continue
                 seen.add(key)
-            tagged.append((poly, (j, i)))
-    return _build_complex_2d(tagged)
+            yield piece, k, i
+
+
+def _pullback(w: CellComplex, pieces: Sequence, v: CellComplex):
+    """The cells of w cut by v pulled back through w's affine pieces (one per
+    cell, each into the cube of v; _cut): (complex, tags), each tag (cell of
+    w, cell of v)."""
+    maps = [_int_piece(m) for m in pieces]
+    if w.dim == 1:
+        order = [j for j, _ in w._bounds]
+        pairs = [((w.vertices[w.cells[j][0]][0], hi), maps[j]) for j, hi in w._bounds]
+        return _build_complex_1d([(g, (order[k], i)) for g, k, i in _cut(pairs, v)])
+    pairs = [([w._triples[i] for i in cell], maps[j]) for j, cell in enumerate(w.cells)]
+    return _build_complex_2d([(g, (j, i)) for g, j, i in _cut(pairs, v)])
 
 
 def pwl_compose(f: PWLMap, s: PWLMap) -> PWLMap:
@@ -878,8 +914,71 @@ def _unit_set_min_and_power(cw, rw):
     return None if low is None else Fraction(*low), witness, max(1, -(-ratio[0] // ratio[1]))
 
 
+def _itinerary(box, s: Optional[PWLMap] = None):
+    """The pieces of a box's forward itinerary under the self-map s: for
+    j = 0, 1, ..., a list of (geometry, integer map M) pairs in _cut's formats
+    whose geometries tile the box up to zero area, with s^j = M on each. Step
+    0 is the box under the identity. Step j + 1 cuts each piece by the cells
+    of s pulled back through M (_cut), and the child in cell i keeps s_i
+    after M. Without s every step is step 0.
+
+    The integral of a function f after s^j over the box is
+    _pieces_integral(f, step j), so no iterate f after s^j is assembled."""
+    if len(box) == 1:
+        pieces = [(box[0], (1, 0, 1))]
+    else:
+        (x0, x1), (y0, y1) = box
+        corners = [_reduced(x.numerator * y.denominator, y.numerator * x.denominator,
+                            x.denominator * y.denominator)
+                   for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+        pieces = [(corners, (1, 0, 0, 1, 0, 0, 1))]
+    maps = () if s is None else [_int_piece(m) for m in s.maps]
+    while True:
+        yield pieces
+        if maps:
+            # a polygon is kept ccw and without repeated points, and dropped
+            # if it has zero area
+            pieces = [(g, _after(maps[i], pieces[k][1]))
+                      for piece, k, i in _cut(pieces, s.complex)
+                      if (g := piece if s.dim == 1 else _canon(piece))]
+
+
+def _pieces_integral(f: PWLMap, pieces) -> Fraction:
+    """The exact integral of the one-row map f after each piece's map over
+    its geometry, summed over the pieces of an itinerary step: each piece is
+    cut by the cells of f (_cut), where f after its map is one affine row."""
+    rows = [_int_piece(m) for m in f.maps]
+    # numerators are summed per denominator
+    sums: dict[int, int] = {}
+    if f.dim == 1:
+        # (c x + e) / d integrates over [lo, hi] to (hi - lo) (c (lo + hi) + 2 e) / 2d,
+        # which is x (c (p h + l q) + 2 e p q) / (2 d (p q)^2) for lo = l / p,
+        # hi = h / q and x = h p - l q
+        for (lo, hi), k, i in _cut(pieces, f.complex):
+            c, e, d = _after(rows[i], pieces[k][1])
+            l, p, h, q = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            den = 2 * d * (p * q) ** 2
+            sums[den] = sums.get(den, 0) + (h * p - l * q) * (c * (p * h + l * q) + 2 * e * p * q)
+        return sum((Fraction(n, d) for d, n in sums.items()), F0)
+    # a convex polygon fans into triangles pqr of one orientation; each adds
+    # |det(p, q, r)| (c.p q_W r_W + c.q p_W r_W + c.r p_W q_W) / (6 d (p_W q_W r_W)^2)
+    # for the row c / d
+    for poly, k, i in _cut(pieces, f.complex):
+        e0, e1, e2, u = rows[i]
+        a00, a01, a10, a11, b0, b1, s = pieces[k][1]
+        c = (e0 * a00 + e1 * a10, e0 * a01 + e1 * a11, e0 * b0 + e1 * b1 + e2 * s)
+        for p, q, r in _fan(poly):
+            w = p[2] * q[2] * r[2]
+            num = _dot(c, p) * q[2] * r[2] + _dot(c, q) * p[2] * r[2] + _dot(c, r) * p[2] * q[2]
+            d = s * u * w * w
+            sums[d] = sums.get(d, 0) + abs(_det(p, q, r)) * num
+    return sum((Fraction(n, 6 * d) for d, n in sums.items()), F0)
+
+
 def pwl_integral(f: PWLMap, box=None) -> Fraction:
-    """Exact integral of f over a rational box (defaults to the whole cube)."""
+    """Exact integral of f over a rational box (defaults to the whole cube):
+    step 0 of the box's itinerary, the box under the identity, cut by the
+    cells of f."""
     _one_row(f)
     if box is None:
         box = [(F0, F1)] * f.dim
@@ -889,39 +988,7 @@ def pwl_integral(f: PWLMap, box=None) -> Fraction:
         warnings.warn("integration box has zero measure")
         return F0
     box = _checked_box("integration", box, f.dim)
-
-    if f.dim == 1:
-        total = F0
-        lo, hi = box[0]
-        for j in range(len(f.complex.cells)):
-            a, b = (p[0] for p in f.complex.cell_points(j))
-            clo, chi = max(a, lo), min(b, hi)
-            if clo < chi:
-                m = f.maps[j]
-                total += (chi - clo) * (_row_value(m, (clo,)) + _row_value(m, (chi,))) / 2
-        return total
-
-    (xlo, xhi), (ylo, yhi) = box
-    # a cell wholly inside or outside the box is kept or skipped, unclipped
-    planes = [_scaled(h)[0] for h in ((1, 0, -xlo), (-1, 0, xhi), (0, 1, -ylo), (0, -1, yhi))]
-    # a triangle pqr adds det(p, q, r) (c.p q_W r_W + c.q p_W r_W + c.r p_W q_W)
-    # / (6 s (p_W q_W r_W)^2) for the piece c / s; numerators are summed per
-    # denominator
-    sums: dict[int, int] = {}
-    for cell, m in zip(f.complex.cells, f.maps):
-        tri = [f.complex._triples[i] for i in cell]
-        cuts = _cuts(planes, tri)
-        if cuts is None:
-            continue
-        tris = [tri]
-        if cuts:
-            tris = _fan(_canon(reduce(_clip, cuts, tri)))
-        c, s = _scaled(m.a[0] + m.b)
-        for p, q, r in tris:
-            w = p[2] * q[2] * r[2]
-            num = _dot(c, p) * q[2] * r[2] + _dot(c, q) * p[2] * r[2] + _dot(c, r) * p[2] * q[2]
-            sums[s * w * w] = sums.get(s * w * w, 0) + _det(p, q, r) * num
-    return sum((Fraction(n, 6 * d) for d, n in sums.items()), F0)
+    return _pieces_integral(f, next(_itinerary(box)))
 
 
 # -- synthesis: PWL -> formula ---------------------------------------------------

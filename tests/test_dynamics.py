@@ -993,6 +993,39 @@ def test_composed_tent_iterates_double_their_cells(tent_map):
         w = pwl_compose(w, tent_map.pwl)
 
 
+def test_average_truth_value_assembles_no_iterate(monkeypatch):
+    # x0 * x1 under the tent pair over a quarter-by-quarter box: the walk
+    # cuts the box forward through S, so it assembles the complexes of r's
+    # compilation only, at k = 4 as at k = 0; its pieces per step stay at or below
+    # the cells of the iterates pulled back over the whole square
+    sigma = induced_map(tent_pair())
+    box = [(F(1, 4), F(1, 2)), (F(0), F(1, 4))]
+    build, integral = pwl._build_complex_2d, pwl._pieces_integral
+    builds, pieces = [0], []
+
+    def counting_build(tagged):
+        builds[0] += 1
+        return build(tagged)
+
+    def recording_integral(f, step):
+        pieces.append(len(step))
+        return integral(f, step)
+    monkeypatch.setattr(pwl, "_build_complex_2d", counting_build)
+    monkeypatch.setattr(pwl, "_pieces_integral", recording_integral)
+    counts = []
+    for k in (0, 4):
+        builds[0] = 0
+        average_truth_value(Star(Var(0), Var(1)), k, sigma, box)
+        counts.append(builds[0])
+    assert counts[0] == counts[1] > 0
+    pieces.clear()
+    avg = average_truth_value(Star(Var(0), Var(1)), 5, sigma, box)
+    assert avg["sequence"] == [F(0), F(1, 12)] + [F(1, 6)] * 4
+    lebesgue, *steps = pieces      # the Lebesgue average is step 0 over the whole square
+    assert (lebesgue, len(steps)) == (1, 6)
+    assert all(n <= cells for n, cells in zip(steps, [4, 40, 204, 860, 3484, 13980]))
+
+
 def test_average_truth_value_piece_cap_at_step_15():
     # 2^14 = 16384 cells fit under PIECE_CAP = 20000, 2^15 do not
     with pytest.raises(ValueError, match="piece cap exceeded at step 15"):

@@ -15,15 +15,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mvdyn.dynamics import (
-    InducedMap, _lattice_step, average_truth_value, induced_map, map_eval, orbit,
+    InducedMap, _lattice_step, average_truth_value, geometric_form, induced_map, map_eval, orbit,
+    rotation_homeomorphism,
 )
 from mvdyn.formula import (
     And, Impl, Neg, OPlus, Or, Star, Substitution, Var, ONE, ZERO, LUKASIEWICZ,
     apply_substitution, evaluate, fold, parse_formula, print_formula,
 )
 from mvdyn.pwl import (
-    pwl_compose, pwl_equal, pwl_eval, pwl_from_formula, pwl_from_json, pwl_integral,
-    pwl_map_from_json, pwl_map_to_json, pwl_to_json,
+    PWLMap, affine_from_simplex_pair, pwl_compose, pwl_equal, pwl_eval, pwl_from_formula,
+    pwl_from_json, pwl_integral, pwl_map_from_json, pwl_map_to_json, pwl_to_json,
 )
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -225,6 +226,69 @@ def test_average_truth_value_matches_the_formula_route(case, box):
     box = box[:max(r.arity, *(g.arity for g in images), 1)]
     avg = average_truth_value(r, k, sigma, box)
     assert (avg["sequence"], avg["lebesgue_average"]) == average_by_formula(r, k, sigma, box)
+
+
+def average_by_pullback(r, k, sigma, box):
+    """(sequence, Lebesgue average) of average_truth_value by the backward
+    route: each iterate r after S^j assembled over the whole cube, pulled back
+    through the geometric form S (pwl_compose), then integrated over the box."""
+    dim = len(box)
+    volume = math.prod(hi - lo for lo, hi in box)
+    w = pwl_from_formula(r, dim)
+    s = geometric_form(sigma if sigma.arity == dim else Substitution(sigma.images[:dim]))
+    sequence = []
+    for j in range(k + 1):
+        sequence.append(pwl_integral(w, box) / volume)
+        if j < k:
+            w = pwl_compose(w, s)
+    return sequence, pwl_integral(pwl_from_formula(r, dim))
+
+
+X0, X1 = Var(0), Var(1)
+# maps with singular pieces: onto the diagonal, onto a side, and cells of
+# determinant 0 beside cells of determinant -1
+SINGULAR = [[And(X0, X1)] * 2, [Star(X0, X1), ZERO], [And(Neg(X0), X1), X0]]
+ROTATION = rotation_homeomorphism()[0]     # carries its 14-cell form
+# sides on cell ends of the tent maps, and the whole interval
+sides = st.sampled_from([(Fraction(lo, 4), Fraction(hi, 4))
+                         for lo in range(4) for hi in range(lo + 1, 5)])
+
+
+@st.composite
+def rational_self_maps(draw, n):
+    """The identity substitution on n variables carrying another geometric
+    form: affine on each cell of a compiled complex, with each vertex sent
+    to a drawn point of (1/den)Z^n, so its pieces are rational and some may
+    be singular."""
+    w = pwl_from_formula(draw(formulas_1 if n == 1 else formulas), n).complex
+    den = draw(st.sampled_from([2, 3, 5, 12]))
+    images = [tuple(Fraction(draw(st.integers(0, den)), den) for _ in range(n))
+              for _ in w.vertices]
+    s = PWLMap(w, tuple(affine_from_simplex_pair(w.cell_points(j), [images[i] for i in cell])
+                        for j, cell in enumerate(w.cells)))
+    return InducedMap(n, [Var(i) for i in range(n)], s)
+
+
+@SETTINGS
+@given(st.one_of(st.tuples(binary(formulas_1).map(lambda g: [g]), formulas_1,
+                           st.integers(0, 6)),
+                 st.tuples(st.one_of(st.lists(binary(formulas), min_size=2, max_size=2),
+                                     st.sampled_from(SINGULAR)), formulas, st.integers(0, 3)),
+                 st.tuples(st.just(ROTATION), formulas, st.integers(0, 3)),
+                 st.tuples(rational_self_maps(1), formulas_1, st.integers(0, 4)),
+                 st.tuples(rational_self_maps(2), formulas, st.integers(0, 2))),
+       st.tuples(sides, sides))
+@example(([And(X0, X1)] * 2, Star(X0, X1), 3), ((Fraction(0), Fraction(1)),) * 2)
+@example(([Neg(X0), X1], Star(X0, X1), 1), ((Fraction(0), Fraction(1)),) * 2)
+@example((ROTATION, parse_formula("x0 * x1 (+) !x0 & x1"), 3),
+         ((Fraction(1, 4), Fraction(1, 2)), (Fraction(0), Fraction(1, 4))))
+def test_average_truth_value_walks_as_the_pullback(case, box):
+    images, r, k = case
+    sigma = images if isinstance(images, InducedMap) else Substitution(images)
+    box = box[:max(r.arity, *(g.arity for g in sigma.images), 1)]
+    assume(induced_map(sigma).pwl is not None)
+    avg = average_truth_value(r, k, sigma, box)
+    assert (avg["sequence"], avg["lebesgue_average"]) == average_by_pullback(r, k, sigma, box)
 
 
 @SETTINGS

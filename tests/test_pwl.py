@@ -748,6 +748,60 @@ def test_degenerate_box_warns():
     assert val == 0
 
 
+def box_clip_integral(f, box):
+    """The integral of a one-row map over a checked box by clipping each cell
+    to the box: a scan over every cell in 1-D, the box's four integer
+    half-planes in 2-D."""
+    if f.dim == 1:
+        total = F(0)
+        lo, hi = box[0]
+        for j in range(len(f.complex.cells)):
+            a, b = (p[0] for p in f.complex.cell_points(j))
+            clo, chi = max(a, lo), min(b, hi)
+            if clo < chi:
+                m = f.maps[j]
+                total += (chi - clo) * (m.apply((clo,))[0] + m.apply((chi,))[0]) / 2
+        return total
+    (xlo, xhi), (ylo, yhi) = box
+    planes = [pwl_module._scaled(h)[0]
+              for h in ((1, 0, -xlo), (-1, 0, xhi), (0, 1, -ylo), (0, -1, yhi))]
+    sums = {}
+    for cell, m in zip(f.complex.cells, f.maps):
+        tri = [f.complex._triples[i] for i in cell]
+        cuts = pwl_module._cuts(planes, tri)
+        if cuts is None:
+            continue
+        tris = [tri]
+        if cuts:
+            tris = pwl_module._fan(pwl_module._canon(reduce(pwl_module._clip, cuts, tri)))
+        c, s = pwl_module._scaled(m.a[0] + m.b)
+        for p, q, r in tris:
+            w = p[2] * q[2] * r[2]
+            num = (pwl_module._dot(c, p) * q[2] * r[2] + pwl_module._dot(c, q) * p[2] * r[2]
+                   + pwl_module._dot(c, r) * p[2] * q[2])
+            sums[s * w * w] = sums.get(s * w * w, 0) + pwl_module._det(p, q, r) * num
+    return sum((F(n, 6 * d) for d, n in sums.items()), F(0))
+
+
+def test_integral_is_the_box_clip_reference():
+    # compiled formulas of one and two variables, as the benchmark draws
+    # them, and maps with rational pieces, over boxes with corners on the
+    # eighths and the whole cube
+    rng = random.Random(881)
+    cases = []
+    for _ in range(40):
+        dim = rng.choice([1, 2])
+        f = pwl_from_formula(rand_formula(rng, dim, 5), dim)
+        if rng.random() < 0.2 and dim == 2:
+            f = vertex_image_map(rng, f.complex, rng.choice([3, 5, 12])).row(0)
+        boxes = [[tuple(sorted(F(k, 8) for k in rng.sample(range(9), 2))) for _ in range(dim)]
+                 for _ in range(2)]
+        cases += [(f, box) for box in boxes + [[(F(0), F(1))] * dim]]
+    assert any(not m.is_integral for f, _ in cases for m in f.maps)
+    for f, box in cases:
+        assert pwl_integral(f, box) == box_clip_integral(f, box), box
+
+
 # -- clamped affine synthesis ---------------------------------------------------------------
 
 def test_clamp_formula_matches_function():
