@@ -57,12 +57,6 @@ class InducedMap(Substitution):
         self._program = None
 
 
-def _geometric_form(images) -> PWLMap:
-    """The map x -> (g(x) for g in images) of the cube, one compiled row per
-    image under CELL_BUDGET (pwl.pwl_map_from_formulas)."""
-    return _pwl.pwl_map_from_formulas(images, CELL_BUDGET)
-
-
 def _check_covers(sigma: Substitution, n: int) -> None:
     """Refuse sigma unless it maps x0..x_{n-1}. The empty substitution, which
     maps no variable, has one message wherever a map of the cube needs it."""
@@ -76,16 +70,24 @@ def geometric_form(sigma: Substitution) -> PWLMap:
     """sigma's map of the cube as a PWLMap: the one an InducedMap carries, else
     its images compiled under CELL_BUDGET. Without one it refuses the empty
     substitution, or raises pwl's OutOfReach: too many variables for the exact
-    geometry, or CellBudgetError; an InducedMap raises the refusal it keeps
-    without compiling again."""
-    form = getattr(sigma, "pwl", None)
-    if form is None:
-        refusal = getattr(sigma, "refusal", None)
-        if refusal is not None:
-            raise type(refusal)(*refusal.args)
+    geometry, or CellBudgetError. A refusal an InducedMap keeps is raised
+    again without compiling. The images are compiled at most once per
+    substitution object: this function alone writes what the compile gave,
+    the form or its refusal, to the object's _form slot, and a kept refusal
+    is raised as a fresh copy. The form is shared, to be read only."""
+    kept = getattr(sigma, "pwl", None)
+    if kept is None:
+        kept = getattr(sigma, "refusal", None) or getattr(sigma, "_form", None)
+    if kept is None:
         _check_covers(sigma, 1)
-        form = _geometric_form(sigma.images)
-    return form
+        try:
+            kept = _pwl.pwl_map_from_formulas(sigma.images, CELL_BUDGET)
+        except OutOfReach as err:   # pwl's: the variable ceiling, or CellBudgetError
+            kept = err.with_traceback(None)
+        sigma._form = kept
+    if isinstance(kept, OutOfReach):
+        raise type(kept)(*kept.args)
+    return kept
 
 
 def induced_map(sigma: Substitution) -> InducedMap:

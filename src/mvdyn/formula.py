@@ -789,9 +789,14 @@ def _chain_step(n: int, m: int, base: str) -> Callable:
 # -- substitutions ------------------------------------------------------------
 
 class Substitution:
-    """A map x_i -> formula over x0..x_{n-1}, extended homomorphically."""
+    """A map x_i -> formula over x0..x_{n-1}, extended homomorphically.
 
-    __slots__ = ("arity", "images")
+    The _form slot is unset until dynamics.geometric_form first compiles the
+    images; it then keeps the compiled map, or the refusal the compile
+    raised, for the object's lifetime. Only that function reads or writes it.
+    """
+
+    __slots__ = ("arity", "images", "_form")
 
     def __init__(self, images: Sequence[Formula]):
         images = tuple(images)

@@ -176,7 +176,7 @@ def test_rotation_commands_read_its_exact_form(capsys, monkeypatch):
         raise AssertionError("the rotation's formulas were compiled")
 
     monkeypatch.setattr("mvdyn.dynamics.pwl_from_formula", compiled)
-    monkeypatch.setattr("mvdyn.dynamics._geometric_form", compiled)
+    monkeypatch.setattr("mvdyn.pwl.pwl_map_from_formulas", compiled)
     payload = capture_json(capsys, ["orbit", "--subst", "rotation", "--start", "1/8,3/8"])
     assert (payload["preperiod"], payload["period"]) == (0, 15)
     payload = capture_json(capsys, ["boxhit", "--q", "rotation", "--r", "rotation",

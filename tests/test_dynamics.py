@@ -324,6 +324,59 @@ def test_geometric_form_reraises_the_kept_refusal_without_compiling(monkeypatch)
     assert len(calls) == 1
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """Every pwl.pwl_map_from_formulas call, recorded by its images."""
+    calls = []
+    compile_ = pwl.pwl_map_from_formulas
+
+    def record(images, *args):
+        calls.append(tuple(images))
+        return compile_(images, *args)
+
+    monkeypatch.setattr("mvdyn.pwl.pwl_map_from_formulas", record)
+    return calls
+
+
+def test_a_substitution_compiles_its_form_once(compiles):
+    sigma = tent_pair()
+    r = Star(Var(0), Var(1))
+    for box in ([(F(1, 8), F(5, 8)), (F(1, 4), F(3, 4))],
+                [(F(0), F(1, 2)), (F(1, 2), F(1))],
+                [(F(1, 4), F(1, 2)), (F(0), F(1, 4))]):
+        assert len(average_truth_value(r, 2, sigma, box)["sequence"]) == 3
+    assert compiles == [sigma.images]
+    assert induced_map(sigma).pwl is geometric_form(sigma)
+    assert compiles == [sigma.images]
+
+
+def test_an_induced_map_without_its_form_compiles_once(compiles):
+    s = InducedMap(2, tent_pair().images, None)
+    assert geometric_form(s) is geometric_form(s)
+    assert s.pwl is None and compiles == [s.images]
+
+
+def test_a_substitution_keeps_its_refusal(compiles):
+    sigma = Substitution(tent_iterate_map(9).images)
+    compiles.clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(pwl.CellBudgetError, match="exceeds the 600-cell budget") as exc:
+            geometric_form(sigma)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and compiles == [sigma.images]
+
+
+def test_a_truncated_substitution_averages_through_a_throwaway_form(compiles):
+    sigma = Substitution([Var(0), Var(0)])
+    for _ in range(2):
+        avg = average_truth_value(Var(0), 1, sigma, [(F(0), F(1, 2))])
+        assert avg["sequence"] == [F(1, 4), F(1, 4)]
+    # the one-row throwaway form is not kept on sigma
+    assert geometric_form(sigma).rows == 2
+    assert compiles == [(Var(0),), (Var(0),), sigma.images]
+
+
 def test_full_rational_orbit_grid(tent_map):
     grid = full_rational_orbit(1, 4)
     assert grid == [(F(0),), (F(1, 4),), (F(1, 2),), (F(3, 4),), (F(1),)]

@@ -269,15 +269,18 @@ def rational_self_maps(draw, n):
     return InducedMap(n, [Var(i) for i in range(n)], s)
 
 
+# (images or induced map, r, k) for the averages
+average_cases = st.one_of(
+    st.tuples(binary(formulas_1).map(lambda g: [g]), formulas_1, st.integers(0, 6)),
+    st.tuples(st.one_of(st.lists(binary(formulas), min_size=2, max_size=2),
+                        st.sampled_from(SINGULAR)), formulas, st.integers(0, 3)),
+    st.tuples(st.just(ROTATION), formulas, st.integers(0, 3)),
+    st.tuples(rational_self_maps(1), formulas_1, st.integers(0, 4)),
+    st.tuples(rational_self_maps(2), formulas, st.integers(0, 2)))
+
+
 @SETTINGS
-@given(st.one_of(st.tuples(binary(formulas_1).map(lambda g: [g]), formulas_1,
-                           st.integers(0, 6)),
-                 st.tuples(st.one_of(st.lists(binary(formulas), min_size=2, max_size=2),
-                                     st.sampled_from(SINGULAR)), formulas, st.integers(0, 3)),
-                 st.tuples(st.just(ROTATION), formulas, st.integers(0, 3)),
-                 st.tuples(rational_self_maps(1), formulas_1, st.integers(0, 4)),
-                 st.tuples(rational_self_maps(2), formulas, st.integers(0, 2))),
-       st.tuples(sides, sides))
+@given(average_cases, st.tuples(sides, sides))
 @example(([And(X0, X1)] * 2, Star(X0, X1), 3), ((Fraction(0), Fraction(1)),) * 2)
 @example(([Neg(X0), X1], Star(X0, X1), 1), ((Fraction(0), Fraction(1)),) * 2)
 @example((ROTATION, parse_formula("x0 * x1 (+) !x0 & x1"), 3),
@@ -289,6 +292,26 @@ def test_average_truth_value_walks_as_the_pullback(case, box):
     assume(induced_map(sigma).pwl is not None)
     avg = average_truth_value(r, k, sigma, box)
     assert (avg["sequence"], avg["lebesgue_average"]) == average_by_pullback(r, k, sigma, box)
+
+
+@SETTINGS
+@given(average_cases, st.tuples(sides, sides))
+def test_a_kept_form_averages_as_a_fresh_one(case, box):
+    """A substitution compiles its images once and keeps the form: averages
+    on it, reused, equal those on a fresh substitution of the same images."""
+    images, r, k = case
+    sigma = images if isinstance(images, InducedMap) else Substitution(images)
+    box = box[:max(r.arity, *(g.arity for g in sigma.images), 1)]
+    assume(induced_map(sigma).pwl is not None)
+    s = geometric_form(sigma)
+    assert s is geometric_form(sigma)
+    # an induced map's form need not be its images' (rational_self_maps)
+    assume(not isinstance(images, InducedMap))
+    for _ in range(2):
+        avg = average_truth_value(r, k, sigma, box)
+        assert avg == average_truth_value(r, k, Substitution(images), box)
+    fresh = geometric_form(Substitution(images))
+    assert fresh is not s and all(pwl_equal(s.row(i), fresh.row(i)) for i in range(s.rows))
 
 
 @SETTINGS

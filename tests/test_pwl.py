@@ -1315,6 +1315,23 @@ def test_only_pwl_reads_its_variable_ceiling():
     assert found == []
 
 
+def test_only_dynamics_reads_a_kept_form():
+    """No module but dynamics.py reads or writes a substitution's _form slot,
+    as an attribute or by name through getattr and its kin: geometric_form
+    alone decides what is kept. formula.py only declares the slot."""
+    found = []
+    for path in sorted(Path(pwl_module.__file__).parent.glob("*.py")):
+        if path.name != "dynamics.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute) and node.attr == "_form"
+                        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("getattr", "setattr", "hasattr", "delattr")
+                        and any(isinstance(a, ast.Constant) and a.value == "_form"
+                                for a in node.args)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_imported_name_is_read():
     """Each name a module of the package imports is read in that module;
     __init__.py's re-exports and the __future__ annotations are exempt."""
